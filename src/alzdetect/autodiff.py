@@ -53,12 +53,6 @@ class Tensor:
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label}(shape={self.data.shape})"
 
-    def dump(self) -> str:
-        """Debug text dump: one shape header line, then flat values."""
-        head = " ".join(str(d) for d in self.data.shape)
-        body = " ".join(repr(v) for v in self.data.ravel())
-        return f"shape {head}\n{body}\n"
-
 
 class Parameter(Tensor):
     """A named, trainable tensor. Its gradient buffer always exists."""
@@ -205,11 +199,15 @@ def tanh(x: Tensor) -> Tensor:
     return _out(data, "tanh", bw)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # numerically symmetric form: 1 / (1 + e) for x >= 0 and e / (1 + e)
+    # below, with e = exp(-|x|) <= 1, so exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # numerically symmetric form; exp never overflows for the negative branch
-    data = np.where(x.data >= 0,
-                    1.0 / (1.0 + np.exp(-np.clip(x.data, 0, None))),
-                    np.exp(np.clip(x.data, None, 0)) / (1.0 + np.exp(np.clip(x.data, None, 0))))
+    data = _sigmoid(x.data)
 
     def bw(g):
         _accum(x, g * data * (1.0 - data))
@@ -414,40 +412,91 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     return _out(out, "conv1d", bw)
 
 
-def max_pool1d(x: Tensor, width: int) -> Tensor:
-    """Non-overlapping max pooling over the time axis of [T, C] or [B, T, C].
+def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
+         reverse: bool = False) -> Tensor:
+    """One LSTM direction over ``seq`` [B, T, C]; returns every h as [B, T, H].
 
-    A final partial window is pooled as-is, so the output time length is
-    ceil(T / width). Ties take the earliest position.
+    Gates are laid out [input | forget | cell | output] along the 4H axis of
+    ``wx`` [C, 4H], ``wh`` [H, 4H] and ``b`` [4H]. The input projection of
+    all timesteps is one GEMM; only ``h @ wh`` runs per step. Where ``mask``
+    [B, T] is 0 the row keeps its previous h and cell, so the h at the last
+    real timestep is the direction's final state. Backward is hand-written
+    BPTT: one reverse pass over the saved gates, then one GEMM each for the
+    weight and input gradients.
     """
-    if width < 1:
-        raise ShapeMismatch("max_pool1d width must be >= 1")
-    batched = x.data.ndim == 3
-    if x.data.ndim not in (2, 3):
-        raise ShapeMismatch("max_pool1d expects [T, C] or [B, T, C]")
-    xb = x.data if batched else x.data[None, :, :]
-    b, t, c = xb.shape
-    n_out = -(-t // width)
-    out = np.empty((b, n_out, c))
-    arg = np.empty((b, n_out, c), dtype=np.intp)
-    for i in range(n_out):
-        lo, hi = i * width, min((i + 1) * width, t)
-        win = xb[:, lo:hi, :]
-        k = win.argmax(axis=1)
-        arg[:, i, :] = k + lo
-        out[:, i, :] = np.take_along_axis(win, k[:, None, :], axis=1)[:, 0, :]
-    res = out if batched else out[0]
+    if seq.data.ndim != 3 or wx.data.ndim != 2 or wh.data.ndim != 2:
+        raise ShapeMismatch("lstm expects seq [B, T, C], wx [C, 4H], wh [H, 4H]")
+    nb, nt, c = seq.shape
+    hidden = wh.shape[0]
+    if (wx.shape != (c, 4 * hidden) or wh.shape != (hidden, 4 * hidden)
+            or b.shape != (4 * hidden,) or np.shape(mask) != (nb, nt)):
+        raise ShapeMismatch(f"lstm: seq {seq.shape}, wx {wx.shape}, wh {wh.shape}, "
+                            f"b {b.shape}, mask {np.shape(mask)}")
+    h2, h3 = 2 * hidden, 3 * hidden
+    steps = range(nt - 1, -1, -1) if reverse else range(nt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xw = (seq.data.reshape(nb * nt, c) @ wx.data).reshape(nb, nt, 4 * hidden)
+    # per processing step k: state before the step at [k], after it at [k + 1]
+    hs = np.zeros((nt + 1, nb, hidden))
+    cs = np.zeros((nt + 1, nb, hidden))
+    acts = np.empty((nt, nb, 4 * hidden))        # i, f, g, o
+    tanh_c = np.empty((nt, nb, hidden))
+    blends: list[tuple[np.ndarray, np.ndarray] | None] = []
+    for k, ti in enumerate(steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (xw[:, ti] + hs[k] @ wh.data) + b.data
+        _check_finite(z, "lstm")
+        a = acts[k]
+        a[...] = _sigmoid(z)
+        a[:, h2:h3] = np.tanh(z[:, h2:h3])
+        cell = a[:, hidden:h2] * cs[k] + a[:, :hidden] * a[:, h2:h3]
+        tanh_c[k] = np.tanh(cell)
+        h = a[:, h3:] * tanh_c[k]
+        m = mask[:, ti:ti + 1]
+        if np.all(m == 1.0):
+            blends.append(None)
+        else:
+            keep, hold = m, 1.0 - m
+            blends.append((keep, hold))
+            h = keep * h + hold * hs[k]
+            cell = keep * cell + hold * cs[k]
+        hs[k + 1] = h
+        cs[k + 1] = cell
+    _check_finite(cs, "lstm")
+    out = hs[:0:-1] if reverse else hs[1:]
+    data = np.ascontiguousarray(out.transpose(1, 0, 2))
 
     def bw(g):
-        gb = g if batched else g[None, :, :]
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        xg = x.grad if batched else x.grad[None, :, :]
-        bi = np.arange(b)[:, None, None]
-        ci = np.arange(c)[None, None, :]
-        np.add.at(xg, (bi, arg, ci), gb)
+        g_steps = g[:, ::-1] if reverse else g
+        dz = np.empty_like(acts)
+        dh = np.zeros((nb, hidden))
+        dc = np.zeros((nb, hidden))
+        for k in range(nt - 1, -1, -1):
+            dh = dh + g_steps[:, k]
+            a = acts[k]
+            i_g, f_g, c_g, o_g = (a[:, :hidden], a[:, hidden:h2],
+                                  a[:, h2:h3], a[:, h3:])
+            if blends[k] is None:
+                dh_new, dc_new, dh, dc = dh, dc, 0.0, 0.0
+            else:                          # pads pass their gradient straight back
+                keep, hold = blends[k]
+                dh_new, dc_new, dh, dc = keep * dh, keep * dc, hold * dh, hold * dc
+            dc_new = dc_new + dh_new * o_g * (1.0 - tanh_c[k] * tanh_c[k])
+            d = dz[k]
+            d[:, :hidden] = dc_new * c_g * i_g * (1.0 - i_g)
+            d[:, hidden:h2] = dc_new * cs[k] * f_g * (1.0 - f_g)
+            d[:, h2:h3] = dc_new * i_g * (1.0 - c_g * c_g)
+            d[:, h3:] = dh_new * tanh_c[k] * o_g * (1.0 - o_g)
+            dh = dh + d @ wh.data.T
+            dc = dc + dc_new * f_g
+        dz_flat = dz.reshape(nt * nb, 4 * hidden)
+        _accum(wh, hs[:-1].reshape(nt * nb, hidden).T @ dz_flat)
+        _accum(b, dz_flat.sum(axis=0))
+        dz_time = (dz[::-1] if reverse else dz).transpose(1, 0, 2).reshape(nb * nt, 4 * hidden)
+        _accum(wx, seq.data.reshape(nb * nt, c).T @ dz_time)
+        _accum(seq, (dz_time @ wx.data.T).reshape(nb, nt, c))
 
-    return _out(res, "max_pool1d", bw)
+    return _out(data, "lstm", bw)
 
 
 # ---------------------------------------------------------------------------

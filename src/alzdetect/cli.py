@@ -25,6 +25,7 @@ from . import chat_corpus, evaluation, lexical_features, model, synthgen
 from .chat_corpus import ChatParseError, EmptyCorpus, Label, StatsReport
 from .evaluation import SplitSpec, TooSmall
 from .lexical_features import (
+    BadEmbeddingFile,
     BadLexiconFile,
     DimensionMismatch,
     EmptyFile,
@@ -32,14 +33,15 @@ from .lexical_features import (
 )
 from .model import CorruptFile, Diverged, ModelConfig, VersionMismatch, ZeroClass
 from .synthgen import SynthConfig
-from .text_pipeline import EmptyText, PerceptronTaggerModel, default_tagger
+from .text_pipeline import BadTaggerFile, EmptyText, PerceptronTaggerModel, default_tagger
 
 OUTPUT_DIR_ENV = "ALZDETECT_OUTPUT_DIR"
 
 DATA_ERRORS = (
     ChatParseError, EmptyCorpus, EmptyText, EmptyFile, DimensionMismatch,
-    BadLexiconFile, MissingLexicon, CorruptFile, VersionMismatch, ZeroClass,
-    TooSmall, FileNotFoundError, NotADirectoryError, IsADirectoryError,
+    BadEmbeddingFile, BadLexiconFile, BadTaggerFile, MissingLexicon, CorruptFile,
+    VersionMismatch, ZeroClass, TooSmall, FileNotFoundError, NotADirectoryError,
+    IsADirectoryError,
 )
 
 

@@ -54,6 +54,10 @@ class BadLexiconFile(ValueError):
     pass
 
 
+class BadEmbeddingFile(ValueError):
+    """An embedding line holds a non-numeric or non-finite value."""
+
+
 class MissingLexicon(KeyError):
     pass
 
@@ -101,7 +105,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                     f"{path}:{lineno}: expected {dim} values, got {len(values)}"
                 )
             if word not in entries:
-                entries[word] = np.array([float(v) for v in values])
+                try:
+                    vec = np.array(values, dtype=np.float64)
+                except ValueError:
+                    raise BadEmbeddingFile(f"{path}:{lineno}: non-numeric vector value") from None
+                if not np.isfinite(vec).all():
+                    raise BadEmbeddingFile(f"{path}:{lineno}: non-finite vector value")
+                entries[word] = vec
     if dim is None:
         raise EmptyFile(f"{path}: no embedding lines")
     return EmbeddingTable(dim=dim, entries=entries)

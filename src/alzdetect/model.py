@@ -162,54 +162,47 @@ def _readout_dim(config: ModelConfig) -> int:
     return config.lstm_hidden * (2 if config.bidirectional else 1)
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter the config has, in creation order."""
+    f, k, h = config.conv_filters, config.conv_kernel, config.lstm_hidden
+    c = 2 * f                      # LSTM input width after branch concat
+    d = _readout_dim(config)       # LSTM output width per timestep
+    a = config.attention_dim
+    dense_in = d + len(active_feature_indices(config))
+    units = config.dense_units
+
+    shapes = {"conv_embed_kernels": (f, k, config.embed_dim), "conv_embed_bias": (f,),
+              "conv_pos_kernels": (f, k, config.pos_dim), "conv_pos_bias": (f,)}
+    directions = ["lstm_fwd"] + (["lstm_bwd"] if config.bidirectional else [])
+    for prefix in directions:
+        shapes.update({prefix + "_wx": (c, 4 * h), prefix + "_wh": (h, 4 * h),
+                       prefix + "_b": (4 * h,)})
+    # attention parameters exist under every flag setting
+    shapes.update(attn_w=(d, a), attn_b=(a,), attn_u=(a, 1),
+                  dense_w=(dense_in, units), dense_b=(units,),
+                  out_w=(units, 1), out_b=(1,))
+    return shapes
+
+
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Fan-scaled uniform init, zero biases, LSTM forget bias 1.0.
 
     Creation order is fixed; it doubles as the generator consumption
     order, so a given seed always produces the same weights.
     """
-    def glorot(*shape, fan_in, fan_out):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=shape)
-
-    f, k, h = config.conv_filters, config.conv_kernel, config.lstm_hidden
-    c = 2 * f                      # LSTM input width after branch concat
-    d = _readout_dim(config)       # LSTM output width per timestep
-    a = config.attention_dim
-    n_feat = len(active_feature_indices(config))
-    dense_in = d + n_feat
-
+    h = config.lstm_hidden
     p: dict[str, Parameter] = {}
-
-    def par(name, data):
-        p[name] = Parameter(np.asarray(data, dtype=np.float64), name)
-
-    par("conv_embed_kernels", glorot(f, k, config.embed_dim,
-                                     fan_in=k * config.embed_dim, fan_out=f))
-    par("conv_embed_bias", np.zeros(f))
-    par("conv_pos_kernels", glorot(f, k, config.pos_dim,
-                                   fan_in=k * config.pos_dim, fan_out=f))
-    par("conv_pos_bias", np.zeros(f))
-
-    directions = ["lstm_fwd"] + (["lstm_bwd"] if config.bidirectional else [])
-    for prefix in directions:
-        par(prefix + "_wx", glorot(c, 4 * h, fan_in=c, fan_out=4 * h))
-        par(prefix + "_wh", glorot(h, 4 * h, fan_in=h, fan_out=4 * h))
-        bias = np.zeros(4 * h)
-        bias[h:2 * h] = 1.0        # forget gate opens at init
-        par(prefix + "_b", bias)
-
-    # attention parameters exist under every flag setting
-    par("attn_w", glorot(d, a, fan_in=d, fan_out=a))
-    par("attn_b", np.zeros(a))
-    par("attn_u", glorot(a, 1, fan_in=a, fan_out=1))
-
-    par("dense_w", glorot(dense_in, config.dense_units,
-                          fan_in=dense_in, fan_out=config.dense_units))
-    par("dense_b", np.zeros(config.dense_units))
-    par("out_w", glorot(config.dense_units, 1,
-                        fan_in=config.dense_units, fan_out=1))
-    par("out_b", np.zeros(1))
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 1:
+            data = np.zeros(shape)
+            if name.startswith("lstm_"):
+                data[h:2 * h] = 1.0        # forget gate opens at init
+        else:
+            # conv kernels are [F, w, C]; every other weight is [in, out]
+            fan_in, fan_out = (shape[1] * shape[2], shape[0]) if len(shape) == 3 else shape
+            lim = np.sqrt(6.0 / (fan_in + fan_out))
+            data = rng.uniform(-lim, lim, size=shape)
+        p[name] = Parameter(data, name)
     return ModelParams(p)
 
 
@@ -233,41 +226,6 @@ def _stack_instances(config: ModelConfig, instances) -> tuple[np.ndarray, ...]:
     return emb, pos, feats, mask, labels
 
 
-def _lstm_direction(params: ModelParams, prefix: str, seq: Tensor,
-                    mask: np.ndarray, hidden: int, reverse: bool) -> list[Tensor]:
-    """One LSTM direction over [B, T, C]; returns per-timestep h in time order.
-
-    Pad positions keep the previous state, so the entry at the last real
-    timestep is the direction's final state.
-    """
-    b, t, c = seq.shape
-    h = constant(np.zeros((b, hidden)))
-    cell = constant(np.zeros((b, hidden)))
-    outs: list[Tensor] = [None] * t  # type: ignore[list-item]
-    steps = range(t - 1, -1, -1) if reverse else range(t)
-    for ti in steps:
-        x_t = ad.reshape(ad.slice_axis(seq, 1, ti, ti + 1), (b, c))
-        gates = ad.add(ad.add(ad.matmul(x_t, params[prefix + "_wx"]),
-                              ad.matmul(h, params[prefix + "_wh"])),
-                       params[prefix + "_b"])
-        i_g = ad.sigmoid(ad.slice_axis(gates, 1, 0, hidden))
-        f_g = ad.sigmoid(ad.slice_axis(gates, 1, hidden, 2 * hidden))
-        g_g = ad.tanh(ad.slice_axis(gates, 1, 2 * hidden, 3 * hidden))
-        o_g = ad.sigmoid(ad.slice_axis(gates, 1, 3 * hidden, 4 * hidden))
-        cell_new = ad.add(ad.mul(f_g, cell), ad.mul(i_g, g_g))
-        h_new = ad.mul(o_g, ad.tanh(cell_new))
-        m = mask[:, ti:ti + 1]
-        if np.all(m == 1.0):
-            h, cell = h_new, cell_new
-        else:
-            keep = constant(m)
-            hold = constant(1.0 - m)
-            h = ad.add(ad.mul(keep, h_new), ad.mul(hold, h))
-            cell = ad.add(ad.mul(keep, cell_new), ad.mul(hold, cell))
-        outs[ti] = h
-    return outs
-
-
 def _forward_graph(params: ModelParams, config: ModelConfig,
                    emb: np.ndarray, pos: np.ndarray, feats: np.ndarray,
                    mask: np.ndarray, training: bool,
@@ -283,17 +241,13 @@ def _forward_graph(params: ModelParams, config: ModelConfig,
                             params["conv_pos_bias"]))
     seq = ad.concat([conv_e, conv_p], axis=2)  # [B, T, 2·filters]
 
-    hs_f = _lstm_direction(params, "lstm_fwd", seq, mask, h, reverse=False)
-    if config.bidirectional:
-        hs_b = _lstm_direction(params, "lstm_bwd", seq, mask, h, reverse=True)
-        per_t = [ad.concat([hf, hb], axis=1) for hf, hb in zip(hs_f, hs_b)]
-    else:
-        per_t = hs_f
+    directions = [("lstm_fwd", False)] + ([("lstm_bwd", True)] if config.bidirectional else [])
+    hs = [ad.lstm(seq, params[prefix + "_wx"], params[prefix + "_wh"], params[prefix + "_b"],
+                  mask, reverse=reverse) for prefix, reverse in directions]   # each [B, T, H]
 
     alpha = None
     if config.use_attention:
-        rows = [ad.reshape(ht, (b, 1, d)) for ht in per_t]
-        h_all = ad.concat(rows, axis=1)                      # [B, T, D]
+        h_all = ad.concat(hs, axis=2)                        # [B, T, D]
         flat = ad.reshape(h_all, (b * t, d))
         proj = ad.tanh(ad.add(ad.matmul(flat, params["attn_w"]), params["attn_b"]))
         scores = ad.reshape(ad.matmul(proj, params["attn_u"]), (b, t))
@@ -303,9 +257,8 @@ def _forward_graph(params: ModelParams, config: ModelConfig,
     else:
         # final state of each direction: forward ends at the last
         # timestep, backward ends at the first
-        readout = per_t[-1] if not config.bidirectional else ad.concat(
-            [ad.slice_axis(per_t[-1], 1, 0, h),
-             ad.slice_axis(per_t[0], 1, h, 2 * h)], axis=1)
+        readout = ad.concat([ad.reshape(ad.slice_axis(hd, 1, end, end + 1), (b, h))
+                             for hd, end in zip(hs, (t - 1, 0))], axis=1)
 
     active = active_feature_indices(config)
     fused = readout if not active else ad.concat(
@@ -556,4 +509,18 @@ def load(path: str | Path) -> tuple[ModelParams, ModelConfig]:
             tensors[name] = Parameter(data.reshape(shape).copy(), name)
         if fh.read(1):
             raise CorruptFile("trailing bytes after last tensor")
+    # the graph reads parameters by name with raw numpy ops, so the file's
+    # tensors must be exactly the set its own config would create
+    expected = param_shapes(config)
+    got = {n: t.shape for n, t in tensors.items()}
+    if got != expected:
+        missing = sorted(set(expected) - set(got))
+        extra = sorted(set(got) - set(expected))
+        wrong = sorted(f"{n} {got[n]} (expected {expected[n]})"
+                       for n in set(got) & set(expected) if got[n] != expected[n])
+        raise CorruptFile(f"{path}: tensors do not match the config: missing {missing}, "
+                          f"unexpected {extra}, wrong shape {wrong}")
+    for name, t in tensors.items():
+        if not np.all(np.isfinite(t.data)):
+            raise CorruptFile(f"{path}: tensor {name!r} holds non-finite values")
     return ModelParams(tensors), config

@@ -10,6 +10,7 @@ the one-hot width at 37.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,10 @@ class EmptyTagCorpus(ValueError):
 
 class UnknownTag(ValueError):
     pass
+
+
+class BadTaggerFile(ValueError):
+    """A saved tagger file has a bad header or a malformed line."""
 
 
 @dataclass(frozen=True)
@@ -188,18 +193,25 @@ class PerceptronTaggerModel:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if header != "PTAG v1":
-                raise ValueError(f"unsupported tagger file header {header!r}")
+                raise BadTaggerFile(f"{path}:1: unsupported tagger file header {header!r}")
             weights: dict[str, dict[str, float]] = {}
             tagdict: dict[str, str] = {}
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                feat, tag, w = line.split("\t")
+                try:
+                    feat, tag, w = line.split("\t")
+                    weight = float(w)
+                except ValueError:
+                    raise BadTaggerFile(f"{path}:{lineno}: expected feature<TAB>tag<TAB>weight, "
+                                        f"got {line!r}") from None
+                if tag not in PTB_TAGS or not math.isfinite(weight):
+                    raise BadTaggerFile(f"{path}:{lineno}: bad tag or weight in {line!r}")
                 if feat.startswith("!tagdict "):
                     tagdict[feat[len("!tagdict "):]] = tag
                 else:
-                    weights.setdefault(feat, {})[tag] = float(w)
+                    weights.setdefault(feat, {})[tag] = weight
         return cls(weights=weights, tagdict=tagdict)
 
 

@@ -1,10 +1,12 @@
-"""Shared test utilities, chiefly the finite-difference gradient oracle."""
+"""Shared test utilities: the finite-difference gradient oracle and the
+per-timestep LSTM composition the fused ``lstm`` primitive must match."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from alzdetect.autodiff import Parameter, Tape, backward
+from alzdetect import autodiff as ad
+from alzdetect.autodiff import Parameter, Tape, Tensor, backward, constant
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -87,3 +89,50 @@ def make_instances(cfg, n, rng, separation=0.0):
         out.append(EncodedInstance(f"t{i}", f"p{i}", emb, pos, feats,
                                    mask, label))
     return out
+
+
+def lstm_direction(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+                   mask: np.ndarray, reverse: bool) -> list[Tensor]:
+    """One LSTM direction over [B, T, C] built from elementwise primitives;
+    returns per-timestep h in time order.
+
+    Pad positions keep the previous state, so the entry at the last real
+    timestep is the direction's final state.
+    """
+    b_, t, c = seq.shape
+    hidden = wh.shape[0]
+    h = constant(np.zeros((b_, hidden)))
+    cell = constant(np.zeros((b_, hidden)))
+    outs: list[Tensor] = [None] * t  # type: ignore[list-item]
+    steps = range(t - 1, -1, -1) if reverse else range(t)
+    for ti in steps:
+        x_t = ad.reshape(ad.slice_axis(seq, 1, ti, ti + 1), (b_, c))
+        gates = ad.add(ad.add(ad.matmul(x_t, wx), ad.matmul(h, wh)), b)
+        i_g = ad.sigmoid(ad.slice_axis(gates, 1, 0, hidden))
+        f_g = ad.sigmoid(ad.slice_axis(gates, 1, hidden, 2 * hidden))
+        g_g = ad.tanh(ad.slice_axis(gates, 1, 2 * hidden, 3 * hidden))
+        o_g = ad.sigmoid(ad.slice_axis(gates, 1, 3 * hidden, 4 * hidden))
+        cell_new = ad.add(ad.mul(f_g, cell), ad.mul(i_g, g_g))
+        h_new = ad.mul(o_g, ad.tanh(cell_new))
+        m = mask[:, ti:ti + 1]
+        if np.all(m == 1.0):
+            h, cell = h_new, cell_new
+        else:
+            keep = constant(m)
+            hold = constant(1.0 - m)
+            h = ad.add(ad.mul(keep, h_new), ad.mul(hold, h))
+            cell = ad.add(ad.mul(keep, cell_new), ad.mul(hold, cell))
+        outs[ti] = h
+    return outs
+
+
+def save_edited_model(config, path, change):
+    """Save freshly initialised parameters for ``config`` after ``change``
+    has edited their name -> array dict (drop, add or reshape a tensor)."""
+    from alzdetect import model
+
+    params = model.init_params(config, np.random.default_rng(0))
+    tensors = {n: params[n].data for n in params.names()}
+    change(tensors)
+    model.save(model.ModelParams({n: Parameter(a, n) for n, a in tensors.items()}),
+               config, path)

@@ -15,12 +15,11 @@ from alzdetect.autodiff import (
     Sgd,
     ShapeMismatch,
     Tape,
-    Tensor,
     backward,
     constant,
     make_optimizer,
 )
-from helpers import gradcheck
+from helpers import gradcheck, lstm_direction
 
 
 def _param(rng, *shape, name):
@@ -78,17 +77,26 @@ def test_masked_softmax_all_masked_row_is_zero():
     np.testing.assert_allclose(out.data[1].sum(), 1.0)
 
 
-def test_max_pool_values_and_partial_window():
-    x = constant(np.array([[1.0], [5.0], [2.0], [4.0], [3.0]]))
-    out = ad.max_pool1d(x, 2)
-    np.testing.assert_array_equal(out.data[:, 0], [5.0, 4.0, 3.0])
-
-
 def test_sigmoid_gradient_at_zero():
     x = Parameter(np.zeros(()), "x")
     with Tape() as tape:
         backward(tape, ad.sigmoid(x))
     np.testing.assert_allclose(x.grad, 0.25)
+
+
+def test_sigmoid_matches_two_branch_form_bitwise():
+    # the clipped two-exp form the engine used before sharing one exp(-|x|)
+    def two_branch(x):
+        return np.where(x >= 0,
+                        1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
+                        np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))))
+
+    rng = np.random.default_rng(18)
+    x = np.concatenate([rng.standard_normal(20000) * scale
+                        for scale in (1e-300, 1e-8, 1.0, 8.0, 50.0, 800.0)]
+                       + [[0.0, -0.0, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2,
+                           1e308, -1e308, np.inf, -np.inf]])
+    np.testing.assert_array_equal(ad.sigmoid(constant(x)).data, two_branch(x))
 
 
 def test_sum_gradient_is_ones():
@@ -140,12 +148,6 @@ def test_forward_determinism_bitwise():
         k = constant(rng.standard_normal((3, 3, 4)))
         return ad.tanh(ad.conv1d(x, k)).data
     np.testing.assert_array_equal(run(), run())
-
-
-def test_tensor_dump_roundtrippable_text():
-    t = Tensor(np.array([[1.5, -2.0]]))
-    dump = t.dump()
-    assert "1 2" in dump.splitlines()[0] and "-2" in dump
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +254,6 @@ def test_gradcheck_conv1d_unbatched_and_batched():
     gradcheck(lambda: ad.mean(ad.tanh(ad.conv1d(x3, k))), [x3, k])
 
 
-def test_gradcheck_max_pool():
-    rng = np.random.default_rng(8)
-    x = _param(rng, 7, 3, name="x")
-    gradcheck(lambda: ad.sum_(ad.max_pool1d(x, 3)), [x])
-
-
 def test_gradcheck_mean_sum_axes():
     rng = np.random.default_rng(9)
     x = _param(rng, 3, 4, name="x")
@@ -288,6 +284,76 @@ def test_gradcheck_composed_graph():
         return ad.mean(ad.sigmoid(ctx))
 
     gradcheck(loss, [k, w, u])
+
+
+# ---------------------------------------------------------------------------
+# fused LSTM primitive
+
+# row 0 has pads mid-sequence and at the end; row 2 is all pads
+LSTM_PAD_MASK = np.array([[1, 1, 0, 0, 1, 1, 0],
+                          [1, 1, 1, 1, 1, 1, 1],
+                          [0, 0, 0, 0, 0, 0, 0]], dtype=float)
+# no fully padded row, so the pad-free steps skip the keep/hold blend
+LSTM_MIXED_MASK = np.array([[1, 1, 0, 0, 1, 1, 1],
+                            [1, 1, 1, 1, 1, 1, 1],
+                            [1, 1, 1, 1, 1, 1, 0]], dtype=float)
+
+
+def _lstm_params(rng, c=4, hidden=3):
+    return (_param(rng, c, 4 * hidden, name="wx"), _param(rng, hidden, 4 * hidden, name="wh"),
+            _param(rng, 4 * hidden, name="b"))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("mask", [LSTM_PAD_MASK, LSTM_MIXED_MASK], ids=["pads", "mixed"])
+def test_lstm_forward_matches_per_timestep_composition_bitwise(reverse, mask):
+    rng = np.random.default_rng(13)
+    seq = constant(rng.standard_normal((3, 7, 4)))
+    wx, wh, b = _lstm_params(rng)
+    out = ad.lstm(seq, wx, wh, b, mask, reverse=reverse)
+    oracle = lstm_direction(seq, wx, wh, b, mask, reverse=reverse)
+    assert out.shape == (3, 7, 3)
+    for t, h in enumerate(oracle):
+        np.testing.assert_array_equal(out.data[:, t], h.data)
+
+
+def test_lstm_pads_keep_state_and_all_pad_row_stays_zero():
+    rng = np.random.default_rng(14)
+    seq = constant(rng.standard_normal((3, 7, 4)))
+    fwd = ad.lstm(seq, *_lstm_params(rng), LSTM_PAD_MASK).data
+    np.testing.assert_array_equal(fwd[0, 2], fwd[0, 1])
+    np.testing.assert_array_equal(fwd[0, 6], fwd[0, 5])
+    np.testing.assert_array_equal(fwd[2], 0.0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("mask", [LSTM_PAD_MASK, LSTM_MIXED_MASK], ids=["pads", "mixed"])
+def test_gradcheck_lstm(reverse, mask):
+    rng = np.random.default_rng(15)
+    seq = _param(rng, 3, 7, 4, name="seq")
+    wx, wh, b = _lstm_params(rng)
+    weights = constant(rng.standard_normal((3, 7, 3)))
+    gradcheck(lambda: ad.sum_(ad.mul(ad.lstm(seq, wx, wh, b, mask, reverse=reverse), weights)),
+              [seq, wx, wh, b])
+
+
+def test_lstm_rejects_mismatched_shapes():
+    rng = np.random.default_rng(16)
+    seq = constant(rng.standard_normal((3, 7, 4)))
+    wx, wh, b = _lstm_params(rng)
+    with pytest.raises(ShapeMismatch):
+        ad.lstm(seq, wx, wh, b, LSTM_PAD_MASK[:, :5])
+    with pytest.raises(ShapeMismatch):
+        ad.lstm(seq, wh, wh, b, LSTM_PAD_MASK)
+
+
+def test_lstm_non_finite_preactivation_raises():
+    rng = np.random.default_rng(17)
+    seq = constant(rng.standard_normal((3, 7, 4)))
+    wx, wh, b = _lstm_params(rng)
+    wh.data[...] = 1e308     # h is 0 at the first step, so the overflow comes later
+    with pytest.raises(NonFiniteValue, match="lstm"):
+        ad.lstm(seq, wx, wh, b, LSTM_PAD_MASK)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import re
 
+import numpy as np
 import pytest
 import yaml
 
 from alzdetect.cli import UsageError, load_run_config, main
+from alzdetect.model import ModelConfig
+from helpers import save_edited_model
 
 MODEL_SECTION = {
     "seq_len": 20, "embed_dim": 8, "pos_dim": 37, "conv_filters": 2,
@@ -178,6 +181,61 @@ def test_divergent_training_exits_three(tmp_path, workspace):
                          lexicons=str(root / "lexicons"),
                          output_dir=str(tmp_path), model=model)
     assert main(["train", str(path)]) == 3
+
+
+def _bad_input_config(tmp_path, workspace, **overrides):
+    root, _ = workspace
+    paths = dict(corpus_dir=str(root), embeddings=str(root / "embeddings.txt"),
+                 lexicons=str(root / "lexicons"), output_dir=str(tmp_path))
+    return _write_config(tmp_path / "c.yaml", **{**paths, **overrides})
+
+
+def _assert_data_error(argv, capsys, needle):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert needle in err
+
+
+@pytest.mark.parametrize("change, needle", [
+    (lambda t: t.pop("out_b"), "out_b"),
+    (lambda t: t.update(lstm_fwd_wh=np.zeros((2, 12))), "lstm_fwd_wh"),
+], ids=["missing-tensor", "wrong-shape"])
+def test_model_file_not_matching_its_config_is_data_error(tmp_path, workspace, capsys,
+                                                          change, needle):
+    root, _ = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(ModelConfig(**MODEL_SECTION), path, change)
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    cfg = _bad_input_config(tmp_path, workspace)
+    _assert_data_error(["predict", str(cfg), "--model", str(path), str(transcript)],
+                       capsys, needle)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0.1x"])
+def test_bad_embedding_value_is_data_error(tmp_path, workspace, capsys, value):
+    root, _ = workspace
+    lines = (root / "embeddings.txt").read_text().splitlines()
+    word, *vec = lines[2].split()
+    vec[1] = value
+    lines[2] = " ".join([word, *vec])
+    bad = tmp_path / "embeddings.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = _bad_input_config(tmp_path, workspace, embeddings=str(bad))
+    _assert_data_error(["train", str(cfg)], capsys, f"{bad}:3:")
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("PTAG v9\n", ":1:"),
+    ("PTAG v1\nbias NN 0.5\n", ":2:"),
+    ("PTAG v1\nbias\tNN\tlots\n", ":2:"),
+    ("PTAG v1\nbias\tXX\t0.5\n", ":2:"),
+], ids=["header", "no-tabs", "bad-weight", "unknown-tag"])
+def test_bad_tagger_file_is_data_error(tmp_path, workspace, capsys, text, needle):
+    tagger = tmp_path / "tagger.txt"
+    tagger.write_text(text)
+    cfg = _bad_input_config(tmp_path, workspace, tagger=str(tagger))
+    _assert_data_error(["train", str(cfg)], capsys, needle)
 
 
 # ---------------------------------------------------------------------------

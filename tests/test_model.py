@@ -29,7 +29,7 @@ from alzdetect.model import (
     variant_config,
     weighted_bce,
 )
-from helpers import gradcheck, make_instances
+from helpers import gradcheck, make_instances, save_edited_model
 
 TINY = ModelConfig(seq_len=5, embed_dim=4, pos_dim=3, conv_filters=2,
                    conv_kernel=3, lstm_hidden=3, attention_dim=3,
@@ -420,6 +420,22 @@ def test_exploding_update_raises_diverged():
         fit(cfg, train, train)
 
 
+def test_lstm_overflow_inside_fit_raises_diverged(monkeypatch):
+    real_init = model.init_params
+
+    def exploding_init(config, rng):
+        params = real_init(config, rng)
+        params["lstm_fwd_wh"].data[...] = 1e308
+        return params
+
+    monkeypatch.setattr(model, "init_params", exploding_init)
+    cfg = _fit_cfg(max_epochs=1)
+    rng = np.random.default_rng(23)
+    train = make_instances(cfg, 8, rng)
+    with pytest.raises(Diverged, match="lstm produced a non-finite value"):
+        fit(cfg, train, train)
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -511,5 +527,18 @@ def test_load_rejects_unknown_config_keys(tmp_path):
     path = tmp_path / "model.bin"
     path.write_bytes(model.MAGIC + struct.pack("<II", model.FORMAT_VERSION, len(cfg))
                      + cfg + struct.pack("<I", 0))
+    with pytest.raises(CorruptFile):
+        load(path)
+
+
+@pytest.mark.parametrize("change", [
+    lambda t: t.pop("out_b"),
+    lambda t: t.update(lstm_fwd_wh=np.zeros((2, 12))),
+    lambda t: t.update(extra=np.zeros(3)),
+    lambda t: t["dense_b"].__setitem__(0, np.nan),
+], ids=["missing", "wrong-shape", "unexpected", "non-finite"])
+def test_load_checks_tensors_against_config(tmp_path, change):
+    path = tmp_path / "model.bin"
+    save_edited_model(TINY, path, change)
     with pytest.raises(CorruptFile):
         load(path)
