@@ -91,7 +91,7 @@ _TAPE_STACK: list[Tape] = []
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteValue(f"{op} produced a non-finite value")
     return arr
 
@@ -105,8 +105,10 @@ def _out(arr: np.ndarray, op: str, backward) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one pass; adding 0.0 turns -0.0 into 0.0 exactly as zeros + g did
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -199,11 +201,15 @@ def tanh(x: Tensor) -> Tensor:
     return _out(data, "tanh", bw)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically symmetric form: 1 / (1 + e) for x >= 0 and e / (1 + e)
-    # below, with e = exp(-|x|) <= 1, so exp never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # numerically symmetric, branch-free: exp(min(x, 0)) / (1 + exp(-|x|)).
+    # Both exps take arguments <= 0, so neither overflows; for x >= 0 the
+    # numerator is exactly 1, and for x < 0 both exps are the same float.
+    denom = np.exp(-np.abs(x))
+    denom += 1.0
+    out = np.exp(np.minimum(x, 0.0), out=out)
+    out /= denom
+    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -420,9 +426,10 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
     ``wx`` [C, 4H], ``wh`` [H, 4H] and ``b`` [4H]. The input projection of
     all timesteps is one GEMM; only ``h @ wh`` runs per step. Where ``mask``
     [B, T] is 0 the row keeps its previous h and cell, so the h at the last
-    real timestep is the direction's final state. Backward is hand-written
-    BPTT: one reverse pass over the saved gates, then one GEMM each for the
-    weight and input gradients.
+    real timestep is the direction's final state. A timestep that is a pad
+    in every row computes nothing in either pass; the state and its gradient
+    carry over it. Backward is hand-written BPTT: one reverse pass over the
+    saved gates, then one GEMM each for the weight and input gradients.
     """
     if seq.data.ndim != 3 or wx.data.ndim != 2 or wh.data.ndim != 2:
         raise ShapeMismatch("lstm expects seq [B, T, C], wx [C, 4H], wh [H, 4H]")
@@ -434,34 +441,42 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
                             f"b {b.shape}, mask {np.shape(mask)}")
     h2, h3 = 2 * hidden, 3 * hidden
     steps = range(nt - 1, -1, -1) if reverse else range(nt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        xw = (seq.data.reshape(nb * nt, c) @ wx.data).reshape(nb, nt, 4 * hidden)
+    keeps = mask[:, ::-1] if reverse else mask   # [B, T] in processing order
+    holds = 1.0 - keeps
+    # each step is classified once: every row real, every row a pad, or mixed
+    full = np.all(keeps == 1.0, axis=0).tolist()
+    empty = np.all(keeps == 0.0, axis=0).tolist()
     # per processing step k: state before the step at [k], after it at [k + 1]
     hs = np.zeros((nt + 1, nb, hidden))
     cs = np.zeros((nt + 1, nb, hidden))
-    acts = np.empty((nt, nb, 4 * hidden))        # i, f, g, o
+    acts = np.empty((nt, nb, 4 * hidden))        # i, f, g, o; unset at all-pad steps
     tanh_c = np.empty((nt, nb, hidden))
-    blends: list[tuple[np.ndarray, np.ndarray] | None] = []
-    for k, ti in enumerate(steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = (xw[:, ti] + hs[k] @ wh.data) + b.data
-        _check_finite(z, "lstm")
-        a = acts[k]
-        a[...] = _sigmoid(z)
-        a[:, h2:h3] = np.tanh(z[:, h2:h3])
-        cell = a[:, hidden:h2] * cs[k] + a[:, :hidden] * a[:, h2:h3]
-        tanh_c[k] = np.tanh(cell)
-        h = a[:, h3:] * tanh_c[k]
-        m = mask[:, ti:ti + 1]
-        if np.all(m == 1.0):
-            blends.append(None)
-        else:
-            keep, hold = m, 1.0 - m
-            blends.append((keep, hold))
-            h = keep * h + hold * hs[k]
-            cell = keep * cell + hold * cs[k]
-        hs[k + 1] = h
-        cs[k + 1] = cell
+    z = np.empty((nb, 4 * hidden))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xw = (seq.data.reshape(nb * nt, c) @ wx.data).reshape(nb, nt, 4 * hidden)
+        for k, ti in enumerate(steps):
+            h, cell = hs[k + 1], cs[k + 1]
+            if empty[k]:                         # nothing to compute: the state carries over
+                h[...] = hs[k]
+                cell[...] = cs[k]
+                continue
+            np.matmul(hs[k], wh.data, out=z)
+            z += xw[:, ti]
+            z += b.data
+            _check_finite(z, "lstm")
+            a = acts[k]
+            _sigmoid(z, out=a)
+            np.tanh(z[:, h2:h3], out=a[:, h2:h3])
+            np.multiply(a[:, hidden:h2], cs[k], out=cell)
+            cell += a[:, :hidden] * a[:, h2:h3]
+            np.tanh(cell, out=tanh_c[k])
+            np.multiply(a[:, h3:], tanh_c[k], out=h)
+            if not full[k]:                      # pad rows keep their previous state
+                keep, hold = keeps[:, k:k + 1], holds[:, k:k + 1]
+                h *= keep
+                h += hold * hs[k]
+                cell *= keep
+                cell += hold * cs[k]
     _check_finite(cs, "lstm")
     out = hs[:0:-1] if reverse else hs[1:]
     data = np.ascontiguousarray(out.transpose(1, 0, 2))
@@ -473,13 +488,16 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
         dc = np.zeros((nb, hidden))
         for k in range(nt - 1, -1, -1):
             dh = dh + g_steps[:, k]
+            if empty[k]:                         # pads pass their gradient straight back
+                dz[k] = 0.0
+                continue
             a = acts[k]
             i_g, f_g, c_g, o_g = (a[:, :hidden], a[:, hidden:h2],
                                   a[:, h2:h3], a[:, h3:])
-            if blends[k] is None:
+            if full[k]:
                 dh_new, dc_new, dh, dc = dh, dc, 0.0, 0.0
-            else:                          # pads pass their gradient straight back
-                keep, hold = blends[k]
+            else:
+                keep, hold = keeps[:, k:k + 1], holds[:, k:k + 1]
                 dh_new, dc_new, dh, dc = keep * dh, keep * dc, hold * dh, hold * dc
             dc_new = dc_new + dh_new * o_g * (1.0 - tanh_c[k] * tanh_c[k])
             d = dz[k]

@@ -46,7 +46,7 @@ class SplitSpec:
     val_fraction: float = 0.09
     test_fraction: float = 0.10
     seed: int = 0
-    unit: str = "transcript"
+    unit: str = "participant"
 
     def __post_init__(self):
         total = self.train_fraction + self.val_fraction + self.test_fraction

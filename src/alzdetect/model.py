@@ -276,15 +276,6 @@ def _forward_graph(params: ModelParams, config: ModelConfig,
     return prob, alpha
 
 
-def forward(params: ModelParams, config: ModelConfig,
-            instance: EncodedInstance) -> float:
-    """Evaluation-mode probability that one instance is positive."""
-    emb, pos, feats, mask, _ = _stack_instances(config, [instance])
-    prob, _ = _forward_graph(params, config, emb, pos, feats, mask,
-                             training=False, rng=None)
-    return float(prob.data[0])
-
-
 def attention_weights(params: ModelParams, config: ModelConfig,
                       instance: EncodedInstance) -> np.ndarray:
     """Per-timestep attention weights for one instance (diagnostic)."""

@@ -97,17 +97,20 @@ def lstm_direction(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     returns per-timestep h in time order.
 
     Pad positions keep the previous state, so the entry at the last real
-    timestep is the direction's final state.
+    timestep is the direction's final state. The input projection of all
+    timesteps is one matmul, as in the fused op: a one-row product takes
+    BLAS's matrix-vector path, which can round the last bit differently.
     """
     b_, t, c = seq.shape
     hidden = wh.shape[0]
+    xw = ad.reshape(ad.matmul(ad.reshape(seq, (b_ * t, c)), wx), (b_, t, 4 * hidden))
     h = constant(np.zeros((b_, hidden)))
     cell = constant(np.zeros((b_, hidden)))
     outs: list[Tensor] = [None] * t  # type: ignore[list-item]
     steps = range(t - 1, -1, -1) if reverse else range(t)
     for ti in steps:
-        x_t = ad.reshape(ad.slice_axis(seq, 1, ti, ti + 1), (b_, c))
-        gates = ad.add(ad.add(ad.matmul(x_t, wx), ad.matmul(h, wh)), b)
+        x_w = ad.reshape(ad.slice_axis(xw, 1, ti, ti + 1), (b_, 4 * hidden))
+        gates = ad.add(ad.add(x_w, ad.matmul(h, wh)), b)
         i_g = ad.sigmoid(ad.slice_axis(gates, 1, 0, hidden))
         f_g = ad.sigmoid(ad.slice_axis(gates, 1, hidden, 2 * hidden))
         g_g = ad.tanh(ad.slice_axis(gates, 1, 2 * hidden, 3 * hidden))

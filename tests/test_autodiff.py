@@ -297,6 +297,12 @@ LSTM_PAD_MASK = np.array([[1, 1, 0, 0, 1, 1, 0],
 LSTM_MIXED_MASK = np.array([[1, 1, 0, 0, 1, 1, 1],
                             [1, 1, 1, 1, 1, 1, 1],
                             [1, 1, 1, 1, 1, 1, 0]], dtype=float)
+# timesteps 0, 3 and 6 are pads in every row, so both passes skip them
+LSTM_GAP_MASK = np.array([[0, 1, 1, 0, 1, 0, 0],
+                          [0, 1, 0, 0, 1, 1, 0],
+                          [0, 1, 1, 0, 1, 1, 0]], dtype=float)
+# one transcript padded at the end, as a scoring request sees it
+LSTM_SUFFIX_MASK = np.array([[1, 1, 1, 1, 0, 0, 0]], dtype=float)
 
 
 def _lstm_params(rng, c=4, hidden=3):
@@ -305,14 +311,15 @@ def _lstm_params(rng, c=4, hidden=3):
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("mask", [LSTM_PAD_MASK, LSTM_MIXED_MASK], ids=["pads", "mixed"])
+@pytest.mark.parametrize("mask", [LSTM_PAD_MASK, LSTM_MIXED_MASK, LSTM_GAP_MASK, LSTM_SUFFIX_MASK],
+                         ids=["pads", "mixed", "gaps", "suffix-b1"])
 def test_lstm_forward_matches_per_timestep_composition_bitwise(reverse, mask):
     rng = np.random.default_rng(13)
-    seq = constant(rng.standard_normal((3, 7, 4)))
+    seq = constant(rng.standard_normal((*mask.shape, 4)))
     wx, wh, b = _lstm_params(rng)
     out = ad.lstm(seq, wx, wh, b, mask, reverse=reverse)
     oracle = lstm_direction(seq, wx, wh, b, mask, reverse=reverse)
-    assert out.shape == (3, 7, 3)
+    assert out.shape == (*mask.shape, 3)
     for t, h in enumerate(oracle):
         np.testing.assert_array_equal(out.data[:, t], h.data)
 
@@ -327,7 +334,8 @@ def test_lstm_pads_keep_state_and_all_pad_row_stays_zero():
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("mask", [LSTM_PAD_MASK, LSTM_MIXED_MASK], ids=["pads", "mixed"])
+@pytest.mark.parametrize("mask", [LSTM_PAD_MASK, LSTM_MIXED_MASK, LSTM_GAP_MASK],
+                         ids=["pads", "mixed", "gaps"])
 def test_gradcheck_lstm(reverse, mask):
     rng = np.random.default_rng(15)
     seq = _param(rng, 3, 7, 4, name="seq")

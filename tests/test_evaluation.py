@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alzdetect import synthgen
 from alzdetect.evaluation import (
     ABLATION_LABELS,
     ConfusionCounts,
@@ -37,29 +38,30 @@ from helpers import make_instances
 
 
 def test_split_sizes_100():
-    train, val, test = split(list(range(100)), SplitSpec(seed=0))
+    train, val, test = split(list(range(100)), SplitSpec(seed=0, unit="transcript"))
     assert (len(train), len(val), len(test)) == (81, 9, 10)
 
 
 def test_split_sizes_1229():
-    train, val, test = split(list(range(1229)), SplitSpec(seed=0))
+    train, val, test = split(list(range(1229)), SplitSpec(seed=0, unit="transcript"))
     assert (len(train), len(val), len(test)) == (995, 110, 124)
 
 
 def test_split_is_seed_deterministic():
     items = list(range(60))
-    assert split(items, SplitSpec(seed=4)) == split(items, SplitSpec(seed=4))
+    spec = SplitSpec(seed=4, unit="transcript")
+    assert split(items, spec) == split(items, spec)
 
 
 def test_split_reshuffles_across_seeds():
     items = list(range(100))
-    trains = {tuple(split(items, SplitSpec(seed=s))[0]) for s in range(5)}
+    trains = {tuple(split(items, SplitSpec(seed=s, unit="transcript"))[0]) for s in range(5)}
     assert len(trains) > 1
 
 
 def test_split_too_small_raises():
     with pytest.raises(TooSmall):
-        split(list(range(11)), SplitSpec())   # floor(0.09 * 11) = 0
+        split(list(range(11)), SplitSpec(unit="transcript"))   # floor(0.09 * 11) = 0
     with pytest.raises(TooSmall):
         split([], SplitSpec())
 
@@ -68,7 +70,7 @@ def test_split_too_small_raises():
 @given(st.integers(min_value=12, max_value=400), st.integers(min_value=0, max_value=50))
 def test_split_is_a_partition(n, seed):
     items = list(range(n))
-    train, val, test = split(items, SplitSpec(seed=seed))
+    train, val, test = split(items, SplitSpec(seed=seed, unit="transcript"))
     assert sorted(train + val + test) == items
     assert len(train) == int(np.floor(0.81 * n))
     assert len(val) == int(np.floor(0.09 * n))
@@ -90,6 +92,24 @@ def test_participant_split_keeps_participants_whole():
         assert len(train) + len(val) + len(test) == 45
         # slice sizes apply to participants: floor(.81*15)=12, floor(.09*15)=1
         assert (len(sides[0]), len(sides[1]), len(sides[2])) == (12, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def repeat_visit_corpus(tmp_path_factory):
+    config = synthgen.SynthConfig(n_participants=40, transcripts_per_participant=3,
+                                  embed_dim=2, seed=9)
+    return synthgen.generate(config, tmp_path_factory.mktemp("visits"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_default_split_never_shares_a_participant(repeat_visit_corpus, seed):
+    records = list(repeat_visit_corpus.records)
+    train, val, test = split(records, SplitSpec(seed=seed))
+    sides = [{r.participant_id for r in part} for part in (train, val, test)]
+    assert not (sides[0] & sides[1] or sides[0] & sides[2] or sides[1] & sides[2])
+    assert sorted(r.transcript_id for r in train + val + test) == \
+        sorted(r.transcript_id for r in records)
 
 
 def test_participant_split_too_few_participants():

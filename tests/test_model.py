@@ -21,7 +21,6 @@ from alzdetect.model import (
     classify,
     compute_class_weights,
     fit,
-    forward,
     init_params,
     load,
     predict,
@@ -182,7 +181,7 @@ def test_forward_probability_in_open_interval():
     rng = np.random.default_rng(1)
     params = init_params(TINY, rng)
     for inst in make_instances(TINY, 6, rng):
-        p = forward(params, TINY, inst)
+        p = predict(params, TINY, [inst])[0]
         assert 0.0 < p < 1.0
 
 
@@ -190,7 +189,7 @@ def test_forward_is_deterministic():
     rng = np.random.default_rng(2)
     params = init_params(TINY, rng)
     inst = make_instances(TINY, 1, rng)[0]
-    assert forward(params, TINY, inst) == forward(params, TINY, inst)
+    assert predict(params, TINY, [inst])[0] == predict(params, TINY, [inst])[0]
 
 
 def test_all_masked_zero_feature_instance_scores_half():
@@ -200,7 +199,7 @@ def test_all_masked_zero_feature_instance_scores_half():
                            np.zeros((TINY.seq_len, TINY.embed_dim)),
                            np.zeros((TINY.seq_len, TINY.pos_dim)),
                            np.zeros(7), np.zeros(TINY.seq_len), 0)
-    assert forward(params, TINY, inst) == 0.5
+    assert predict(params, TINY, [inst])[0] == 0.5
 
 
 def test_stacking_rejects_wrong_shapes():
@@ -302,11 +301,11 @@ def test_disabled_features_leave_predictions_bitwise_unchanged():
     rng = np.random.default_rng(10)
     params = init_params(cfg, rng)
     inst = make_instances(cfg, 1, rng)[0]
-    base = forward(params, cfg, inst)
+    base = predict(params, cfg, [inst])[0]
     jittered = EncodedInstance(inst.transcript_id, inst.participant_id,
                                inst.embeddings, inst.pos_onehot,
                                inst.features + 100.0, inst.mask, inst.label)
-    assert forward(params, cfg, jittered) == base
+    assert predict(params, cfg, [jittered])[0] == base
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +484,7 @@ def test_save_load_round_trip(tmp_path):
     for name in params.names():
         assert np.array_equal(loaded_params[name].data, params[name].data)
     inst = make_instances(TINY, 1, rng)[0]
-    assert forward(loaded_params, loaded_cfg, inst) == forward(params, TINY, inst)
+    assert predict(loaded_params, loaded_cfg, [inst])[0] == predict(params, TINY, [inst])[0]
 
 
 def test_load_rejects_bad_magic(tmp_path):
