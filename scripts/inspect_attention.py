@@ -33,7 +33,7 @@ def run(argv=None):
     params, mcfg = model.load(args.model)
     if not mcfg.use_attention:
         parser.error("that model was trained without attention")
-    table, lexicons, tagger = _load_resources(cfg)
+    table, lexicons, tagger = _load_resources(cfg, mcfg)
 
     stem = Path(args.transcript).stem
     record = chat_corpus.parse_chat_file(

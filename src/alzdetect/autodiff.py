@@ -230,16 +230,6 @@ def relu(x: Tensor) -> Tensor:
     return _out(data, "relu", bw)
 
 
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        data = np.exp(x.data)
-
-    def bw(g):
-        _accum(x, g * data)
-
-    return _out(data, "exp", bw)
-
-
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(x.data)
@@ -342,24 +332,21 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
     return _out(data, "mean", bw)
 
 
-def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax along one axis, optionally restricted by a 0/1 mask.
+def softmax(x: Tensor, axis: int, mask: np.ndarray) -> Tensor:
+    """Softmax along one axis, restricted by a 0/1 mask of ``x``'s shape.
 
     Masked positions get weight exactly 0 and pass no gradient. If every
     position along the axis is masked the whole row is 0 (a degenerate
-    all-pad row rather than an error).
+    all-pad row rather than an error). A mask of ones gives the plain
+    softmax.
     """
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != x.shape:
-            raise ShapeMismatch(f"softmax mask {mask.shape} vs input {x.shape}")
-        neg = np.where(mask > 0, x.data, -np.inf)
-        shift = np.max(neg, axis=axis, keepdims=True)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        e = np.exp(x.data - shift) * mask
-    else:
-        shift = np.max(x.data, axis=axis, keepdims=True)
-        e = np.exp(x.data - shift)
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != x.shape:
+        raise ShapeMismatch(f"softmax mask {mask.shape} vs input {x.shape}")
+    neg = np.where(mask > 0, x.data, -np.inf)
+    shift = np.max(neg, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    e = np.exp(x.data - shift) * mask
     denom = e.sum(axis=axis, keepdims=True)
     data = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
 
@@ -377,23 +364,21 @@ def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
 def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """1-D convolution over the time axis with same-zero-padding.
 
-    ``x`` is [T, C] or batched [B, T, C]; ``kernels`` is [F, w, C] with odd
-    width ``w``. The output has the same time length as the input.
+    ``x`` is [B, T, C]; ``kernels`` is [F, w, C] with odd width ``w``. The
+    output [B, T, F] has the same time length as the input.
     """
     if kernels.data.ndim != 3:
         raise ShapeMismatch("conv1d kernels must be [F, w, C]")
     nf, w, c = kernels.shape
     if w % 2 == 0:
         raise ShapeMismatch("conv1d kernel width must be odd")
-    batched = x.data.ndim == 3
-    if x.data.ndim not in (2, 3) or x.shape[-1] != c:
+    if x.data.ndim != 3 or x.shape[-1] != c:
         raise ShapeMismatch(f"conv1d input {x.shape} vs kernels {kernels.shape}")
 
-    xb = x.data if batched else x.data[None, :, :]
-    b, t, _ = xb.shape
+    b, t, _ = x.shape
     half = w // 2
     pad = np.zeros((b, t + 2 * half, c))
-    pad[:, half:half + t, :] = xb
+    pad[:, half:half + t, :] = x.data
     # im2col: [B*T, w*C] so the convolution is one matmul
     cols = np.empty((b, t, w * c))
     for j in range(w):
@@ -401,19 +386,15 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     kmat = kernels.data.reshape(nf, w * c).T  # [w*C, F]
     out = cols.reshape(b * t, w * c) @ kmat
     out = out.reshape(b, t, nf)
-    if not batched:
-        out = out[0]
 
     def bw(g):
-        gb = g if batched else g[None, :, :]
-        gflat = gb.reshape(b * t, nf)
+        gflat = g.reshape(b * t, nf)
         _accum(kernels, (gflat.T @ cols.reshape(b * t, w * c)).reshape(nf, w, c))
         dcols = (gflat @ kmat.T).reshape(b, t, w * c)
         dpad = np.zeros_like(pad)
         for j in range(w):
             dpad[:, j:j + t, :] += dcols[:, :, j * c:(j + 1) * c]
-        dx = dpad[:, half:half + t, :]
-        _accum(x, dx if batched else dx[0])
+        _accum(x, dpad[:, half:half + t, :])
 
     return _out(out, "conv1d", bw)
 

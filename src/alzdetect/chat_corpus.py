@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -48,27 +48,11 @@ class Label(Enum):
 
 
 PARTICIPANT = "PAR"
-INTERVIEWER = "INV"
-
-
-@dataclass(frozen=True)
-class SpeakerCode:
-    """Three-letter tier tag; PAR and INV get dedicated constructors."""
-
-    tag: str
-
-    @property
-    def is_participant(self) -> bool:
-        return self.tag == PARTICIPANT
-
-    @property
-    def is_interviewer(self) -> bool:
-        return self.tag == INTERVIEWER
 
 
 @dataclass(frozen=True)
 class Utterance:
-    speaker: SpeakerCode
+    speaker: str        # three-letter tier tag, e.g. PARTICIPANT
     raw_text: str
     clean_text: str
     index: int
@@ -97,7 +81,6 @@ class TranscriptRecord:
 @dataclass(frozen=True)
 class Corpus:
     records: tuple[TranscriptRecord, ...]
-    source_manifest: tuple[tuple[str, str], ...] = ()  # (path, transcript_id)
 
 
 @dataclass(frozen=True)
@@ -252,10 +235,10 @@ def parse_chat_file(content: str, label: Label, transcript_id: str = "",
     utterances = []
     for i, (tag, body) in enumerate(tiers):
         clean = normalize_utterance(body, warnings)
-        utterances.append(Utterance(speaker=SpeakerCode(tag), raw_text=body,
+        utterances.append(Utterance(speaker=tag, raw_text=body,
                                     clean_text=clean, index=i))
 
-    if not any(u.speaker.is_participant for u in utterances):
+    if not any(u.speaker == PARTICIPANT for u in utterances):
         raise MissingParticipantTier("no *PAR: tier in file")
 
     return TranscriptRecord(
@@ -271,7 +254,7 @@ def parse_chat_file(content: str, label: Label, transcript_id: str = "",
 def extract_participant_text(record: TranscriptRecord) -> str:
     """Concatenated clean text of participant utterances, file order."""
     parts = [u.clean_text for u in record.utterances
-             if u.speaker.is_participant and u.clean_text]
+             if u.speaker == PARTICIPANT and u.clean_text]
     return " ".join(parts)
 
 
@@ -292,18 +275,15 @@ def load_corpus(root: str | Path) -> Corpus:
     """
     root = Path(root)
     records: list[TranscriptRecord] = []
-    manifest: list[tuple[str, str]] = []
     for sub, label in (("ad", Label.AD), ("ct", Label.CT)):
         d = root / sub
         if not d.is_dir():
             continue
         for path in sorted(d.glob("*.cha")):
             stem = path.stem
-            rec = parse_chat_file(path.read_text(encoding="utf-8"), label,
-                                  transcript_id=stem,
-                                  participant_id=stem.split("-")[0])
-            records.append(rec)
-            manifest.append((str(path), stem))
+            records.append(parse_chat_file(path.read_text(encoding="utf-8"), label,
+                                           transcript_id=stem,
+                                           participant_id=stem.split("-")[0]))
     if not records:
         raise EmptyCorpus(f"no transcripts under {root}/ad or {root}/ct")
     seen = set()
@@ -311,7 +291,7 @@ def load_corpus(root: str | Path) -> Corpus:
         if r.transcript_id in seen:
             raise ChatParseError(f"duplicate transcript id {r.transcript_id!r}")
         seen.add(r.transcript_id)
-    return Corpus(records=tuple(records), source_manifest=tuple(manifest))
+    return Corpus(records=tuple(records))
 
 
 def _lower_median(values: list[int]) -> int:

@@ -76,10 +76,6 @@ def _section(cls, raw: dict, label: str, exclude: tuple[str, ...] = ()):
         raise UsageError(f"bad {label} config: {exc}") from exc
 
 
-_TOP_KEYS = ("corpus_dir", "embeddings", "lexicons", "tagger", "output_dir",
-             "variant", "seeds", "split", "model", "synth")
-
-
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
@@ -89,7 +85,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a mapping")
-    unknown = set(raw) - set(_TOP_KEYS)
+    unknown = set(raw) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
@@ -142,26 +138,27 @@ def _model_config(cfg: RunConfig) -> ModelConfig:
     return cfg.model
 
 
-def _load_resources(cfg: RunConfig):
+def _load_resources(cfg: RunConfig, mcfg: ModelConfig):
+    """Embedding table, lexicons and tagger; the table must be as wide as
+    the model's embedding input."""
     table = lexical_features.load_embeddings(cfg.embeddings)
     lexicons = lexical_features.load_lexicon_dir(cfg.lexicons)
     if cfg.tagger is not None:
         tagger = PerceptronTaggerModel.load(cfg.tagger)
     else:
         tagger = default_tagger()
+    if table.dim != mcfg.embed_dim:
+        raise DimensionMismatch(
+            f"embedding file is {table.dim}-dimensional but the model "
+            f"expects {mcfg.embed_dim}")
     return table, lexicons, tagger
 
 
 def _encode(cfg: RunConfig, mcfg: ModelConfig):
     corpus = chat_corpus.load_corpus(cfg.corpus_dir)
-    table, lexicons, tagger = _load_resources(cfg)
-    if table.dim != mcfg.embed_dim:
-        raise DimensionMismatch(
-            f"embedding file is {table.dim}-dimensional but the model "
-            f"expects {mcfg.embed_dim}")
-    instances = lexical_features.encode_corpus(corpus, table, lexicons, tagger,
-                                               budget=mcfg.seq_len)
-    return corpus, instances
+    table, lexicons, tagger = _load_resources(cfg, mcfg)
+    return lexical_features.encode_corpus(corpus, table, lexicons, tagger,
+                                          budget=mcfg.seq_len)
 
 
 def _stats_table(report: StatsReport) -> str:
@@ -220,8 +217,7 @@ def _cmd_train(args) -> int:
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
     out = _output_dir(cfg)
     mcfg = replace(_model_config(cfg), seed=cfg.seeds[0])
-    _, instances = _encode(cfg, mcfg)
-    train, val, _ = evaluation.split(instances,
+    train, val, _ = evaluation.split(_encode(cfg, mcfg),
                                      replace(cfg.split, seed=cfg.seeds[0]))
     params, log = model.fit(mcfg, train, val)
     model_path = out / "model.bin"
@@ -241,13 +237,11 @@ def _cmd_eval(args) -> int:
         raise FileNotFoundError(f"model file: {args.model}")
     out = _output_dir(cfg)
     params, mcfg = model.load(args.model)
-    _, instances = _encode(cfg, mcfg)
-    _, _, test = evaluation.split(instances,
+    _, _, test = evaluation.split(_encode(cfg, mcfg),
                                   replace(cfg.split, seed=cfg.seeds[0]))
     scores = model.predict(params, mcfg, test)
     labels = np.array([i.label for i in test])
-    report = evaluation.metrics(
-        evaluation.confusion(labels, model.classify(scores)), scores, labels)
+    report = evaluation.evaluate_scores(labels, scores)
     result = evaluation.ExperimentResult(
         variant=cfg.variant or "model", seeds=(cfg.seeds[0],),
         per_seed=(report,), mean=report,
@@ -262,31 +256,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
+_REPORTS = {"compare": evaluation.compare_variants, "ablate": evaluation.ablate}
+
+
+def _cmd_report(args) -> int:
+    """``compare`` or ``ablate``: run the experiment grid, write <command>.csv."""
     cfg = load_run_config(args.config)
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
     out = _output_dir(cfg)
-    _, instances = _encode(cfg, cfg.model)
-    results = evaluation.compare_variants(instances, list(cfg.seeds),
-                                          base=cfg.model, split_spec=cfg.split)
-    (out / "compare.csv").write_text(evaluation.results_csv(results),
-                                     encoding="utf-8")
+    results = _REPORTS[args.command](_encode(cfg, cfg.model), list(cfg.seeds),
+                                     base=cfg.model, split_spec=cfg.split)
+    path = out / f"{args.command}.csv"
+    path.write_text(evaluation.results_csv(results), encoding="utf-8")
     print(evaluation.format_table(results), end="")
-    print(f"report -> {out / 'compare.csv'}")
-    return 0
-
-
-def _cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config)
-    _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
-    out = _output_dir(cfg)
-    _, instances = _encode(cfg, cfg.model)
-    results = evaluation.ablate(instances, list(cfg.seeds),
-                                base=cfg.model, split_spec=cfg.split)
-    (out / "ablate.csv").write_text(evaluation.results_csv(results),
-                                    encoding="utf-8")
-    print(evaluation.format_table(results), end="")
-    print(f"report -> {out / 'ablate.csv'}")
+    print(f"report -> {path}")
     return 0
 
 
@@ -297,11 +280,7 @@ def _cmd_predict(args) -> int:
         if not Path(p).exists():
             raise FileNotFoundError(p)
     params, mcfg = model.load(args.model)
-    table, lexicons, tagger = _load_resources(cfg)
-    if table.dim != mcfg.embed_dim:
-        raise DimensionMismatch(
-            f"embedding file is {table.dim}-dimensional but the model "
-            f"expects {mcfg.embed_dim}")
+    table, lexicons, tagger = _load_resources(cfg, mcfg)
     text = Path(args.transcript).read_text(encoding="utf-8")
     # the label on the record is a placeholder; prediction ignores it
     record = chat_corpus.parse_chat_file(
@@ -359,11 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run the six-variant comparison")
     p.add_argument("config", help="YAML config")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("ablate", help="run the feature-group ablations")
     p.add_argument("config", help="YAML config")
-    p.set_defaults(func=_cmd_ablate)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("predict", help="classify a single transcript file")
     p.add_argument("config", help="YAML config")

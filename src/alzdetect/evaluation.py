@@ -1,9 +1,8 @@
 """Dataset splitting, metrics, the multi-seed protocol, variant
 comparison, and the feature-ablation harness.
 
-AUC is computed two independent ways (positive/negative pair counting
-and trapezoidal ROC integration) over a common integer numerator, so the
-two agree exactly, ties included. Metrics are averaged metric-by-metric
+AUC is counted over positive/negative score pairs, ties counting half,
+as an integer numerator over 2·P·N. Metrics are averaged metric-by-metric
 across seeds; confusion counts are averaged the same way, which is why
 they are reals.
 """
@@ -58,52 +57,34 @@ class SplitSpec:
             raise ValueError(f"unknown split unit {self.unit!r}")
 
 
-def _slice_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
-    n_train = math.floor(spec.train_fraction * n)
-    n_val = math.floor(spec.val_fraction * n)
-    return n_train, n_val, n - n_train - n_val
-
-
 def split(items: list, spec: SplitSpec) -> tuple[list, list, list]:
-    """Seeded shuffle, then contiguous slices: floor(train·N),
-    floor(val·N), remainder to test.
+    """Seeded shuffle of units, then contiguous slices: floor(train·N),
+    floor(val·N), remainder to test, N counting units.
 
-    With unit="participant" the shuffle-and-slice runs over participant
-    ids, keeping all of a participant's items on one side; items must
+    A unit is one item (unit="transcript") or all of a participant's items
+    (unit="participant"), which keeps a participant on one side; items must
     then expose ``.participant_id``.
     """
     if not items:
         raise TooSmall("nothing to split")
-    rng = np.random.default_rng(spec.seed)
-    if spec.unit == "participant":
-        units: list = []
-        by_unit: dict = {}
-        for item in items:
-            pid = item.participant_id
-            if pid not in by_unit:
-                units.append(pid)
-                by_unit[pid] = []
-            by_unit[pid].append(item)
-        order = rng.permutation(len(units))
-        n_train, n_val, n_test = _slice_sizes(len(units), spec)
-        if min(n_train, n_val, n_test) < 1:
-            raise TooSmall(f"{len(units)} participants leave an empty slice")
-        shuffled = [units[i] for i in order]
-        parts = (shuffled[:n_train],
-                 shuffled[n_train:n_train + n_val],
-                 shuffled[n_train + n_val:])
-        train, val, test = ([x for pid in part for x in by_unit[pid]]
-                            for part in parts)
-    else:
-        order = rng.permutation(len(items))
-        n_train, n_val, n_test = _slice_sizes(len(items), spec)
-        if min(n_train, n_val, n_test) < 1:
-            raise TooSmall(f"{len(items)} items leave an empty slice")
-        shuffled = [items[i] for i in order]
-        train = shuffled[:n_train]
-        val = shuffled[n_train:n_train + n_val]
-        test = shuffled[n_train + n_val:]
-    return train, val, test
+    units: dict = {}
+    try:
+        for i, item in enumerate(items):
+            key = i if spec.unit == "transcript" else item.participant_id
+            units.setdefault(key, []).append(item)
+    except AttributeError:
+        raise ValueError(f"{type(items[i]).__name__} items have no participant_id; "
+                         "split them with unit='transcript'") from None
+    groups = list(units.values())
+    n = len(groups)
+    n_train = math.floor(spec.train_fraction * n)
+    n_val = math.floor(spec.val_fraction * n)
+    if min(n_train, n_val, n - n_train - n_val) < 1:
+        raise TooSmall(f"{n} {spec.unit}s leave an empty slice")
+    shuffled = [groups[k] for k in np.random.default_rng(spec.seed).permutation(n)]
+    return tuple([x for group in part for x in group]
+                 for part in (shuffled[:n_train], shuffled[n_train:n_train + n_val],
+                              shuffled[n_train + n_val:]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +130,6 @@ def confusion(labels, predictions) -> ConfusionCounts:
     )
 
 
-def _auc_numerator_pairs(pos: np.ndarray, neg: np.ndarray) -> int:
-    """2·(wins) + 1·(ties) over all positive/negative score pairs."""
-    num = 0
-    for s in pos:
-        num += 2 * int(np.sum(s > neg)) + int(np.sum(s == neg))
-    return num
-
-
 def auc_pair(labels, scores) -> float:
     """AUC by brute-force pair counting; ties count half."""
     y = np.asarray(labels)
@@ -166,7 +139,10 @@ def auc_pair(labels, scores) -> float:
     pos, neg = s[y == 1], s[y == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("AUC needs both classes present")
-    return _auc_numerator_pairs(pos, neg) / (2 * len(pos) * len(neg))
+    num = 0  # 2·(wins) + 1·(ties) over all positive/negative score pairs
+    for p in pos:
+        num += 2 * int(np.sum(p > neg)) + int(np.sum(p == neg))
+    return num / (2 * len(pos) * len(neg))
 
 
 def roc_points(labels, scores) -> list[tuple[float, float]]:
@@ -190,36 +166,6 @@ def roc_points(labels, scores) -> list[tuple[float, float]]:
         points.append((fp / n_neg, tp / n_pos))
         i = j
     return points
-
-
-def auc_trapezoid(labels, scores) -> float:
-    """AUC by trapezoidal integration of the ROC curve.
-
-    The area accumulates as an integer numerator over 2·P·N, the same
-    denominator the pair count uses, so both routes agree bit-for-bit.
-    """
-    y = np.asarray(labels)
-    s = np.asarray(scores, dtype=np.float64)
-    if y.shape != s.shape:
-        raise LengthMismatch(f"{y.shape} labels vs {s.shape} scores")
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs both classes present")
-    order = np.argsort(-s, kind="stable")
-    num = 0
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        prev_tp, prev_fp = tp, fp
-        while j < len(order) and s[order[j]] == s[order[i]]:
-            tp += int(y[order[j]] == 1)
-            fp += int(y[order[j]] == 0)
-            j += 1
-        num += (fp - prev_fp) * (tp + prev_tp)
-        i = j
-    return num / (2 * n_pos * n_neg)
 
 
 def metrics(counts: ConfusionCounts, scores=None, labels=None) -> MetricsReport:
@@ -309,9 +255,8 @@ def run_experiment(instances: list[EncodedInstance], config: ModelConfig,
         train, val, test = split(instances, replace(base_split, seed=seed))
         cfg = replace(config, seed=seed)
         params, _ = fit(cfg, train, val)
-        scores = predict(params, cfg, test)
-        labels = np.array([i.label for i in test])
-        reports.append(metrics(confusion(labels, classify(scores)), scores, labels))
+        reports.append(evaluate_scores(np.array([i.label for i in test]),
+                                       predict(params, cfg, test)))
     return ExperimentResult(
         variant=variant,
         seeds=tuple(seeds),

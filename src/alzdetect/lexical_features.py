@@ -17,7 +17,6 @@ import numpy as np
 from .chat_corpus import Corpus, Demographics, Gender, Label, TranscriptRecord, extract_participant_text
 from .text_pipeline import (
     DEFAULT_BUDGET,
-    PAD_TOKEN,
     PerceptronTaggerModel,
     TokenSequence,
     fix_length,
@@ -203,28 +202,6 @@ def mean_lexicon_score(seq: TokenSequence, lex: Lexicon) -> tuple[float, float]:
     return sum(scores) / len(scores), len(scores) / len(tokens)
 
 
-@dataclass(frozen=True)
-class TargetedFeatureVector:
-    aoa: float
-    concreteness: float
-    familiarity: float
-    imageability: float
-    sentiment: float
-    age: float
-    gender: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([
-            self.aoa, self.concreteness, self.familiarity,
-            self.imageability, self.sentiment, self.age, self.gender,
-        ])
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    fractions: dict[str, float]
-
-
 _GENDER_CODE = {Gender.FEMALE: 1.0, Gender.MALE: 0.0, Gender.UNKNOWN: 0.5}
 
 
@@ -232,32 +209,16 @@ def build_feature_vector(
     seq: TokenSequence,
     lexicons: dict[str, Lexicon],
     demo: Demographics,
-) -> TargetedFeatureVector:
-    """Assemble the 7-vector [5 lexicon means, age/100, gender code]."""
-    means = {}
+) -> np.ndarray:
+    """The 7-vector [5 lexicon means, age/100, gender code], in
+    ``FEATURE_NAMES`` order."""
+    means = []
     for slot in LEXICON_SLOTS:
         if slot not in lexicons:
             raise MissingLexicon(slot)
-        means[slot], _ = mean_lexicon_score(seq, lexicons[slot])
+        means.append(mean_lexicon_score(seq, lexicons[slot])[0])
     age = 0.0 if demo.age is None else demo.age / 100.0
-    return TargetedFeatureVector(
-        aoa=means["aoa"],
-        concreteness=means["concreteness"],
-        familiarity=means["familiarity"],
-        imageability=means["imageability"],
-        sentiment=means["sentiment"],
-        age=age,
-        gender=_GENDER_CODE[demo.gender],
-    )
-
-
-def coverage_report(seq: TokenSequence, lexicons: dict[str, Lexicon]) -> CoverageReport:
-    fractions = {}
-    for slot in LEXICON_SLOTS:
-        if slot not in lexicons:
-            raise MissingLexicon(slot)
-        _, fractions[slot] = mean_lexicon_score(seq, lexicons[slot])
-    return CoverageReport(fractions=fractions)
+    return np.array(means + [age, _GENDER_CODE[demo.gender]])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +251,7 @@ def encode_record(
         participant_id=record.participant_id,
         embeddings=embed(seq, table),
         pos_onehot=one_hot(tags),
-        features=build_feature_vector(seq, lexicons, record.demographics).as_array(),
+        features=build_feature_vector(seq, lexicons, record.demographics),
         mask=pad_mask(seq),
         label=1 if record.label is Label.AD else 0,
     )

@@ -2,10 +2,10 @@
 
 Participant text is tokenized, lowercased, and cut or padded to a fixed
 budget of 73 word tokens. POS tags come from a small averaged-perceptron
-tagger trained on a packaged hand-tagged fixture corpus; a bypass reader
-accepts externally tagged token/tag files instead. The tagset is frozen
-to the 36 Penn Treebank word tags plus a PAD tag at index 0, which fixes
-the one-hot width at 37.
+tagger, trained at start-up on a packaged hand-tagged fixture corpus or
+loaded from a file that ``PerceptronTaggerModel.save`` wrote. The tagset
+is frozen to the 36 Penn Treebank word tags plus a PAD tag at index 0,
+which fixes the one-hot width at 37.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ class PerceptronTaggerModel:
                  tagdict: dict[str, str] | None = None):
         self.weights = weights if weights is not None else {}
         self.tagdict = tagdict if tagdict is not None else {}
-        self._candidates = PTB_TAGS
 
     # feature templates: keep them cheap and purely local
     @staticmethod
@@ -172,7 +171,7 @@ class PerceptronTaggerModel:
         if not scores or all(v == 0.0 for v in scores.values()):
             return "NN"
         # max() keeps the earliest maximum, i.e. ties break by tagset order
-        return max(self._candidates, key=lambda t: scores.get(t, 0.0))
+        return max(PTB_TAGS, key=lambda t: scores.get(t, 0.0))
 
     def save(self, path: str | Path):
         """Versioned flat file: ``PTAG v1`` header, then
@@ -296,34 +295,20 @@ def tag(model: PerceptronTaggerModel, seq: TokenSequence) -> PosTagSequence:
     return PosTagSequence(tags=tuple(tags))
 
 
-def tagger_accuracy(model: PerceptronTaggerModel,
-                    tagged_corpus: list[list[tuple[str, str]]]) -> float:
-    correct = total = 0
-    for sent in tagged_corpus:
-        seq = TokenSequence(tokens=tuple(w for w, _ in sent),
-                            original_length=len(sent))
-        predicted = tag(model, seq).tags
-        for (_, gold), guess in zip(sent, predicted):
-            correct += guess == gold
-            total += 1
-    return correct / total if total else 0.0
-
-
-def one_hot(tags: PosTagSequence, tagset: TagSet = TAGSET) -> np.ndarray:
-    """[len(tags) x len(tagset)] matrix, one 1.0 per row."""
-    mat = np.zeros((len(tags.tags), len(tagset)))
+def one_hot(tags: PosTagSequence) -> np.ndarray:
+    """[len(tags) x len(TAGSET)] matrix, one 1.0 per row."""
+    mat = np.zeros((len(tags.tags), len(TAGSET)))
     for row, t in enumerate(tags.tags):
-        mat[row, tagset.index(t)] = 1.0
+        mat[row, TAGSET.index(t)] = 1.0
     return mat
 
 
 # ---------------------------------------------------------------------------
-# tagged-text files (training fixture and pre-tagged bypass)
+# the hand-tagged training fixture
 
 def read_tagged_file(path: str | Path) -> list[list[tuple[str, str]]]:
-    """Read ``token<TAB>TAG`` lines; blank lines separate sentences or
-    transcripts. Used both for the packaged training fixture and for the
-    pre-tagged bypass."""
+    """Read ``token<TAB>TAG`` lines; blank lines separate sentences. This
+    is the format of the packaged corpus ``default_tagger`` trains on."""
     groups: list[list[tuple[str, str]]] = []
     current: list[tuple[str, str]] = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():

@@ -1,5 +1,6 @@
-"""Shared test utilities: the finite-difference gradient oracle and the
-per-timestep LSTM composition the fused ``lstm`` primitive must match."""
+"""Shared test utilities: the finite-difference gradient oracle, the
+per-timestep LSTM composition the fused ``lstm`` primitive must match, the
+trapezoidal AUC that checks ``evaluation.auc_pair``, and tagger accuracy."""
 
 from __future__ import annotations
 
@@ -139,3 +140,50 @@ def save_edited_model(config, path, change):
     change(tensors)
     model.save(model.ModelParams({n: Parameter(a, n) for n, a in tensors.items()}),
                config, path)
+
+
+def auc_trapezoid(labels, scores) -> float:
+    """AUC by trapezoidal integration of the ROC curve.
+
+    The area accumulates as an integer numerator over 2·P·N, the same
+    denominator the pair count uses, so both routes agree bit-for-bit.
+    """
+    from alzdetect.evaluation import LengthMismatch
+
+    y = np.asarray(labels)
+    s = np.asarray(scores, dtype=np.float64)
+    if y.shape != s.shape:
+        raise LengthMismatch(f"{y.shape} labels vs {s.shape} scores")
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs both classes present")
+    order = np.argsort(-s, kind="stable")
+    num = 0
+    tp = fp = 0
+    i = 0
+    while i < len(order):
+        j = i
+        prev_tp, prev_fp = tp, fp
+        while j < len(order) and s[order[j]] == s[order[i]]:
+            tp += int(y[order[j]] == 1)
+            fp += int(y[order[j]] == 0)
+            j += 1
+        num += (fp - prev_fp) * (tp + prev_tp)
+        i = j
+    return num / (2 * n_pos * n_neg)
+
+
+def tagger_accuracy(model, tagged_corpus: list[list[tuple[str, str]]]) -> float:
+    """Share of tokens whose predicted tag equals the gold tag."""
+    from alzdetect.text_pipeline import TokenSequence, tag
+
+    correct = total = 0
+    for sent in tagged_corpus:
+        seq = TokenSequence(tokens=tuple(w for w, _ in sent),
+                            original_length=len(sent))
+        predicted = tag(model, seq).tags
+        for (_, gold), guess in zip(sent, predicted):
+            correct += guess == gold
+            total += 1
+    return correct / total if total else 0.0

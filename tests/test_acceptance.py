@@ -20,13 +20,12 @@ from alzdetect.evaluation import (
     SplitSpec,
     ablate,
     auc_pair,
-    auc_trapezoid,
     compare_variants,
     metrics,
     run_experiment,
     split,
 )
-from helpers import gradcheck, make_instances
+from helpers import auc_trapezoid, gradcheck, make_instances
 
 
 def _verdict(tag: str, ok: bool, detail: str):

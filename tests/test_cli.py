@@ -1,6 +1,7 @@
 """Command-line flows: config parsing, exit codes, artifact round trips."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import yaml
 from alzdetect.cli import UsageError, load_run_config, main
 from alzdetect.model import ModelConfig
 from helpers import save_edited_model
+
+REPO = Path(__file__).resolve().parent.parent
 
 MODEL_SECTION = {
     "seq_len": 20, "embed_dim": 8, "pos_dim": 37, "conv_filters": 2,
@@ -238,6 +241,30 @@ def test_bad_tagger_file_is_data_error(tmp_path, workspace, capsys, text, needle
     _assert_data_error(["train", str(cfg)], capsys, needle)
 
 
+@pytest.fixture
+def narrow_embeddings_config(tmp_path, workspace):
+    """The workspace config (8-d model) pointed at a 5-d embeddings file."""
+    root, _ = workspace
+    narrow = tmp_path / "embeddings5.txt"
+    narrow.write_text("".join(" ".join(line.split()[:6]) + "\n"
+                              for line in (root / "embeddings.txt").read_text().splitlines()))
+    return _bad_input_config(tmp_path, workspace, embeddings=str(narrow))
+
+
+def test_train_with_narrower_embeddings_is_data_error(narrow_embeddings_config, capsys):
+    _assert_data_error(["train", str(narrow_embeddings_config)], capsys, "dimensional")
+
+
+def test_predict_with_narrower_embeddings_is_data_error(tmp_path, workspace,
+                                                         narrow_embeddings_config, capsys):
+    root, _ = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda tensors: None)
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    _assert_data_error(["predict", str(narrow_embeddings_config), "--model", str(path),
+                        str(transcript)], capsys, "dimensional")
+
+
 # ---------------------------------------------------------------------------
 # command flows on the shared synthetic corpus
 
@@ -324,3 +351,19 @@ def test_ablate_writes_three_rows(tmp_path, workspace, capsys):
     rows = (out_dir / "ablate.csv").read_text().splitlines()
     assert len(rows) == 1 + 3 * 2
     assert rows[1].startswith("No Psych.,")
+
+
+def test_smoke_reports_match_golden_files(tmp_path, capsys):
+    """configs/smoke.yaml, run end to end, writes the committed reports byte
+    for byte; a refactor that moves any reported number fails here."""
+    config = yaml.safe_load((REPO / "configs" / "smoke.yaml").read_text())
+    config.update(corpus_dir=str(tmp_path), embeddings=str(tmp_path / "embeddings.txt"),
+                  lexicons=str(tmp_path / "lexicons"), output_dir=str(tmp_path))
+    path = tmp_path / "smoke.yaml"
+    path.write_text(yaml.safe_dump(config))
+    for command in ("synth", "compare", "ablate"):
+        assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    for report in ("compare", "ablate"):
+        golden = REPO / "tests" / "golden" / f"smoke_{report}.csv"
+        assert (tmp_path / f"{report}.csv").read_bytes() == golden.read_bytes(), report

@@ -17,7 +17,6 @@ from alzdetect.evaluation import (
     TooSmall,
     ablate,
     auc_pair,
-    auc_trapezoid,
     compare_variants,
     confusion,
     evaluate_scores,
@@ -31,7 +30,7 @@ from alzdetect.evaluation import (
     split,
 )
 from alzdetect.model import ModelConfig
-from helpers import make_instances
+from helpers import auc_trapezoid, make_instances
 
 # ---------------------------------------------------------------------------
 # splitting
@@ -116,6 +115,20 @@ def test_participant_split_too_few_participants():
     rows = [_Row(f"p{i}", v) for i in range(4) for v in range(10)]
     with pytest.raises(TooSmall):
         split(rows, SplitSpec(unit="participant"))
+
+
+def test_participant_split_of_items_without_participant_id_names_the_fix():
+    with pytest.raises(ValueError, match="unit='transcript'") as exc:
+        split(list(range(100)), SplitSpec())
+    assert not isinstance(exc.value, TooSmall)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=12, max_value=200), st.integers(min_value=0, max_value=50))
+def test_one_item_per_participant_splits_alike_under_both_units(n, seed):
+    rows = [_Row(f"p{i}", 0) for i in range(n)]
+    assert (split(rows, SplitSpec(seed=seed, unit="participant"))
+            == split(rows, SplitSpec(seed=seed, unit="transcript")))
 
 
 def test_split_spec_validation():

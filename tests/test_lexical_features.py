@@ -17,7 +17,6 @@ from alzdetect.lexical_features import (
     Lexicon,
     MissingLexicon,
     build_feature_vector,
-    coverage_report,
     embed,
     encode_corpus,
     encode_record,
@@ -218,7 +217,7 @@ def test_feature_vector_hand_computed_example():
     vec = build_feature_vector(seq, fixture_lexicons(),
                                Demographics(age=66, gender=Gender.FEMALE))
     expected = [9.1 / 3, 9.7 / 3, 19.4 / 3, 12.3 / 3, -0.2 / 3, 0.66, 1.0]
-    assert vec.as_array() == pytest.approx(expected, rel=1e-12)
+    assert vec == pytest.approx(expected, rel=1e-12)
 
 
 def test_gender_codes():
@@ -226,15 +225,16 @@ def test_gender_codes():
     lex = fixture_lexicons()
     male = build_feature_vector(seq, lex, Demographics(70, Gender.MALE))
     unk = build_feature_vector(seq, lex, Demographics(70, Gender.UNKNOWN))
-    assert male.gender == 0.0
-    assert unk.gender == 0.5
-    assert male.age == pytest.approx(0.70)
+    gender, age = FEATURE_NAMES.index("gender"), FEATURE_NAMES.index("age")
+    assert male[gender] == 0.0
+    assert unk[gender] == 0.5
+    assert male[age] == pytest.approx(0.70)
 
 
 def test_missing_age_encodes_as_zero():
     vec = build_feature_vector(TokenSequence(("the",), 1), fixture_lexicons(),
                                Demographics(age=None, gender=Gender.FEMALE))
-    assert vec.age == 0.0
+    assert vec[FEATURE_NAMES.index("age")] == 0.0
 
 
 def test_feature_vector_requires_all_lexicons():
@@ -243,12 +243,6 @@ def test_feature_vector_requires_all_lexicons():
     with pytest.raises(MissingLexicon):
         build_feature_vector(TokenSequence(("the",), 1), lex,
                              Demographics(70, Gender.FEMALE))
-
-
-def test_coverage_report_fractions():
-    report = coverage_report(TokenSequence(("the", "zorp"), 2), fixture_lexicons())
-    assert set(report.fractions) == set(LEXICON_SLOTS)
-    assert report.fractions["aoa"] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ from alzdetect.text_pipeline import (
     pad_mask,
     read_tagged_file,
     tag,
-    tagger_accuracy,
     tokenize,
     train_tagger,
 )
+from helpers import tagger_accuracy
 
 # ---------------------------------------------------------------------------
 # tokenization and padding
