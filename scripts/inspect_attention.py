@@ -5,7 +5,8 @@ Usage:
     python3 scripts/inspect_attention.py CONFIG MODEL TRANSCRIPT [--top N]
 
 Train a model first, e.g. `alzdetect train configs/default.yaml`, then point
-this at any .cha file to see where the attention mass sits.
+this at any .cha file to see where the attention mass sits. Exit codes are
+the CLI's: 1 for a usage or config error, 2 for bad or missing data.
 """
 
 import argparse
@@ -18,17 +19,27 @@ import numpy as np
 
 from alzdetect import chat_corpus, lexical_features, model, text_pipeline
 from alzdetect.chat_corpus import Label
-from alzdetect.cli import _load_resources, load_run_config
+from alzdetect.cli import DATA_ERRORS, UsageError, _ArgumentParser, _load_resources, load_run_config
 
 
 def run(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _ArgumentParser(description=__doc__)
     parser.add_argument("config")
     parser.add_argument("model")
     parser.add_argument("transcript")
     parser.add_argument("--top", type=int, default=10)
     args = parser.parse_args(argv)
+    try:
+        return _inspect(parser, args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except DATA_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _inspect(parser, args) -> int:
     cfg = load_run_config(args.config)
     params, mcfg = model.load(args.model)
     if not mcfg.use_attention:

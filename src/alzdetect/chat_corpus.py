@@ -105,6 +105,7 @@ _RE_BRACKET = re.compile(r"\[[^\]]*\]")                # any leftover [...] code
 _RE_PAUSE = re.compile(r"\(\.{1,3}\)")                 # (.) (..) (...)
 _RE_OMITTED = re.compile(r"\(([A-Za-z']+)\)")          # (be)cause
 _RE_UNINTELLIGIBLE = re.compile(r"\b(?:xxx|yyy)\b")
+_RE_MARKER = re.compile(r"[&\[<>(+]|\b(?:xxx|yyy)\b")   # what any pattern above needs
 
 
 def _strip_codes_once(text: str, warnings: list[str] | None) -> str:
@@ -139,14 +140,16 @@ def normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str
     Well-formed input settles in one pass; malformed marker soup (nested or
     dangling codes) can expose new codes once outer ones are removed, so the
     pass repeats until the text stops changing. Every pass removes marker
-    characters, which bounds the loop.
+    characters, which bounds the loop. Each substitution of a pass needs a
+    marker (``_RE_MARKER``), so text without one is already settled.
     """
     text = " ".join(raw_text.split())
-    while True:
+    while _RE_MARKER.search(text):
         stripped = _strip_codes_once(text, warnings)
         if stripped == text:
-            return text
+            break
         text = stripped
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
 
 def embed(seq: TokenSequence, table: EmbeddingTable) -> np.ndarray:
-    """Stack per-token vectors into a [len(seq) x dim] matrix."""
-    return np.stack([table.lookup(tok) for tok in seq.tokens])
+    """Per-token vectors as the rows of a [len(seq) x dim] matrix."""
+    return np.array([table.lookup(tok) for tok in seq.tokens])
 
 
 # ---------------------------------------------------------------------------

@@ -123,14 +123,17 @@ class PerceptronTaggerModel:
     """Greedy left-to-right averaged perceptron over a fixed tagset.
 
     Words that were unambiguous in training are looked up directly; all
-    others are scored feature-by-feature. Ties break toward the earlier
-    tag in tagset order, and a model that has learned nothing about a
-    word defaults to NN.
+    others are scored from ``weights``, a dense ``[features x 36]`` matrix
+    whose columns follow ``PTB_TAGS`` and whose row for each feature string
+    ``features`` gives. Ties break toward the earlier tag in tagset order,
+    and a word whose every score is 0 defaults to NN.
     """
 
-    def __init__(self, weights: dict[str, dict[str, float]] | None = None,
+    def __init__(self, weights: np.ndarray | None = None,
+                 features: dict[str, int] | None = None,
                  tagdict: dict[str, str] | None = None):
-        self.weights = weights if weights is not None else {}
+        self.weights = weights if weights is not None else np.zeros((0, len(PTB_TAGS)))
+        self.features = features if features is not None else {}
         self.tagdict = tagdict if tagdict is not None else {}
 
     # feature templates: keep them cheap and purely local
@@ -151,39 +154,36 @@ class PerceptronTaggerModel:
             "n1w=" + after,
         ]
 
-    def _score(self, feats: list[str]) -> dict[str, float]:
-        scores: dict[str, float] = {}
-        for f in feats:
-            per_tag = self.weights.get(f)
-            if not per_tag:
-                continue
-            for tag, w in per_tag.items():
-                scores[tag] = scores.get(tag, 0.0) + w
-        return scores
-
     def predict_word(self, tokens: tuple[str, ...], i: int,
                      prev: str, prev2: str) -> str:
-        word = tokens[i]
-        direct = self.tagdict.get(word)
+        direct = self.tagdict.get(tokens[i])
         if direct is not None:
             return direct
-        scores = self._score(self._features(tokens, i, prev, prev2))
-        if not scores or all(v == 0.0 for v in scores.values()):
+        get = self.features.get
+        rows = [r for f in self._features(tokens, i, prev, prev2)
+                if (r := get(f)) is not None]
+        if not rows:
             return "NN"
-        # max() keeps the earliest maximum, i.e. ties break by tagset order
-        return max(PTB_TAGS, key=lambda t: scores.get(t, 0.0))
+        # rows added one after another in template order: the same float
+        # sums as one running total per tag
+        scores = np.add.reduce(self.weights.take(rows, axis=0), axis=0)
+        best = scores.argmax()      # the first maximum: ties go to the earlier tag
+        if scores[best] == 0.0 and not scores.any():
+            return "NN"
+        return PTB_TAGS[best]
 
     def save(self, path: str | Path):
         """Versioned flat file: ``PTAG v1`` header, then
-        feature<TAB>tag<TAB>weight lines. Tag-dictionary entries are
-        stored under the reserved feature prefix ``!tagdict``."""
+        feature<TAB>tag<TAB>weight lines for the nonzero weights, sorted.
+        Tag-dictionary entries are stored under the reserved feature
+        prefix ``!tagdict``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("PTAG v1\n")
             for word in sorted(self.tagdict):
                 fh.write(f"!tagdict {word}\t{self.tagdict[word]}\t1.0\n")
-            for feat in sorted(self.weights):
-                for tag in sorted(self.weights[feat]):
-                    w = self.weights[feat][tag]
+            for feat in sorted(self.features):
+                # PTB_TAGS is in sorted order, so the tags of a feature are too
+                for tag, w in zip(PTB_TAGS, self.weights[self.features[feat]].tolist()):
                     if w != 0.0:
                         fh.write(f"{feat}\t{tag}\t{w!r}\n")
 
@@ -193,7 +193,8 @@ class PerceptronTaggerModel:
             header = fh.readline().rstrip("\n")
             if header != "PTAG v1":
                 raise BadTaggerFile(f"{path}:1: unsupported tagger file header {header!r}")
-            weights: dict[str, dict[str, float]] = {}
+            features: dict[str, int] = {}
+            cells: dict[tuple[int, int], float] = {}   # a repeated line overrides
             tagdict: dict[str, str] = {}
             for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
@@ -205,13 +206,20 @@ class PerceptronTaggerModel:
                 except ValueError:
                     raise BadTaggerFile(f"{path}:{lineno}: expected feature<TAB>tag<TAB>weight, "
                                         f"got {line!r}") from None
-                if tag not in PTB_TAGS or not math.isfinite(weight):
+                if tag not in _TAG_COLUMN or not math.isfinite(weight):
                     raise BadTaggerFile(f"{path}:{lineno}: bad tag or weight in {line!r}")
                 if feat.startswith("!tagdict "):
                     tagdict[feat[len("!tagdict "):]] = tag
                 else:
-                    weights.setdefault(feat, {})[tag] = weight
-        return cls(weights=weights, tagdict=tagdict)
+                    cells[features.setdefault(feat, len(features)), _TAG_COLUMN[tag]] = weight
+        weights = np.zeros((len(features), len(PTB_TAGS)))
+        if cells:
+            rows, cols = np.array(list(cells)).T
+            weights[rows, cols] = list(cells.values())
+        return cls(weights=weights, features=features, tagdict=tagdict)
+
+
+_TAG_COLUMN = {t: j for j, t in enumerate(PTB_TAGS)}
 
 
 def train_tagger(tagged_corpus: list[list[tuple[str, str]]], epochs: int = 5,
@@ -240,16 +248,14 @@ def train_tagger(tagged_corpus: list[list[tuple[str, str]]], epochs: int = 5,
                if len(c) == 1 and sum(c.values()) >= 2}
 
     model = PerceptronTaggerModel(tagdict=tagdict)
-    totals: dict[tuple[str, str], float] = {}
-    tstamps: dict[tuple[str, str], int] = {}
+    index = model.features
+    # Averaging is lazy: a cell's running total catches up on the
+    # instances since its last update (its stamp) only when it changes.
+    # Rows are allocated by doubling; rows past len(index) stay zero.
+    model.weights = np.zeros((256, len(PTB_TAGS)))
+    totals = np.zeros_like(model.weights)
+    stamps = np.zeros(model.weights.shape, dtype=np.int64)
     instance = 0
-
-    def upd(feat: str, tag: str, delta: float):
-        key = (feat, tag)
-        cur = model.weights.setdefault(feat, {}).get(tag, 0.0)
-        totals[key] = totals.get(key, 0.0) + (instance - tstamps.get(key, 0)) * cur
-        tstamps[key] = instance
-        model.weights[feat][tag] = cur + delta
 
     rng = random.Random(seed)
     order = list(range(len(tagged_corpus)))
@@ -264,20 +270,24 @@ def train_tagger(tagged_corpus: list[list[tuple[str, str]]], epochs: int = 5,
                 if word in model.tagdict:
                     prev2, prev = prev, model.tagdict[word]
                     continue
-                feats = model._features(tokens, i, prev, prev2)
                 guess = model.predict_word(tokens, i, prev, prev2)
                 if guess != gold:
-                    for f in feats:
-                        upd(f, gold, 1.0)
-                        upd(f, guess, -1.0)
+                    # the nine templates never repeat a feature, so the rows differ
+                    rows = [index.setdefault(f, len(index))
+                            for f in model._features(tokens, i, prev, prev2)]
+                    if len(index) > len(model.weights):
+                        model.weights, totals, stamps = (
+                            np.concatenate([a, np.zeros_like(a)]) for a in (model.weights, totals, stamps))
+                    for col, delta in ((_TAG_COLUMN[gold], 1.0), (_TAG_COLUMN[guess], -1.0)):
+                        cur = model.weights[rows, col]
+                        totals[rows, col] += (instance - stamps[rows, col]) * cur
+                        stamps[rows, col] = instance
+                        model.weights[rows, col] = cur + delta
                 prev2, prev = prev, guess
 
     # average the weights over all update timesteps
-    for feat, per_tag in model.weights.items():
-        for tag, w in per_tag.items():
-            key = (feat, tag)
-            total = totals.get(key, 0.0) + (instance - tstamps.get(key, 0)) * w
-            per_tag[tag] = total / instance if instance else 0.0
+    n = len(index)
+    model.weights = (totals[:n] + (instance - stamps[:n]) * model.weights[:n]) / instance
     return model
 
 
@@ -297,9 +307,9 @@ def tag(model: PerceptronTaggerModel, seq: TokenSequence) -> PosTagSequence:
 
 def one_hot(tags: PosTagSequence) -> np.ndarray:
     """[len(tags) x len(TAGSET)] matrix, one 1.0 per row."""
-    mat = np.zeros((len(tags.tags), len(TAGSET)))
-    for row, t in enumerate(tags.tags):
-        mat[row, TAGSET.index(t)] = 1.0
+    n = len(tags.tags)
+    mat = np.zeros((n, len(TAGSET)))
+    mat[np.arange(n), [TAGSET.index(t) for t in tags.tags]] = 1.0
     return mat
 
 

@@ -1,6 +1,8 @@
 """Shared test utilities: the finite-difference gradient oracle, the
 per-timestep LSTM composition the fused ``lstm`` primitive must match, the
-trapezoidal AUC that checks ``evaluation.auc_pair``, and tagger accuracy."""
+trapezoidal AUC that checks ``evaluation.auc_pair``, tagger accuracy, and
+the dict-of-dicts tagger scorer and fixpoint CHAT normalizer that the dense
+scorer and the early-exit normalizer must match."""
 
 from __future__ import annotations
 
@@ -187,3 +189,61 @@ def tagger_accuracy(model, tagged_corpus: list[list[tuple[str, str]]]) -> float:
             correct += guess == gold
             total += 1
     return correct / total if total else 0.0
+
+
+# ---------------------------------------------------------------------------
+# reference POS scorer: nested ``weights[feature][tag]`` dicts
+
+
+def dense_tagger(table: dict[str, dict[str, float]], tagdict: dict[str, str] | None = None):
+    """A ``PerceptronTaggerModel`` holding ``table`` as its dense matrix."""
+    from alzdetect.text_pipeline import PTB_TAGS, PerceptronTaggerModel
+
+    features = {f: i for i, f in enumerate(table)}
+    weights = np.zeros((len(features), len(PTB_TAGS)))
+    for f, per_tag in table.items():
+        for t, w in per_tag.items():
+            weights[features[f], PTB_TAGS.index(t)] = w
+    return PerceptronTaggerModel(weights=weights, features=features, tagdict=tagdict)
+
+
+def reference_tag(table: dict[str, dict[str, float]], tagdict: dict[str, str],
+                  tokens: tuple[str, ...]) -> tuple[str, ...]:
+    """Greedy tagging with one accumulator per tag over ``table``; a tag a
+    feature does not name adds nothing, and ties go to the earlier tag."""
+    from alzdetect.text_pipeline import PAD_TAG, PAD_TOKEN, PTB_TAGS, PerceptronTaggerModel
+
+    tags = []
+    prev, prev2 = "-START-", "-START2-"
+    for i, word in enumerate(tokens):
+        if word == PAD_TOKEN:
+            tags.append(PAD_TAG)
+            continue
+        t = tagdict.get(word)
+        if t is None:
+            scores: dict[str, float] = {}
+            for f in PerceptronTaggerModel._features(tokens, i, prev, prev2):
+                for tag, w in (table.get(f) or {}).items():
+                    scores[tag] = scores.get(tag, 0.0) + w
+            if not scores or all(v == 0.0 for v in scores.values()):
+                t = "NN"
+            else:
+                t = max(PTB_TAGS, key=lambda t: scores.get(t, 0.0))
+        tags.append(t)
+        prev2, prev = prev, t
+    return tuple(tags)
+
+
+# ---------------------------------------------------------------------------
+# reference CHAT normalizer: strip passes until the text stops changing
+
+
+def reference_normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str:
+    from alzdetect.chat_corpus import _strip_codes_once
+
+    text = " ".join(raw_text.split())
+    while True:
+        stripped = _strip_codes_once(text, warnings)
+        if stripped == text:
+            return text
+        text = stripped

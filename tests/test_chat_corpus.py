@@ -26,6 +26,7 @@ from alzdetect.chat_corpus import (
     participant_word_count,
     write_manifest,
 )
+from helpers import reference_normalize_utterance
 
 SAMPLE = "\n".join([
     "@UTF8",
@@ -118,6 +119,24 @@ def test_whitespace_is_collapsed():
 def test_normalization_is_idempotent(raw):
     once = normalize_utterance(raw)
     assert normalize_utterance(once) == once
+
+
+_CHAT_FRAGMENTS = st.sampled_from([
+    "&uh", "&-um", "&&er", "&=laughs", "&", "&=", "[//]", "[/]", "[x 3]", "[x3]",
+    "[: going to]", "[:", "[+ exc]", "[+", "[*foo]", "[", "]", "<", ">", "<the dog>",
+    "(.)", "(..)", "(...)", "(be)", "(", ")", "xxx", "yyy", "xxxx", "axxx", "xxx's",
+    "+...", "+//", "+", "+.", "word", "a", "b'c", ".", "?", " ", "  ", "\t", "\u00a0",
+])
+
+
+@settings(max_examples=500)
+@given(st.lists(st.one_of(_CHAT_FRAGMENTS, st.text(alphabet="ab &<>[]()/:+.x=3-*", max_size=4)),
+                max_size=16))
+def test_normalization_matches_fixpoint_reference(pieces):
+    raw = "".join(pieces)
+    got_warnings, want_warnings = [], []
+    assert normalize_utterance(raw, got_warnings) == reference_normalize_utterance(raw, want_warnings)
+    assert got_warnings == want_warnings
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Command-line flows: config parsing, exit codes, artifact round trips."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +265,36 @@ def test_predict_with_narrower_embeddings_is_data_error(tmp_path, workspace,
     transcript = sorted((root / "ct").glob("*.cha"))[0]
     _assert_data_error(["predict", str(narrow_embeddings_config), "--model", str(path),
                         str(transcript)], capsys, "dimensional")
+
+
+def _run_inspect_attention(*args):
+    return subprocess.run([sys.executable, str(REPO / "scripts" / "inspect_attention.py"),
+                           *map(str, args)], capture_output=True, text=True)
+
+
+def _assert_one_line_data_error(proc, needle):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") == 1
+    assert needle in proc.stderr
+
+
+def test_inspect_attention_missing_model_is_data_error(tmp_path, workspace):
+    root, cfg_path = workspace
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    missing = tmp_path / "no-such-model.bin"
+    _assert_one_line_data_error(_run_inspect_attention(cfg_path, missing, transcript),
+                                "no-such-model.bin")
+
+
+def test_inspect_attention_narrower_embeddings_is_data_error(tmp_path, workspace,
+                                                             narrow_embeddings_config):
+    root, _ = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda tensors: None)
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    _assert_one_line_data_error(
+        _run_inspect_attention(narrow_embeddings_config, path, transcript), "dimensional")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The benchmark in perfbench/ finds the package's callables by name
 (``getattr`` on modules and classes). A renamed or deleted callable would
 only break its traced run, which these tests do not start, so check here
-that every name it looks up still resolves."""
+that every name it looks up still resolves, and that every checkpoint the
+timing calibrates after is still called inside an operation."""
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -48,3 +50,26 @@ def test_every_workload_checkpoint_resolves(bench):
     assert bench.WORKLOADS
     for workload in bench.WORKLOADS.values():
         assert _unresolved(workload.checkpoints) == [], workload.name
+
+
+@pytest.mark.parametrize("name", ["train", "score", "ingest"])
+def test_every_workload_checkpoint_is_called_in_one_operation(bench, monkeypatch, tmp_path, name):
+    # a checkpoint the operation never calls would leave long operations
+    # uncalibrated without failing anything else
+    workload = bench.WORKLOADS[name]("toy", 0)
+    workload.generate(tmp_path)
+    state = workload.setup(tmp_path)
+    calls = {}
+    for owner, attr in workload.checkpoints:
+        original = getattr(owner, attr)
+        key = f"{getattr(owner, '__name__', owner)}.{attr}"
+        calls[key] = 0
+
+        @functools.wraps(original)
+        def counted(*args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    workload.op(state, 0)
+    assert [key for key, n in calls.items() if n == 0] == []

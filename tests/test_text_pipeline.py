@@ -1,5 +1,7 @@
 """Tokenization, length fixing, and the averaged-perceptron POS tagger."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,7 +29,9 @@ from alzdetect.text_pipeline import (
     tokenize,
     train_tagger,
 )
-from helpers import tagger_accuracy
+from helpers import dense_tagger, reference_tag, tagger_accuracy
+
+GOLDEN_TAGGER = Path(__file__).resolve().parent / "golden" / "default_tagger.txt"
 
 # ---------------------------------------------------------------------------
 # tokenization and padding
@@ -149,8 +153,16 @@ def test_pad_tokens_always_get_pad_tag():
 
 def test_score_ties_break_toward_earlier_tagset_order():
     # CC precedes DT in the inventory, so an exact tie goes to CC
-    model = PerceptronTaggerModel(weights={"w=foo": {"DT": 1.0, "CC": 1.0}})
+    model = dense_tagger({"w=foo": {"DT": 1.0, "CC": 1.0}})
     assert model.predict_word(("foo",), 0, "-START-", "-START2-") == "CC"
+
+
+def test_scores_add_up_in_template_order():
+    # bias, w=, suf3= in that order: 1 + 1e16 rounds to 1e16, so DT sums to
+    # 0 and CC wins; summed in reverse, DT would sum to 1 and win
+    table = {"suf3=foo": {"DT": -1e16}, "w=foo": {"DT": 1e16, "CC": 0.5}, "bias": {"DT": 1.0}}
+    assert reference_tag(table, {}, ("foo",)) == ("CC",)
+    assert dense_tagger(table).predict_word(("foo",), 0, "-START-", "-START2-") == "CC"
 
 
 def test_train_rejects_empty_corpus():
@@ -197,8 +209,16 @@ def test_unambiguous_frequent_words_enter_tag_dictionary():
 def test_training_is_deterministic():
     a = train_tagger(TINY_CORPUS, epochs=4, seed=7)
     b = train_tagger(TINY_CORPUS, epochs=4, seed=7)
-    assert a.weights == b.weights
+    assert a.features == b.features
+    assert a.weights.tobytes() == b.weights.tobytes()
     assert a.tagdict == b.tagdict
+
+
+def test_default_tagger_saves_the_golden_file(tmp_path):
+    # written from the dict-of-dicts tagger this dense one replaced
+    path = tmp_path / "tagger.txt"
+    default_tagger().save(path)
+    assert path.read_bytes() == GOLDEN_TAGGER.read_bytes()
 
 
 def test_fixture_tagger_accuracy():
@@ -208,16 +228,45 @@ def test_fixture_tagger_accuracy():
 
 def test_save_load_round_trip(tmp_path):
     model = train_tagger(TINY_CORPUS, epochs=4, seed=1)
-    path = tmp_path / "tagger.txt"
+    path, again = tmp_path / "tagger.txt", tmp_path / "again.txt"
     model.save(path)
     loaded = PerceptronTaggerModel.load(path)
     assert loaded.tagdict == model.tagdict
-    kept = {f: {t: w for t, w in per.items() if w != 0.0}
-            for f, per in model.weights.items()}
-    kept = {f: per for f, per in kept.items() if per}
-    assert loaded.weights == kept
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
     seq = TokenSequence(("the", "dogs", "run"), 3)
     assert tag(loaded, seq) == tag(model, seq)
+
+
+def test_load_keeps_the_last_of_repeated_lines(tmp_path):
+    path = tmp_path / "tagger.txt"
+    path.write_text("PTAG v1\nw=a\tDT\t2.0\nw=a\tCC\t1.0\nw=a\tDT\t0.5\n")
+    model = PerceptronTaggerModel.load(path)
+    assert model.predict_word(("a",), 0, "-START-", "-START2-") == "CC"
+
+
+# Weights from a small set, so exact ties, zero sums and -0.0 are common,
+# and with +-1e16 beside 1.0 a sum taken in another order rounds otherwise;
+# features over a small vocabulary, so tokens often hit no row at all.
+_VOCAB = ("a", "ab", "abc", "bca", "cab", "b")
+_TAGS = ("CC", "DT", "NN", "VB", "VBZ", "JJ")
+_FEATURES = (["bias"]
+             + [p + w for p in ("w=", "suf3=", "p1w=", "n1w=") for w in _VOCAB]
+             + ["pre1=a", "pre1=b", "p1w=-START-", "n1w=-END-"]
+             + [p + t for p in ("p1t=", "p2t=") for t in _TAGS + ("-START-", "-START2-")]
+             + ["p1t+w=" + t + "+" + w for t in _TAGS[:3] for w in _VOCAB[:3]])
+_WEIGHTS = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 1e-3, 3.25, 1e16, -1e16])
+
+
+@given(table=st.dictionaries(st.sampled_from(_FEATURES),
+                             st.dictionaries(st.sampled_from(_TAGS), _WEIGHTS, max_size=4),
+                             max_size=25),
+       tagdict=st.dictionaries(st.sampled_from(_VOCAB), st.sampled_from(_TAGS), max_size=2),
+       words=st.lists(st.sampled_from(_VOCAB + ("zz", PAD_TOKEN)), min_size=1, max_size=12))
+def test_dense_scorer_matches_dict_reference(table, tagdict, words):
+    tokens = tuple(words)
+    model = dense_tagger(table, tagdict)
+    assert tag(model, TokenSequence(tokens, len(tokens))).tags == reference_tag(table, tagdict, tokens)
 
 
 def test_load_rejects_wrong_header(tmp_path):
