@@ -3,7 +3,9 @@
 Every primitive computes its forward value with numpy, checks the result
 for NaN/Inf, and (when a Tape is active) records a backward rule. Calling
 ``backward`` replays the records in reverse order, accumulating gradients
-into the ``grad`` field of every tensor that contributed to the loss.
+into the ``grad`` field of every leaf tensor that contributed to the loss.
+Constants (data such as the inputs) take no gradient, and an op output's
+gradient is dropped as soon as its own rule has read it.
 
 The operation set is intentionally small: exactly what a conv / LSTM /
 attention / dense classifier graph needs. Broadcasting is supported only
@@ -65,6 +67,13 @@ class Parameter(Tensor):
         self.grad[...] = 0.0
 
 
+class Constant(Tensor):
+    """A tensor that is data, not a function of anything trained: backward
+    computes and stores no gradient for it."""
+
+    __slots__ = ()
+
+
 class Tape:
     """Ordered record of primitive applications.
 
@@ -104,6 +113,8 @@ def _out(arr: np.ndarray, op: str, backward) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    if isinstance(t, Constant):
+        return
     if t.grad is None:
         # one pass; adding 0.0 turns -0.0 into 0.0 exactly as zeros + g did
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
@@ -122,13 +133,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else Constant(x)
 
 
 def constant(data, name: str | None = None) -> Tensor:
     """A tensor that participates in the graph but is never differentiated
-    through (it simply accumulates a gradient nobody reads)."""
-    return Tensor(data, name)
+    through: no gradient is computed for it or stored on it."""
+    return Constant(data, name)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +307,8 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     data = x.data[idx]
 
     def bw(g):
+        if isinstance(x, Constant):
+            return
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         x.grad[idx] += g
@@ -390,8 +403,10 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     def bw(g):
         gflat = g.reshape(b * t, nf)
         _accum(kernels, (gflat.T @ cols.reshape(b * t, w * c)).reshape(nf, w, c))
+        if isinstance(x, Constant):
+            return
         dcols = (gflat @ kmat.T).reshape(b, t, w * c)
-        dpad = np.zeros_like(pad)
+        dpad = np.zeros((b, t + 2 * half, c))
         for j in range(w):
             dpad[:, j:j + t, :] += dcols[:, :, j * c:(j + 1) * c]
         _accum(x, dpad[:, half:half + t, :])
@@ -503,10 +518,14 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
 
 
 def backward(tape: Tape, loss: Tensor):
-    """Populate gradients of everything on the tape that feeds ``loss``.
+    """Accumulate the gradient of ``loss`` into every tensor that feeds it.
 
-    Tensors the loss never touched keep whatever gradient they already had
-    (zeros, for freshly created or zeroed Parameters).
+    Parameters and non-constant leaves keep their gradients. An op
+    output's gradient is dropped (set to None) once its own rule has run:
+    every consumer was recorded later, so nothing reads it again. The
+    records themselves stay on the tape. Tensors the loss never touched
+    keep whatever gradient they already had (zeros, for freshly created or
+    zeroed Parameters).
     """
     if loss.data.shape != ():
         raise NotScalarLoss(f"loss has shape {loss.data.shape}, expected scalar")
@@ -515,6 +534,7 @@ def backward(tape: Tape, loss: Tensor):
         if out_t.grad is None:
             continue
         bw(out_t.grad)
+        out_t.grad = None            # op outputs are plain Tensors, never Parameters
 
 
 class Sgd:

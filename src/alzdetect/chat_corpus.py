@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -34,6 +35,19 @@ class BadDemographics(ChatParseError):
 
 class EmptyCorpus(ValueError):
     pass
+
+
+class NotUtf8(ValueError):
+    """An input file is not UTF-8 text."""
+
+
+@contextmanager
+def reading_utf8(path):
+    """Turn a UTF-8 decode failure while reading ``path`` into NotUtf8 naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class Gender(Enum):
@@ -284,8 +298,9 @@ def load_corpus(root: str | Path) -> Corpus:
             continue
         for path in sorted(d.glob("*.cha")):
             stem = path.stem
-            records.append(parse_chat_file(path.read_text(encoding="utf-8"), label,
-                                           transcript_id=stem,
+            with reading_utf8(path):
+                text = path.read_text(encoding="utf-8")
+            records.append(parse_chat_file(text, label, transcript_id=stem,
                                            participant_id=stem.split("-")[0]))
     if not records:
         raise EmptyCorpus(f"no transcripts under {root}/ad or {root}/ct")

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import chat_corpus, evaluation, lexical_features, model, synthgen
-from .chat_corpus import ChatParseError, EmptyCorpus, Label, StatsReport
+from .chat_corpus import ChatParseError, EmptyCorpus, Label, NotUtf8, StatsReport, reading_utf8
 from .evaluation import SplitSpec, TooSmall
 from .lexical_features import (
     BadEmbeddingFile,
@@ -38,7 +38,7 @@ from .text_pipeline import BadTaggerFile, EmptyText, PerceptronTaggerModel, defa
 OUTPUT_DIR_ENV = "ALZDETECT_OUTPUT_DIR"
 
 DATA_ERRORS = (
-    ChatParseError, EmptyCorpus, EmptyText, EmptyFile, DimensionMismatch,
+    ChatParseError, EmptyCorpus, EmptyText, EmptyFile, NotUtf8, DimensionMismatch,
     BadEmbeddingFile, BadLexiconFile, BadTaggerFile, MissingLexicon, CorruptFile,
     VersionMismatch, ZeroClass, TooSmall, FileNotFoundError, NotADirectoryError,
     IsADirectoryError,
@@ -77,8 +77,10 @@ def _section(cls, raw: dict, label: str, exclude: tuple[str, ...] = ()):
 
 
 def load_run_config(path: str | Path) -> RunConfig:
+    with reading_utf8(path):
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise UsageError(f"cannot parse config {path}: {exc}") from exc
     if raw is None:
@@ -89,6 +91,11 @@ def load_run_config(path: str | Path) -> RunConfig:
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
+    seeds = raw.get("seeds", [0, 1, 2])
+    if (not isinstance(seeds, list) or not seeds
+            or not all(type(s) is int and s >= 0 for s in seeds)):
+        raise UsageError(f"seeds must be a non-empty list of non-negative integers, "
+                         f"got {seeds!r}")
     model_raw = dict(raw.get("model", {}) or {})
     if "feature_mask" in model_raw:
         model_raw["feature_mask"] = tuple(model_raw["feature_mask"])
@@ -99,14 +106,12 @@ def load_run_config(path: str | Path) -> RunConfig:
         tagger=raw.get("tagger"),
         output_dir=raw.get("output_dir"),
         variant=raw.get("variant"),
-        seeds=tuple(raw.get("seeds", (0, 1, 2))),
+        seeds=tuple(seeds),
         split=_section(SplitSpec, raw.get("split", {}) or {}, "split"),
         model=_section(ModelConfig, model_raw, "model"),
         synth=_section(SynthConfig, raw.get("synth", {}) or {}, "synth",
                        exclude=("vocab",)),
     )
-    if not cfg.seeds:
-        raise UsageError("seeds must list at least one seed")
     if cfg.variant is not None and cfg.variant not in model.VARIANTS:
         raise UsageError(f"unknown variant {cfg.variant!r}; "
                          f"expected one of {', '.join(model.VARIANTS)}")
@@ -281,7 +286,8 @@ def _cmd_predict(args) -> int:
             raise FileNotFoundError(p)
     params, mcfg = model.load(args.model)
     table, lexicons, tagger = _load_resources(cfg, mcfg)
-    text = Path(args.transcript).read_text(encoding="utf-8")
+    with reading_utf8(args.transcript):
+        text = Path(args.transcript).read_text(encoding="utf-8")
     # the label on the record is a placeholder; prediction ignores it
     record = chat_corpus.parse_chat_file(
         text, Label.CT, transcript_id=Path(args.transcript).stem,

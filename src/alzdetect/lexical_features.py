@@ -9,12 +9,21 @@ and gender coded Female=1.0, Male=0.0, Unknown=0.5.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .chat_corpus import Corpus, Demographics, Gender, Label, TranscriptRecord, extract_participant_text
+from .chat_corpus import (
+    Corpus,
+    Demographics,
+    Gender,
+    Label,
+    TranscriptRecord,
+    extract_participant_text,
+    reading_utf8,
+)
 from .text_pipeline import (
     DEFAULT_BUDGET,
     PerceptronTaggerModel,
@@ -89,7 +98,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """
     entries: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, reading_utf8(path):
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -143,7 +152,7 @@ class Lexicon:
 
 def load_lexicon(path: str | Path, name: str) -> Lexicon:
     """Read a ``word<TAB>score`` file headed by ``# range lo hi``."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, reading_utf8(path):
         lines = fh.read().splitlines()
     if not lines:
         raise EmptyFile(f"{path}: empty lexicon file")
@@ -154,6 +163,8 @@ def load_lexicon(path: str | Path, name: str) -> Lexicon:
         lo, hi = float(header[2]), float(header[3])
     except ValueError as exc:
         raise BadLexiconFile(f"{path}: bad range bounds") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BadLexiconFile(f"{path}:1: non-finite range bound")
     entries: dict[str, float] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -162,9 +173,12 @@ def load_lexicon(path: str | Path, name: str) -> Lexicon:
         if len(parts) != 2:
             raise BadLexiconFile(f"{path}:{lineno}: expected word<TAB>score")
         try:
-            entries[parts[0]] = float(parts[1])
+            score = float(parts[1])
         except ValueError as exc:
             raise BadLexiconFile(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
+        if not math.isfinite(score):
+            raise BadLexiconFile(f"{path}:{lineno}: non-finite score {parts[1]!r}")
+        entries[parts[0]] = score
     return Lexicon(name=name, entries=entries, declared_range=(lo, hi))
 
 
@@ -195,7 +209,10 @@ def mean_lexicon_score(seq: TokenSequence, lex: Lexicon) -> tuple[float, float]:
     Tokens absent from the lexicon are excluded from both numerator and
     denominator. Returns (mean, coverage); zero coverage gives mean 0.0.
     """
-    tokens = _real_tokens(seq)
+    return _lexicon_mean(_real_tokens(seq), lex)
+
+
+def _lexicon_mean(tokens: tuple[str, ...], lex: Lexicon) -> tuple[float, float]:
     scores = [lex.entries[t] for t in tokens if t in lex.entries]
     if not tokens or not scores:
         return 0.0, 0.0
@@ -212,11 +229,12 @@ def build_feature_vector(
 ) -> np.ndarray:
     """The 7-vector [5 lexicon means, age/100, gender code], in
     ``FEATURE_NAMES`` order."""
+    tokens = _real_tokens(seq)
     means = []
     for slot in LEXICON_SLOTS:
         if slot not in lexicons:
             raise MissingLexicon(slot)
-        means.append(mean_lexicon_score(seq, lexicons[slot])[0])
+        means.append(_lexicon_mean(tokens, lexicons[slot])[0])
     age = 0.0 if demo.age is None else demo.age / 100.0
     return np.array(means + [age, _GENDER_CODE[demo.gender]])
 

@@ -492,7 +492,10 @@ def load(path: str | Path) -> tuple[ModelParams, ModelConfig]:
         tensors: dict[str, Parameter] = {}
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorruptFile(f"{path}: tensor name is not UTF-8") from None
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
             shape = struct.unpack(f"<{ndim}q", _read_exact(fh, 8 * ndim))
             count = int(np.prod(shape)) if shape else 1

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .chat_corpus import reading_utf8
+
 PAD_TOKEN = "<pad>"
 PAD_TAG = "PAD"
 DEFAULT_BUDGET = 73
@@ -189,7 +191,7 @@ class PerceptronTaggerModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PerceptronTaggerModel":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, reading_utf8(path):
             header = fh.readline().rstrip("\n")
             if header != "PTAG v1":
                 raise BadTaggerFile(f"{path}:1: unsupported tagger file header {header!r}")

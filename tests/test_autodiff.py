@@ -120,6 +120,37 @@ def test_unreached_parameter_keeps_zero_gradient():
     np.testing.assert_array_equal(used.grad, 2 * np.ones(3))
 
 
+def test_backward_keeps_gradients_only_on_parameters():
+    data = np.random.default_rng(19).standard_normal((2, 5, 3))
+
+    def step(x):
+        rng = np.random.default_rng(20)
+        k = _param(rng, 4, 3, 3, name="k")
+        w = _param(rng, 4, 1, name="w")
+        scale = constant(2.0)
+        with Tape() as tape:
+            conv = ad.conv1d(x, k)                                   # [2, 5, 4]
+            flat = ad.reshape(ad.relu(conv), (10, 4))
+            prod = ad.matmul(flat, w)
+            scaled = ad.mul(prod, scale)
+            loss = ad.mean(scaled)
+            recorded = len(tape)
+            backward(tape, loss)
+        assert len(tape) == recorded == 6
+        assert scale.grad is None
+        assert all(t.grad is None for t in (conv, flat, prod, scaled, loss))
+        assert np.any(k.grad != 0.0) and np.any(w.grad != 0.0)
+        return k.grad.tobytes() + w.grad.tobytes()
+
+    x = constant(data)
+    grads = step(x)
+    assert x.grad is None
+    # the conv input taking no gradient changes no bit of the parameter gradients
+    x_param = Parameter(data, "x")
+    assert step(x_param) == grads
+    assert np.any(x_param.grad != 0.0)
+
+
 def test_clip_zero_gradient_outside_bounds():
     p = Parameter(np.array([-2.0, 0.5, 3.0]), "p")
     with Tape() as tape:

@@ -1,6 +1,7 @@
 """Command-line flows: config parsing, exit codes, artifact round trips."""
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,17 @@ def test_empty_seed_list_rejected(tmp_path):
         load_run_config(path)
 
 
+@pytest.mark.parametrize("seeds", ["5", "[a]", "[1.5]", "[-1]", "[true]"])
+def test_mistyped_seeds_are_usage_errors(tmp_path, capsys, seeds):
+    path = tmp_path / "c.yaml"
+    path.write_text(f"seeds: {seeds}\n")
+    with pytest.raises(UsageError, match="seeds"):
+        load_run_config(path)
+    assert main(["train", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "seeds" in err
+
+
 def test_unknown_variant_rejected(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("variant: SUPER-LSTM\n")
@@ -199,6 +211,7 @@ def _assert_data_error(argv, capsys, needle):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
 
 
@@ -241,6 +254,74 @@ def test_bad_tagger_file_is_data_error(tmp_path, workspace, capsys, text, needle
     tagger.write_text(text)
     cfg = _bad_input_config(tmp_path, workspace, tagger=str(tagger))
     _assert_data_error(["train", str(cfg)], capsys, needle)
+
+
+def test_non_finite_lexicon_is_data_error(tmp_path, workspace, capsys):
+    root, _ = workspace
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(root / "lexicons", lexicons)
+    bad = lexicons / "sentiment.tsv"
+    bad.write_text("# range 0 inf\nhello\t1e400\n")
+    cfg = _bad_input_config(tmp_path, workspace, lexicons=str(lexicons))
+    _assert_data_error(["train", str(cfg)], capsys, f"{bad}:1:")
+
+
+def _not_utf8(path, source=None):
+    """``path`` holding ``source``'s bytes (or nothing) plus a byte UTF-8 never uses."""
+    path.write_bytes((source.read_bytes() if source else b"") + b"caf\xff\n")
+    return path
+
+
+def _non_utf8_transcript_predict(tmp_path, workspace):
+    root, _ = workspace
+    model_path = tmp_path / "model.bin"
+    save_edited_model(ModelConfig(**MODEL_SECTION), model_path, lambda tensors: None)
+    bad = _not_utf8(tmp_path / "p1-1.cha", sorted((root / "ct").glob("*.cha"))[0])
+    cfg = _bad_input_config(tmp_path, workspace)
+    return ["predict", str(cfg), "--model", str(model_path), str(bad)], bad
+
+
+def _non_utf8_transcript_corpus(tmp_path, workspace):
+    root, _ = workspace
+    (tmp_path / "ad").mkdir()
+    bad = _not_utf8(tmp_path / "ad" / "p1-1.cha", sorted((root / "ad").glob("*.cha"))[0])
+    return ["stats", str(tmp_path)], bad
+
+
+def _non_utf8_lexicon(tmp_path, workspace):
+    root, _ = workspace
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(root / "lexicons", lexicons)
+    bad = _not_utf8(lexicons / "aoa.tsv", root / "lexicons" / "aoa.tsv")
+    return ["train", str(_bad_input_config(tmp_path, workspace, lexicons=str(lexicons)))], bad
+
+
+def _non_utf8_embeddings(tmp_path, workspace):
+    root, _ = workspace
+    bad = _not_utf8(tmp_path / "embeddings.txt", root / "embeddings.txt")
+    return ["train", str(_bad_input_config(tmp_path, workspace, embeddings=str(bad)))], bad
+
+
+def _non_utf8_tagger(tmp_path, workspace):
+    tagger = tmp_path / "tagger.txt"
+    tagger.write_text("PTAG v1\nbias\tNN\t0.5\n")
+    bad = _not_utf8(tagger, tagger)
+    return ["train", str(_bad_input_config(tmp_path, workspace, tagger=str(bad)))], bad
+
+
+def _non_utf8_config(tmp_path, workspace):
+    cfg = _bad_input_config(tmp_path, workspace)
+    return ["train", str(_not_utf8(cfg, cfg))], cfg
+
+
+@pytest.mark.parametrize("make", [
+    _non_utf8_transcript_predict, _non_utf8_transcript_corpus, _non_utf8_lexicon,
+    _non_utf8_embeddings, _non_utf8_tagger, _non_utf8_config,
+], ids=["transcript-predict", "transcript-corpus", "lexicon", "embeddings", "tagger",
+        "config"])
+def test_non_utf8_input_is_data_error(tmp_path, workspace, capsys, make):
+    argv, bad = make(tmp_path, workspace)
+    _assert_data_error(argv, capsys, f"{bad}: not UTF-8 text")
 
 
 @pytest.fixture

@@ -116,6 +116,19 @@ def test_load_lexicon_rejects_out_of_range_score(tmp_path):
         load_lexicon(path, "x")
 
 
+@pytest.mark.parametrize("text, needle", [
+    ("# range 0 inf\nthe\t2.0\n", ":1:"),
+    ("# range nan 5\nthe\t2.0\n", ":1:"),
+    ("# range 0 5\nthe\t2.0\nhello\t1e400\n", ":3:"),
+    ("# range 0 5\nhello\tnan\n", ":2:"),
+], ids=["inf-bound", "nan-bound", "overflowing-score", "nan-score"])
+def test_load_lexicon_rejects_non_finite_values(tmp_path, text, needle):
+    path = tmp_path / "x.tsv"
+    path.write_text(text)
+    with pytest.raises(BadLexiconFile, match=f"{path}{needle}"):
+        load_lexicon(path, "x")
+
+
 def test_lexicon_rejects_empty_range():
     with pytest.raises(BadLexiconFile):
         Lexicon(name="x", entries={}, declared_range=(5.0, 5.0))

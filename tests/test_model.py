@@ -1,12 +1,13 @@
 """Classifier graph: structure, gradients, training loop, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alzdetect import model
-from alzdetect.autodiff import ShapeMismatch, Tape, backward
+from alzdetect.autodiff import Parameter, ShapeMismatch, Tape, backward
 from alzdetect.lexical_features import EncodedInstance
 from alzdetect.model import (
     UNIT_WEIGHTS,
@@ -283,6 +284,32 @@ def test_full_graph_gradients_plain_variant():
     assert worst < 1e-4
 
 
+def _step_gradients(cfg, batch, training):
+    """Parameter gradients of one class-weighted step, as bytes."""
+    params = init_params(cfg, np.random.default_rng(21))
+    emb, pos, feats, mask, labels = model._stack_instances(cfg, batch)
+    with Tape() as tape:
+        prob, _ = model._forward_graph(params, cfg, emb, pos, feats, mask,
+                                       training=training, rng=np.random.default_rng(3))
+        backward(tape, weighted_bce(prob, labels, ClassWeights(0.7, 1.9)))
+    return {p.name: p.grad.tobytes() for p in params.all()}
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_constants_taking_no_gradient_change_no_parameter_gradient_bit(variant, monkeypatch):
+    cfg = variant_config(variant, replace(TINY, seq_len=9, dropout_rate=0.5))
+    batch = make_instances(cfg, 8, np.random.default_rng(22))
+    gap = np.ones(cfg.seq_len)
+    gap[3:6] = 0.0                                   # pads in mid-sequence
+    batch[2] = replace(batch[2], mask=gap)
+    cases = [(batch, True), (batch, False), (batch[:1], True), (batch[:1], False)]
+    plain = [_step_gradients(cfg, b, training) for b, training in cases]
+    # every constant of the graph differentiated as if it were trained
+    monkeypatch.setattr(model, "constant",
+                        lambda data, name=None: Parameter(data, name or "constant"))
+    assert [_step_gradients(cfg, b, training) for b, training in cases] == plain
+
+
 def test_attention_gradient_is_exactly_zero_when_disabled():
     cfg = variant_config("C-LSTM", TINY)
     rng = np.random.default_rng(9)
@@ -527,6 +554,16 @@ def test_load_rejects_unknown_config_keys(tmp_path):
     path.write_bytes(model.MAGIC + struct.pack("<II", model.FORMAT_VERSION, len(cfg))
                      + cfg + struct.pack("<I", 0))
     with pytest.raises(CorruptFile):
+        load(path)
+
+
+def test_load_rejects_non_utf8_tensor_name(tmp_path):
+    path = tmp_path / "model.bin"
+    save(init_params(TINY, np.random.default_rng(0)), TINY, path)
+    raw = path.read_bytes()
+    name = b"conv_embed_kernels"
+    path.write_bytes(raw.replace(name, b"\xff" + name[1:], 1))
+    with pytest.raises(CorruptFile, match="not UTF-8"):
         load(path)
 
 
