@@ -46,10 +46,7 @@ def _inspect(parser, args) -> int:
         parser.error("that model was trained without attention")
     table, lexicons, tagger = _load_resources(cfg, mcfg)
 
-    stem = Path(args.transcript).stem
-    record = chat_corpus.parse_chat_file(
-        Path(args.transcript).read_text(encoding="utf-8"),
-        Label.CT, transcript_id=stem, participant_id=stem.split("-")[0])
+    record = chat_corpus.read_transcript(args.transcript, Label.CT)
     instance = lexical_features.encode_record(record, table, lexicons, tagger,
                                               budget=mcfg.seq_len)
 

@@ -514,7 +514,7 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# backward pass and optimizers
+# backward pass and optimizer
 
 
 def backward(tape: Tape, loss: Tensor):
@@ -537,35 +537,23 @@ def backward(tape: Tape, loss: Tensor):
         out_t.grad = None            # op outputs are plain Tensors, never Parameters
 
 
-class Sgd:
-    """Plain stochastic gradient descent."""
-
-    def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        self.learning_rate = learning_rate
-
-    def step(self, params: list[Parameter]):
-        for p in params:
-            p.data -= self.learning_rate * p.grad
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
     """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: list[Parameter]):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p in params:
             m = self._m.setdefault(p.name, np.zeros_like(p.data))
             v = self._v.setdefault(p.name, np.zeros_like(p.data))
@@ -573,12 +561,4 @@ class Adam:
             v[...] = b2 * v + (1 - b2) * p.grad * p.grad
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
-            p.data -= self.learning_rate * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def make_optimizer(name: str, learning_rate: float):
-    if name == "sgd":
-        return Sgd(learning_rate)
-    if name == "adam":
-        return Adam(learning_rate)
-    raise ValueError(f"unknown optimizer {name!r}")
+            p.data -= self.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)

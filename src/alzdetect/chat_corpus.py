@@ -284,24 +284,27 @@ def participant_word_count(record: TranscriptRecord) -> int:
 # ---------------------------------------------------------------------------
 # corpus assembly
 
-def load_corpus(root: str | Path) -> Corpus:
-    """Assemble a corpus from ``<root>/ad/*.cha`` and ``<root>/ct/*.cha``.
+def read_transcript(path: str | Path, label: Label) -> TranscriptRecord:
+    """Parse one CHAT file. The transcript id is the file stem; the
+    participant id is the stem up to the first ``-`` (DementiaBank-style
+    ``<participant>-<visit>`` names)."""
+    path = Path(path)
+    with reading_utf8(path):
+        text = path.read_text(encoding="utf-8")
+    stem = path.stem
+    return parse_chat_file(text, label, transcript_id=stem, participant_id=stem.split("-")[0])
 
-    The transcript id is the file stem; the participant id is the stem up
-    to the first ``-`` (DementiaBank-style ``<participant>-<visit>`` names).
-    """
+
+def load_corpus(root: str | Path) -> Corpus:
+    """Assemble a corpus from ``<root>/ad/*.cha`` and ``<root>/ct/*.cha``,
+    each file read by ``read_transcript``."""
     root = Path(root)
     records: list[TranscriptRecord] = []
     for sub, label in (("ad", Label.AD), ("ct", Label.CT)):
         d = root / sub
         if not d.is_dir():
             continue
-        for path in sorted(d.glob("*.cha")):
-            stem = path.stem
-            with reading_utf8(path):
-                text = path.read_text(encoding="utf-8")
-            records.append(parse_chat_file(text, label, transcript_id=stem,
-                                           participant_id=stem.split("-")[0]))
+        records.extend(read_transcript(path, label) for path in sorted(d.glob("*.cha")))
     if not records:
         raise EmptyCorpus(f"no transcripts under {root}/ad or {root}/ct")
     seen = set()

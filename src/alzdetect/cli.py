@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -63,16 +64,35 @@ class RunConfig:
     synth: SynthConfig = SynthConfig()
 
 
-def _section(cls, raw: dict, label: str, exclude: tuple[str, ...] = ()):
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", tuple[str, ...]: "a list of strings"}
+
+
+def _typed(value, kind, key: str):
+    """``value`` as the field type ``kind``; a bool is not a number."""
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if kind in (int, bool, str) and type(value) is kind:
+        return value
+    if kind == tuple[str, ...] and type(value) is list and all(type(v) is str for v in value):
+        return tuple(value)
+    raise UsageError(f"{key} must be {_TYPE_NAMES[kind]}, "
+                     f"got {value!r} ({type(value).__name__})")
+
+
+def _section(cls, raw, label: str, exclude: tuple[str, ...] = ()):
+    """One dataclass from a config section; each value must have its field's type."""
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise UsageError(f"config section {label!r} must be a mapping")
-    allowed = set(cls.__dataclass_fields__) - set(exclude)
-    unknown = set(raw) - allowed
+    kinds = typing.get_type_hints(cls)
+    unknown = set(raw) - (set(kinds) - set(exclude))
     if unknown:
         raise UsageError(f"unknown {label} keys: {', '.join(sorted(unknown))}")
+    values = {k: _typed(v, kinds[k], f"{label}.{k}") for k, v in raw.items()}
     try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except ValueError as exc:
         raise UsageError(f"bad {label} config: {exc}") from exc
 
 
@@ -91,14 +111,16 @@ def load_run_config(path: str | Path) -> RunConfig:
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
+    for key in ("corpus_dir", "embeddings", "lexicons", "tagger", "output_dir", "variant"):
+        if raw.get(key) is not None and type(raw[key]) is not str:
+            raise UsageError(f"{key} must be a string, got {raw[key]!r}")
     seeds = raw.get("seeds", [0, 1, 2])
     if (not isinstance(seeds, list) or not seeds
             or not all(type(s) is int and s >= 0 for s in seeds)):
         raise UsageError(f"seeds must be a non-empty list of non-negative integers, "
                          f"got {seeds!r}")
-    model_raw = dict(raw.get("model", {}) or {})
-    if "feature_mask" in model_raw:
-        model_raw["feature_mask"] = tuple(model_raw["feature_mask"])
+    # every run takes its split and model seed from seeds, so neither
+    # section may set one
     cfg = RunConfig(
         corpus_dir=raw.get("corpus_dir"),
         embeddings=raw.get("embeddings"),
@@ -107,10 +129,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         output_dir=raw.get("output_dir"),
         variant=raw.get("variant"),
         seeds=tuple(seeds),
-        split=_section(SplitSpec, raw.get("split", {}) or {}, "split"),
-        model=_section(ModelConfig, model_raw, "model"),
-        synth=_section(SynthConfig, raw.get("synth", {}) or {}, "synth",
-                       exclude=("vocab",)),
+        split=_section(SplitSpec, raw.get("split"), "split", exclude=("seed",)),
+        model=_section(ModelConfig, raw.get("model"), "model", exclude=("seed",)),
+        synth=_section(SynthConfig, raw.get("synth"), "synth", exclude=("vocab",)),
     )
     if cfg.variant is not None and cfg.variant not in model.VARIANTS:
         raise UsageError(f"unknown variant {cfg.variant!r}; "
@@ -286,12 +307,8 @@ def _cmd_predict(args) -> int:
             raise FileNotFoundError(p)
     params, mcfg = model.load(args.model)
     table, lexicons, tagger = _load_resources(cfg, mcfg)
-    with reading_utf8(args.transcript):
-        text = Path(args.transcript).read_text(encoding="utf-8")
     # the label on the record is a placeholder; prediction ignores it
-    record = chat_corpus.parse_chat_file(
-        text, Label.CT, transcript_id=Path(args.transcript).stem,
-        participant_id=Path(args.transcript).stem.split("-")[0])
+    record = chat_corpus.read_transcript(args.transcript, Label.CT)
     instance = lexical_features.encode_record(record, table, lexicons, tagger,
                                               budget=mcfg.seq_len)
     prob = model.predict(params, mcfg, [instance])[0]

@@ -139,19 +139,10 @@ class Lexicon:
     entries: dict[str, float]
     declared_range: tuple[float, float]
 
-    def __post_init__(self):
-        lo, hi = self.declared_range
-        if not lo < hi:
-            raise BadLexiconFile(f"{self.name}: range {lo} .. {hi} is empty")
-        for word, score in self.entries.items():
-            if not lo <= score <= hi:
-                raise BadLexiconFile(
-                    f"{self.name}: score {score} for {word!r} outside [{lo}, {hi}]"
-                )
-
 
 def load_lexicon(path: str | Path, name: str) -> Lexicon:
-    """Read a ``word<TAB>score`` file headed by ``# range lo hi``."""
+    """Read a ``word<TAB>score`` file headed by ``# range lo hi``; every
+    score must lie in that (finite, non-empty) range."""
     with open(path, encoding="utf-8") as fh, reading_utf8(path):
         lines = fh.read().splitlines()
     if not lines:
@@ -165,6 +156,8 @@ def load_lexicon(path: str | Path, name: str) -> Lexicon:
         raise BadLexiconFile(f"{path}: bad range bounds") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise BadLexiconFile(f"{path}:1: non-finite range bound")
+    if not lo < hi:
+        raise BadLexiconFile(f"{path}:1: range {lo} .. {hi} is empty")
     entries: dict[str, float] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -176,8 +169,9 @@ def load_lexicon(path: str | Path, name: str) -> Lexicon:
             score = float(parts[1])
         except ValueError as exc:
             raise BadLexiconFile(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
-        if not math.isfinite(score):
-            raise BadLexiconFile(f"{path}:{lineno}: non-finite score {parts[1]!r}")
+        if not lo <= score <= hi:        # also catches nan and an overflow to inf
+            raise BadLexiconFile(f"{path}:{lineno}: score {parts[1]!r} for {parts[0]!r} "
+                                 f"outside [{lo}, {hi}]")
         entries[parts[0]] = score
     return Lexicon(name=name, entries=entries, declared_range=(lo, hi))
 

@@ -1,13 +1,16 @@
 """The classifier: two 1-D CNN branches, (bi)LSTM, additive attention,
 dense head fused with targeted features, sigmoid output.
 
-Four flags on one config reproduce the six reported variants (see
-VARIANTS): bidirectionality, attention, targeted features, and class
-weighting. Attention parameters always exist so that turning the flag
-off is observable as exactly-zero gradients rather than missing keys;
-backward-direction LSTM parameters exist only when bidirectional.
+Three switches on one config reproduce the six reported variants (see
+VARIANTS): ``use_attention`` (a BiLSTM read by attention, or one forward
+LSTM read at its final state), ``feature_mask`` (the targeted feature
+groups the dense layer sees; empty for none) and ``use_class_weights``.
+Attention parameters exist under every setting, because initialisation
+draws them from the generator in creation order; with attention off they
+get exactly-zero gradients. Backward-direction LSTM parameters exist only
+with attention.
 
-Training is mini-batch gradient descent on class-weighted binary
+Training is mini-batch Adam on class-weighted binary
 cross-entropy with early stopping on validation loss. All randomness
 (init, shuffling, dropout) comes from one seeded generator consumed in
 a fixed order, so identical seeds give identical runs.
@@ -29,7 +32,7 @@ from .lexical_features import FEATURE_GROUPS, FEATURE_NAMES, EncodedInstance
 EPS = 1e-7
 
 MAGIC = b"ADNM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ZeroClass(ValueError):
@@ -59,12 +62,9 @@ class ModelConfig:
     attention_dim: int = 128
     dense_units: int = 64
     dropout_rate: float = 0.5
-    bidirectional: bool = True
     use_attention: bool = True
-    use_targeted_features: bool = True
     use_class_weights: bool = True
     feature_mask: tuple[str, ...] = ("psych", "sent", "demo")
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 50
@@ -83,8 +83,6 @@ class ModelConfig:
         unknown = set(self.feature_mask) - set(FEATURE_GROUPS)
         if unknown:
             raise ValueError(f"unknown feature groups {sorted(unknown)}")
-        if self.optimizer.lower() not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -93,21 +91,16 @@ class ModelConfig:
             raise ValueError("patience must be >= 0")
 
 
-# Flag settings for the six reported variants, in report order. The last
-# three add the targeted feature vector to the dense layer's input.
+# Switch settings for the six reported variants, in report order. The
+# C-LSTM ones give the dense layer no targeted features; the OURS ones keep
+# the base config's feature mask.
 VARIANTS: dict[str, dict] = {
-    "C-LSTM": dict(bidirectional=False, use_attention=False,
-                   use_targeted_features=False, use_class_weights=False),
-    "C-LSTM-Att": dict(bidirectional=True, use_attention=True,
-                       use_targeted_features=False, use_class_weights=False),
-    "C-LSTM-Att-w": dict(bidirectional=True, use_attention=True,
-                         use_targeted_features=False, use_class_weights=True),
-    "OURS": dict(bidirectional=False, use_attention=False,
-                 use_targeted_features=True, use_class_weights=False),
-    "OURS-Att": dict(bidirectional=True, use_attention=True,
-                     use_targeted_features=True, use_class_weights=False),
-    "OURS-Att-w": dict(bidirectional=True, use_attention=True,
-                       use_targeted_features=True, use_class_weights=True),
+    "C-LSTM": dict(use_attention=False, feature_mask=(), use_class_weights=False),
+    "C-LSTM-Att": dict(use_attention=True, feature_mask=(), use_class_weights=False),
+    "C-LSTM-Att-w": dict(use_attention=True, feature_mask=(), use_class_weights=True),
+    "OURS": dict(use_attention=False, use_class_weights=False),
+    "OURS-Att": dict(use_attention=True, use_class_weights=False),
+    "OURS-Att-w": dict(use_attention=True, use_class_weights=True),
 }
 
 
@@ -119,8 +112,6 @@ def variant_config(name: str, base: ModelConfig) -> ModelConfig:
 
 def active_feature_indices(config: ModelConfig) -> tuple[int, ...]:
     """Feature-vector columns the dense layer actually sees."""
-    if not config.use_targeted_features:
-        return ()
     idx: list[int] = []
     for group in ("psych", "sent", "demo"):
         if group in config.feature_mask:
@@ -131,35 +122,8 @@ def active_feature_indices(config: ModelConfig) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # parameters
 
-class ModelParams:
-    """Named parameter set; iteration order is creation order."""
-
-    def __init__(self, params: dict[str, Parameter]):
-        self._params = params
-
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def all(self) -> list[Parameter]:
-        return list(self._params.values())
-
-    def copy(self) -> "ModelParams":
-        return ModelParams({n: Parameter(p.data.copy(), n)
-                            for n, p in self._params.items()})
-
-    def zero_grads(self):
-        for p in self._params.values():
-            p.zero_grad()
-
-
 def _readout_dim(config: ModelConfig) -> int:
-    return config.lstm_hidden * (2 if config.bidirectional else 1)
+    return config.lstm_hidden * (2 if config.use_attention else 1)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -173,22 +137,23 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
     shapes = {"conv_embed_kernels": (f, k, config.embed_dim), "conv_embed_bias": (f,),
               "conv_pos_kernels": (f, k, config.pos_dim), "conv_pos_bias": (f,)}
-    directions = ["lstm_fwd"] + (["lstm_bwd"] if config.bidirectional else [])
+    directions = ["lstm_fwd"] + (["lstm_bwd"] if config.use_attention else [])
     for prefix in directions:
         shapes.update({prefix + "_wx": (c, 4 * h), prefix + "_wh": (h, 4 * h),
                        prefix + "_b": (4 * h,)})
-    # attention parameters exist under every flag setting
+    # attention parameters exist under every setting (see the module docstring)
     shapes.update(attn_w=(d, a), attn_b=(a,), attn_u=(a, 1),
                   dense_w=(dense_in, units), dense_b=(units,),
                   out_w=(units, 1), out_b=(1,))
     return shapes
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
     """Fan-scaled uniform init, zero biases, LSTM forget bias 1.0.
 
     Creation order is fixed; it doubles as the generator consumption
-    order, so a given seed always produces the same weights.
+    order, so a given seed always produces the same weights. The returned
+    dict iterates in that order.
     """
     h = config.lstm_hidden
     p: dict[str, Parameter] = {}
@@ -203,7 +168,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
             lim = np.sqrt(6.0 / (fan_in + fan_out))
             data = rng.uniform(-lim, lim, size=shape)
         p[name] = Parameter(data, name)
-    return ModelParams(p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +191,7 @@ def _stack_instances(config: ModelConfig, instances) -> tuple[np.ndarray, ...]:
     return emb, pos, feats, mask, labels
 
 
-def _forward_graph(params: ModelParams, config: ModelConfig,
+def _forward_graph(params: dict[str, Parameter], config: ModelConfig,
                    emb: np.ndarray, pos: np.ndarray, feats: np.ndarray,
                    mask: np.ndarray, training: bool,
                    rng: np.random.Generator | None) -> tuple[Tensor, Tensor | None]:
@@ -241,13 +206,14 @@ def _forward_graph(params: ModelParams, config: ModelConfig,
                             params["conv_pos_bias"]))
     seq = ad.concat([conv_e, conv_p], axis=2)  # [B, T, 2·filters]
 
-    directions = [("lstm_fwd", False)] + ([("lstm_bwd", True)] if config.bidirectional else [])
-    hs = [ad.lstm(seq, params[prefix + "_wx"], params[prefix + "_wh"], params[prefix + "_b"],
-                  mask, reverse=reverse) for prefix, reverse in directions]   # each [B, T, H]
+    h_fwd = ad.lstm(seq, params["lstm_fwd_wx"], params["lstm_fwd_wh"], params["lstm_fwd_b"],
+                    mask)                                    # [B, T, H]
 
     alpha = None
     if config.use_attention:
-        h_all = ad.concat(hs, axis=2)                        # [B, T, D]
+        h_bwd = ad.lstm(seq, params["lstm_bwd_wx"], params["lstm_bwd_wh"], params["lstm_bwd_b"],
+                        mask, reverse=True)
+        h_all = ad.concat([h_fwd, h_bwd], axis=2)            # [B, T, D]
         flat = ad.reshape(h_all, (b * t, d))
         proj = ad.tanh(ad.add(ad.matmul(flat, params["attn_w"]), params["attn_b"]))
         scores = ad.reshape(ad.matmul(proj, params["attn_u"]), (b, t))
@@ -255,10 +221,8 @@ def _forward_graph(params: ModelParams, config: ModelConfig,
         weighted = ad.mul(ad.reshape(alpha, (b, t, 1)), h_all)
         readout = ad.sum_(weighted, axis=1)                  # [B, D]
     else:
-        # final state of each direction: forward ends at the last
-        # timestep, backward ends at the first
-        readout = ad.concat([ad.reshape(ad.slice_axis(hd, 1, end, end + 1), (b, h))
-                             for hd, end in zip(hs, (t - 1, 0))], axis=1)
+        # the forward LSTM's final state (pads carry the last real one)
+        readout = ad.reshape(ad.slice_axis(h_fwd, 1, t - 1, t), (b, h))
 
     active = active_feature_indices(config)
     fused = readout if not active else ad.concat(
@@ -276,7 +240,7 @@ def _forward_graph(params: ModelParams, config: ModelConfig,
     return prob, alpha
 
 
-def attention_weights(params: ModelParams, config: ModelConfig,
+def attention_weights(params: dict[str, Parameter], config: ModelConfig,
                       instance: EncodedInstance) -> np.ndarray:
     """Per-timestep attention weights for one instance (diagnostic)."""
     if not config.use_attention:
@@ -345,7 +309,7 @@ def _batches(n: int, size: int, order: np.ndarray):
 
 
 def fit(config: ModelConfig, train: list[EncodedInstance],
-        val: list[EncodedInstance]) -> tuple[ModelParams, list[TrainLogRow]]:
+        val: list[EncodedInstance]) -> tuple[dict[str, Parameter], list[TrainLogRow]]:
     """Train with early stopping; returns best-validation-epoch parameters.
 
     The log has one row per epoch actually run, including the epochs
@@ -361,11 +325,11 @@ def fit(config: ModelConfig, train: list[EncodedInstance],
     n_ad = sum(i.label for i in train)
     weights = (compute_class_weights(n_ad, len(train) - n_ad)
                if config.use_class_weights else UNIT_WEIGHTS)
-    opt = ad.make_optimizer(config.optimizer, config.learning_rate)
+    opt = ad.Adam(config.learning_rate)
 
     val_labels = np.array([i.label for i in val], dtype=np.float64)
     best_val = np.inf
-    best_params = params.copy()
+    best_params = params       # replaced at epoch 1: a finite val loss beats inf
     wait = 0
     log: list[TrainLogRow] = []
 
@@ -383,8 +347,9 @@ def fit(config: ModelConfig, train: list[EncodedInstance],
                     ad.backward(tape, loss)
             except NonFiniteValue as exc:
                 raise Diverged(f"epoch {epoch}: {exc}") from exc
-            opt.step(params.all())
-            params.zero_grads()
+            opt.step(list(params.values()))
+            for p in params.values():
+                p.zero_grad()
             total += loss.item() * len(chunk)
         train_loss = total / len(train)
 
@@ -401,7 +366,7 @@ def fit(config: ModelConfig, train: list[EncodedInstance],
 
         if val_loss < best_val:
             best_val = val_loss
-            best_params = params.copy()
+            best_params = {n: Parameter(p.data.copy(), n) for n, p in params.items()}
             wait = 0
         else:
             wait += 1
@@ -410,7 +375,7 @@ def fit(config: ModelConfig, train: list[EncodedInstance],
     return best_params, log
 
 
-def predict(params: ModelParams, config: ModelConfig,
+def predict(params: dict[str, Parameter], config: ModelConfig,
             instances: list[EncodedInstance]) -> np.ndarray:
     """Evaluation-mode probabilities, batched; dropout off."""
     if not instances:
@@ -450,16 +415,15 @@ def _config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(**d)
 
 
-def save(params: ModelParams, config: ModelConfig, path: str | Path):
+def save(params: dict[str, Parameter], config: ModelConfig, path: str | Path):
     cfg = json.dumps(_config_to_dict(config), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(cfg)))
         fh.write(cfg)
-        names = params.names()
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            data = params[name].data
+        fh.write(struct.pack("<I", len(params)))
+        for name, p in params.items():
+            data = p.data
             nb = name.encode("utf-8")
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
@@ -475,13 +439,13 @@ def _read_exact(fh, n: int) -> bytes:
     return buf
 
 
-def load(path: str | Path) -> tuple[ModelParams, ModelConfig]:
+def load(path: str | Path) -> tuple[dict[str, Parameter], ModelConfig]:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != MAGIC:
             raise CorruptFile("not a model file (bad magic)")
         version, cfg_len = struct.unpack("<II", _read_exact(fh, 8))
         if version != FORMAT_VERSION:
-            raise VersionMismatch(f"format version {version}, expected {FORMAT_VERSION}")
+            raise VersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
         try:
             config = _config_from_dict(json.loads(_read_exact(fh, cfg_len)))
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
@@ -517,4 +481,4 @@ def load(path: str | Path) -> tuple[ModelParams, ModelConfig]:
     for name, t in tensors.items():
         if not np.all(np.isfinite(t.data)):
             raise CorruptFile(f"{path}: tensor {name!r} holds non-finite values")
-    return ModelParams(tensors), config
+    return tensors, config

@@ -138,10 +138,9 @@ def save_edited_model(config, path, change):
     from alzdetect import model
 
     params = model.init_params(config, np.random.default_rng(0))
-    tensors = {n: params[n].data for n in params.names()}
+    tensors = {n: p.data for n, p in params.items()}
     change(tensors)
-    model.save(model.ModelParams({n: Parameter(a, n) for n, a in tensors.items()}),
-               config, path)
+    model.save({n: Parameter(a, n) for n, a in tensors.items()}, config, path)
 
 
 def auc_trapezoid(labels, scores) -> float:

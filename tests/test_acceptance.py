@@ -73,7 +73,7 @@ def test_gradients_match_finite_differences_on_full_graph():
             return model.weighted_bce(prob, labels, weights)
 
         try:
-            worst = max(worst, gradcheck(build, params.all(),
+            worst = max(worst, gradcheck(build, list(params.values()),
                                          coords_per_param=2, rng=rng,
                                          rtol=1e-4))
         except AssertionError as exc:
@@ -176,13 +176,13 @@ def test_variant_grid_wiring():
     params = model.init_params(plain_cfg, np.random.default_rng(5))
     emb, pos, feats, mask, labels = model._stack_instances(plain_cfg,
                                                            instances[:6])
-    for p in params.all():
+    for p in params.values():
         p.zero_grad()
     with Tape() as tape:
         prob, _ = model._forward_graph(params, plain_cfg, emb, pos, feats,
                                        mask, training=False, rng=None)
         backward(tape, model.weighted_bce(prob, labels))
-    attn = [p for p in params.all() if p.name.startswith("attn")]
+    attn = [p for p in params.values() if p.name.startswith("attn")]
     attn_ok = bool(attn) and all(np.all(p.grad == 0.0) for p in attn)
 
     scores = model.predict(params, plain_cfg, instances[:6])

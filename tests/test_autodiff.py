@@ -12,12 +12,10 @@ from alzdetect.autodiff import (
     NonFiniteValue,
     NotScalarLoss,
     Parameter,
-    Sgd,
     ShapeMismatch,
     Tape,
     backward,
     constant,
-    make_optimizer,
 )
 from helpers import gradcheck, lstm_direction
 
@@ -185,20 +183,7 @@ def test_forward_determinism_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# optimizers
-
-def test_sgd_step():
-    p = Parameter(np.zeros(()), "p")
-    p.grad[...] = 1.0
-    Sgd(0.1).step([p])
-    np.testing.assert_allclose(p.data, -0.1)
-
-
-def test_sgd_zero_gradient_no_change():
-    p = Parameter(np.array([1.0, 2.0]), "p")
-    Sgd(0.5).step([p])
-    np.testing.assert_array_equal(p.data, [1.0, 2.0])
-
+# optimizer
 
 def test_adam_first_step_magnitude_is_lr():
     for g in (0.001, 1.0, 250.0):
@@ -218,13 +203,6 @@ def test_adam_bias_correction_second_step():
         opt.step([p])
         p.zero_grad()
     np.testing.assert_allclose(-p.data, 0.02, rtol=1e-3)
-
-
-def test_make_optimizer_names():
-    assert isinstance(make_optimizer("sgd", 0.1), Sgd)
-    assert isinstance(make_optimizer("adam", 0.1), Adam)
-    with pytest.raises(ValueError):
-        make_optimizer("momentum", 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ def workspace(tmp_path_factory):
         "lexicons": str(root / "lexicons"),
         "output_dir": str(root),
         "seeds": [0],
-        "split": {"seed": 0},
         "model": MODEL_SECTION,
         "synth": SYNTH_SECTION,
     }
@@ -68,7 +67,6 @@ def test_load_run_config_round_trip(tmp_path, workspace):
     assert cfg.seeds == (0,)
     assert cfg.model.seq_len == 20
     assert cfg.synth.n_participants == 24
-    assert cfg.split.seed == 0
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
@@ -118,6 +116,44 @@ def test_mistyped_seeds_are_usage_errors(tmp_path, capsys, seeds):
     assert main(["train", str(path)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err and "seeds" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("variant", None, "[a]"),
+    ("model", None, "[1]"),
+    ("model", "seq_len", "20.5"),
+    ("model", "batch_size", "true"),
+    ("model", "learning_rate", "1e-3"),      # YAML 1.1 reads this as a string
+    ("model", "feature_mask", "sent"),
+    ("model", "bidirectional", "true"),
+    ("model", "use_targeted_features", "true"),
+    ("model", "optimizer", "adam"),
+    ("model", "seed", "0"),
+    ("split", "seed", "0"),
+], ids=lambda v: str(v))
+def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, workspace, capsys,
+                                                         section, key, value):
+    """Each value is the YAML text a user wrote; the run stops with exit 1,
+    one error line naming the key, and no training."""
+    value = yaml.safe_load(value)
+    if key is None:
+        cfg = _bad_input_config(tmp_path, workspace, **{section: value})
+    else:
+        cfg = _bad_input_config(tmp_path, workspace,
+                                **{section: {**MODEL_SECTION, key: value}
+                                   if section == "model" else {key: value}})
+    assert main(["train", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert (key or section) in err
+    assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("name", ["default.yaml", "smoke.yaml"])
+def test_shipped_configs_load(name):
+    cfg = load_run_config(REPO / "configs" / name)
+    assert cfg.seeds and cfg.model.seq_len >= 1
 
 
 def test_unknown_variant_rejected(tmp_path):
@@ -191,7 +227,7 @@ def test_corrupt_model_file_is_data_error(tmp_path, workspace):
 
 def test_divergent_training_exits_three(tmp_path, workspace):
     root, _ = workspace
-    model = dict(MODEL_SECTION, optimizer="sgd", learning_rate=1e200)
+    model = dict(MODEL_SECTION, learning_rate=1e200)
     path = _write_config(tmp_path / "c.yaml",
                          corpus_dir=str(root),
                          embeddings=str(root / "embeddings.txt"),
@@ -366,6 +402,15 @@ def test_inspect_attention_missing_model_is_data_error(tmp_path, workspace):
     missing = tmp_path / "no-such-model.bin"
     _assert_one_line_data_error(_run_inspect_attention(cfg_path, missing, transcript),
                                 "no-such-model.bin")
+
+
+def test_inspect_attention_non_utf8_transcript_is_data_error(tmp_path, workspace):
+    root, cfg_path = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda tensors: None)
+    bad = _not_utf8(tmp_path / "p1-1.cha", sorted((root / "ct").glob("*.cha"))[0])
+    _assert_one_line_data_error(_run_inspect_attention(cfg_path, path, bad),
+                                f"{bad}: not UTF-8 text")
 
 
 def test_inspect_attention_narrower_embeddings_is_data_error(tmp_path, workspace,

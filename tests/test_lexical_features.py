@@ -121,17 +121,15 @@ def test_load_lexicon_rejects_out_of_range_score(tmp_path):
     ("# range nan 5\nthe\t2.0\n", ":1:"),
     ("# range 0 5\nthe\t2.0\nhello\t1e400\n", ":3:"),
     ("# range 0 5\nhello\tnan\n", ":2:"),
-], ids=["inf-bound", "nan-bound", "overflowing-score", "nan-score"])
+    ("# range 1 5\nthe\t7.0\n", ":2:"),
+    ("# range 5 5\nthe\t5.0\n", ":1:"),
+], ids=["inf-bound", "nan-bound", "overflowing-score", "nan-score", "out-of-range-score",
+        "empty-range"])
 def test_load_lexicon_rejects_non_finite_values(tmp_path, text, needle):
     path = tmp_path / "x.tsv"
     path.write_text(text)
     with pytest.raises(BadLexiconFile, match=f"{path}{needle}"):
         load_lexicon(path, "x")
-
-
-def test_lexicon_rejects_empty_range():
-    with pytest.raises(BadLexiconFile):
-        Lexicon(name="x", entries={}, declared_range=(5.0, 5.0))
 
 
 def test_load_lexicon_dir_requires_all_slots(tmp_path):

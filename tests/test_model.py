@@ -53,9 +53,7 @@ def test_config_rejects_bad_dropout_and_patience():
         ModelConfig(patience=-1)
 
 
-def test_config_rejects_unknown_optimizer_and_group():
-    with pytest.raises(ValueError):
-        ModelConfig(optimizer="rmsprop")
+def test_config_rejects_unknown_feature_group():
     with pytest.raises(ValueError):
         ModelConfig(feature_mask=("psych", "typo"))
 
@@ -64,11 +62,14 @@ def test_variant_table():
     assert list(VARIANTS) == ["C-LSTM", "C-LSTM-Att", "C-LSTM-Att-w",
                               "OURS", "OURS-Att", "OURS-Att-w"]
     base = variant_config("C-LSTM", TINY)
-    assert not base.bidirectional and not base.use_attention
-    assert not base.use_targeted_features and not base.use_class_weights
+    assert not base.use_attention and not base.use_class_weights
+    assert base.feature_mask == ()
     full = variant_config("OURS-Att-w", TINY)
-    assert full.bidirectional and full.use_attention
-    assert full.use_targeted_features and full.use_class_weights
+    assert full.use_attention and full.use_class_weights
+    assert full.feature_mask == TINY.feature_mask
+    masked = replace(TINY, feature_mask=("sent",))
+    assert variant_config("OURS", masked).feature_mask == ("sent",)
+    assert variant_config("C-LSTM-Att", masked).feature_mask == ()
     with pytest.raises(KeyError):
         variant_config("nope", TINY)
 
@@ -95,10 +96,11 @@ def test_attention_params_exist_under_every_flag_setting():
 
 
 def test_backward_lstm_params_only_when_bidirectional():
+    # attention reads a BiLSTM; without it there is one forward LSTM
     uni = init_params(variant_config("C-LSTM", TINY), np.random.default_rng(0))
     bi = init_params(TINY, np.random.default_rng(0))
-    assert "lstm_bwd_wx" not in uni
-    assert "lstm_bwd_wx" in bi
+    assert "lstm_bwd_wx" not in uni and "lstm_bwd_wx" in bi
+    assert uni["attn_w"].shape == (TINY.lstm_hidden, TINY.attention_dim)
 
 
 def test_dense_input_width_tracks_active_features():
@@ -119,7 +121,7 @@ def test_forget_gate_bias_starts_open():
 def test_init_is_seed_deterministic():
     a = init_params(TINY, np.random.default_rng(5))
     b = init_params(TINY, np.random.default_rng(5))
-    for name in a.names():
+    for name in a:
         assert np.array_equal(a[name].data, b[name].data)
 
 
@@ -233,7 +235,7 @@ def test_attention_weights_mass_on_real_positions():
 def test_identical_hidden_states_attend_uniformly():
     rng = np.random.default_rng(6)
     params = init_params(TINY, rng)
-    for name in params.names():
+    for name in params:
         if name.startswith("lstm_"):
             params[name].data[...] = 0.0   # every timestep's state becomes 0
     inst = make_instances(TINY, 1, rng)[0]
@@ -271,7 +273,7 @@ def test_full_graph_gradients_bidirectional_attention():
     params = init_params(TINY, rng)
     instances = make_instances(TINY, 3, rng)
     build = _graph_loss(params, TINY, instances, ClassWeights(0.7, 1.9))
-    worst = gradcheck(build, params.all())
+    worst = gradcheck(build, list(params.values()))
     assert worst < 1e-4
 
 
@@ -280,7 +282,7 @@ def test_full_graph_gradients_plain_variant():
     rng = np.random.default_rng(8)
     params = init_params(cfg, rng)
     instances = make_instances(cfg, 3, rng)
-    worst = gradcheck(_graph_loss(params, cfg, instances), params.all())
+    worst = gradcheck(_graph_loss(params, cfg, instances), list(params.values()))
     assert worst < 1e-4
 
 
@@ -292,7 +294,7 @@ def _step_gradients(cfg, batch, training):
         prob, _ = model._forward_graph(params, cfg, emb, pos, feats, mask,
                                        training=training, rng=np.random.default_rng(3))
         backward(tape, weighted_bce(prob, labels, ClassWeights(0.7, 1.9)))
-    return {p.name: p.grad.tobytes() for p in params.all()}
+    return {p.name: p.grad.tobytes() for p in params.values()}
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -414,7 +416,7 @@ def test_fit_same_seed_identical_logs():
     params_a, log_a = fit(cfg, train, val)
     params_b, log_b = fit(cfg, train, val)
     assert log_a == log_b
-    for name in params_a.names():
+    for name in params_a:
         assert np.array_equal(params_a[name].data, params_b[name].data)
 
 
@@ -439,7 +441,7 @@ def test_single_class_validation_reports_half_auc():
 
 
 def test_exploding_update_raises_diverged():
-    cfg = _fit_cfg(optimizer="sgd", learning_rate=1e200, max_epochs=3)
+    cfg = _fit_cfg(learning_rate=1e200, max_epochs=3)
     rng = np.random.default_rng(17)
     train = make_instances(cfg, 8, rng)
     with pytest.raises(Diverged):
@@ -507,8 +509,8 @@ def test_save_load_round_trip(tmp_path):
     save(params, TINY, path)
     loaded_params, loaded_cfg = load(path)
     assert loaded_cfg == TINY
-    assert loaded_params.names() == params.names()
-    for name in params.names():
+    assert list(loaded_params) == list(params)
+    for name in params:
         assert np.array_equal(loaded_params[name].data, params[name].data)
     inst = make_instances(TINY, 1, rng)[0]
     assert predict(loaded_params, loaded_cfg, [inst])[0] == predict(params, TINY, [inst])[0]
@@ -542,6 +544,17 @@ def test_load_rejects_truncation_and_trailing_bytes(tmp_path):
         load(path)
     path.write_bytes(blob + b"extra")
     with pytest.raises(CorruptFile):
+        load(path)
+
+
+def test_load_rejects_format_1_file(tmp_path):
+    # format 1 files carry the config schema from before the variant switches merged
+    path = tmp_path / "model.bin"
+    save(init_params(TINY, np.random.default_rng(0)), TINY, path)
+    blob = bytearray(path.read_bytes())
+    blob[4] = 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(VersionMismatch, match="format version 1, expected 2"):
         load(path)
 
 
