@@ -31,6 +31,7 @@ from .lexical_features import (
     DimensionMismatch,
     EmptyFile,
     MissingLexicon,
+    NonFiniteFeature,
 )
 from .model import CorruptFile, Diverged, ModelConfig, VersionMismatch, ZeroClass
 from .synthgen import SynthConfig
@@ -40,9 +41,9 @@ OUTPUT_DIR_ENV = "ALZDETECT_OUTPUT_DIR"
 
 DATA_ERRORS = (
     ChatParseError, EmptyCorpus, EmptyText, EmptyFile, NotUtf8, DimensionMismatch,
-    BadEmbeddingFile, BadLexiconFile, BadTaggerFile, MissingLexicon, CorruptFile,
-    VersionMismatch, ZeroClass, TooSmall, FileNotFoundError, NotADirectoryError,
-    IsADirectoryError,
+    BadEmbeddingFile, BadLexiconFile, BadTaggerFile, MissingLexicon, NonFiniteFeature,
+    CorruptFile, VersionMismatch, ZeroClass, TooSmall, FileNotFoundError,
+    NotADirectoryError, IsADirectoryError,
 )
 
 
@@ -64,22 +65,6 @@ class RunConfig:
     synth: SynthConfig = SynthConfig()
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", tuple[str, ...]: "a list of strings"}
-
-
-def _typed(value, kind, key: str):
-    """``value`` as the field type ``kind``; a bool is not a number."""
-    if kind is float and type(value) in (int, float):
-        return float(value)
-    if kind in (int, bool, str) and type(value) is kind:
-        return value
-    if kind == tuple[str, ...] and type(value) is list and all(type(v) is str for v in value):
-        return tuple(value)
-    raise UsageError(f"{key} must be {_TYPE_NAMES[kind]}, "
-                     f"got {value!r} ({type(value).__name__})")
-
-
 def _section(cls, raw, label: str, exclude: tuple[str, ...] = ()):
     """One dataclass from a config section; each value must have its field's type."""
     raw = {} if raw is None else raw
@@ -89,7 +74,10 @@ def _section(cls, raw, label: str, exclude: tuple[str, ...] = ()):
     unknown = set(raw) - (set(kinds) - set(exclude))
     if unknown:
         raise UsageError(f"unknown {label} keys: {', '.join(sorted(unknown))}")
-    values = {k: _typed(v, kinds[k], f"{label}.{k}") for k, v in raw.items()}
+    try:
+        values = {k: model.typed_value(v, kinds[k], f"{label}.{k}") for k, v in raw.items()}
+    except TypeError as exc:
+        raise UsageError(str(exc)) from None
     try:
         return cls(**values)
     except ValueError as exc:

@@ -70,64 +70,134 @@ class MissingLexicon(KeyError):
     pass
 
 
+class NonFiniteFeature(ValueError):
+    """A transcript's lexicon scores overflow their float64 mean."""
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
 class EmbeddingTable:
-    """Word -> dense vector lookup; OOV and ``<pad>`` map to zeros."""
+    """Word -> row of one ``[V + 1, dim]`` matrix whose last row is zeros;
+    OOV words and ``<pad>`` map to that zero row."""
 
-    def __init__(self, dim: int, entries: dict[str, np.ndarray]):
-        self.dim = dim
-        self._entries = entries
-        self._zero = np.zeros(dim)
+    def __init__(self, vectors: np.ndarray, rows: dict[str, int]):
+        self.vectors = vectors
+        self.rows = rows
+        self.dim = vectors.shape[1]
 
     def __len__(self):
-        return len(self._entries)
+        return len(self.rows)
 
     def __contains__(self, word: str):
-        return word in self._entries
+        return word in self.rows
 
     def lookup(self, word: str) -> np.ndarray:
-        return self._entries.get(word, self._zero)
+        return self.vectors[self.rows.get(word, -1)]
+
+
+# lines read per bulk parse: about 350 lines of a 300-d GloVe table
+_CHUNK_BYTES = 1 << 20
+
+
+class _TableBuilder:
+    """The rows of an embedding table as its lines arrive, chunk by chunk."""
+
+    def __init__(self, path):
+        self.path = path
+        self.dim: int | None = None
+        self.rows: dict[str, int] = {}
+        self.blocks: list[np.ndarray] = []
+
+    def _append(self, words: list[str], block: np.ndarray):
+        """The rows of ``block`` whose word is new; the first occurrence wins."""
+        keep = []
+        for i, word in enumerate(words):
+            if word not in self.rows:
+                self.rows[word] = len(self.rows)
+                keep.append(i)
+        self.blocks.append(block if len(keep) == len(words) else block[keep])
+
+    def add_bulk(self, lines: list[str]) -> bool:
+        """Parse ``lines`` with numpy's C text reader. Returns False, having
+        added nothing, on any chunk where that reader could differ from
+        ``add_exact``: a value it rejects (it takes no ``1_0`` or non-ASCII
+        digits, which ``float`` takes), a width other than the table's, a
+        non-finite value or a word with no values."""
+        words, rests = [], []
+        for line in lines:
+            parts = line.split(maxsplit=1)
+            if len(parts) == 2:
+                words.append(parts[0])
+                rests.append(parts[1])
+            elif parts:
+                return False
+        if not rests:
+            return True
+        try:
+            block = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return False
+        if self.dim not in (None, block.shape[1]) or not np.isfinite(block).all():
+            return False
+        self.dim = block.shape[1]
+        self._append(words, block)
+        return True
+
+    def add_exact(self, lines: list[str], first_lineno: int):
+        """Parse ``lines`` one at a time with Python's float rules, and raise
+        the first error with its ``file:line``. A duplicate word's values
+        are not read."""
+        for lineno, line in enumerate(lines, start=first_lineno):
+            parts = line.split()
+            if not parts:
+                continue
+            word, values = parts[0], parts[1:]
+            if self.dim is None:
+                if not values:
+                    raise DimensionMismatch(f"{self.path}:{lineno}: no vector values")
+                self.dim = len(values)
+            elif len(values) != self.dim:
+                raise DimensionMismatch(
+                    f"{self.path}:{lineno}: expected {self.dim} values, got {len(values)}"
+                )
+            if word not in self.rows:
+                try:
+                    vec = np.array(values, dtype=np.float64)
+                except ValueError:
+                    raise BadEmbeddingFile(
+                        f"{self.path}:{lineno}: non-numeric vector value") from None
+                if not np.isfinite(vec).all():
+                    raise BadEmbeddingFile(f"{self.path}:{lineno}: non-finite vector value")
+                self._append([word], vec[None])
+
+    def table(self) -> EmbeddingTable:
+        if self.dim is None:
+            raise EmptyFile(f"{self.path}: no embedding lines")
+        return EmbeddingTable(np.concatenate(self.blocks + [np.zeros((1, self.dim))]),
+                              self.rows)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read ``word v1 v2 ... vD`` lines; width is set by the first line.
 
-    Duplicate words keep their first occurrence.
+    Duplicate words keep their first occurrence. Each chunk of lines is
+    parsed in bulk; a chunk the bulk parse rejects is parsed again line by
+    line, which accepts what ``float`` accepts or names the bad line.
     """
-    entries: dict[str, np.ndarray] = {}
-    dim = None
+    builder = _TableBuilder(path)
+    lineno = 1
     with open(path, encoding="utf-8") as fh, reading_utf8(path):
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise DimensionMismatch(f"{path}:{lineno}: no vector values")
-            elif len(values) != dim:
-                raise DimensionMismatch(
-                    f"{path}:{lineno}: expected {dim} values, got {len(values)}"
-                )
-            if word not in entries:
-                try:
-                    vec = np.array(values, dtype=np.float64)
-                except ValueError:
-                    raise BadEmbeddingFile(f"{path}:{lineno}: non-numeric vector value") from None
-                if not np.isfinite(vec).all():
-                    raise BadEmbeddingFile(f"{path}:{lineno}: non-finite vector value")
-                entries[word] = vec
-    if dim is None:
-        raise EmptyFile(f"{path}: no embedding lines")
-    return EmbeddingTable(dim=dim, entries=entries)
+        while lines := fh.readlines(_CHUNK_BYTES):
+            if not builder.add_bulk(lines):
+                builder.add_exact(lines, lineno)
+            lineno += len(lines)
+    return builder.table()
 
 
 def embed(seq: TokenSequence, table: EmbeddingTable) -> np.ndarray:
     """Per-token vectors as the rows of a [len(seq) x dim] matrix."""
-    return np.array([table.lookup(tok) for tok in seq.tokens])
+    return table.vectors[[table.rows.get(tok, -1) for tok in seq.tokens]]
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +328,17 @@ def encode_record(
 ) -> EncodedInstance:
     seq = fix_length(tokenize(extract_participant_text(record)), budget)
     tags = tag(tagger, seq)
+    features = build_feature_vector(seq, lexicons, record.demographics)
+    if not np.isfinite(features).all():
+        slot = FEATURE_NAMES[int(np.argmin(np.isfinite(features)))]
+        raise NonFiniteFeature(f"transcript {record.transcript_id}: the {slot} feature "
+                               f"is not finite (its lexicon scores overflow their mean)")
     return EncodedInstance(
         transcript_id=record.transcript_id,
         participant_id=record.participant_id,
         embeddings=embed(seq, table),
         pos_onehot=one_hot(tags),
-        features=build_feature_vector(seq, lexicons, record.demographics),
+        features=features,
         mask=pad_mask(seq),
         label=1 if record.label is Label.AD else 0,
     )

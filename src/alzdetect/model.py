@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -404,15 +405,30 @@ def _config_to_dict(config: ModelConfig) -> dict:
     return d
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", tuple[str, ...]: "a list of strings"}
+
+
+def typed_value(value, kind, key: str):
+    """``value`` (as YAML or JSON decodes it) as the config field type
+    ``kind``: an int is widened to float, a list of str becomes a tuple, and
+    a bool is not a number. Raises TypeError naming ``key``."""
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if kind in (int, bool, str) and type(value) is kind:
+        return value
+    if kind == tuple[str, ...] and type(value) is list and all(type(v) is str for v in value):
+        return tuple(value)
+    raise TypeError(f"{key} must be {_TYPE_NAMES[kind]}, "
+                    f"got {value!r} ({type(value).__name__})")
+
+
 def _config_from_dict(d: dict) -> ModelConfig:
-    known = set(ModelConfig.__dataclass_fields__)
-    unknown = set(d) - known
+    kinds = typing.get_type_hints(ModelConfig)
+    unknown = set(d) - set(kinds)
     if unknown:
         raise CorruptFile(f"unknown config keys {sorted(unknown)}")
-    d = dict(d)
-    if "feature_mask" in d:
-        d["feature_mask"] = tuple(d["feature_mask"])
-    return ModelConfig(**d)
+    return ModelConfig(**{k: typed_value(v, kinds[k], k) for k, v in d.items()})
 
 
 def save(params: dict[str, Parameter], config: ModelConfig, path: str | Path):

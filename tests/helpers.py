@@ -1,10 +1,14 @@
 """Shared test utilities: the finite-difference gradient oracle, the
 per-timestep LSTM composition the fused ``lstm`` primitive must match, the
-trapezoidal AUC that checks ``evaluation.auc_pair``, tagger accuracy, and
-the dict-of-dicts tagger scorer and fixpoint CHAT normalizer that the dense
-scorer and the early-exit normalizer must match."""
+trapezoidal AUC that checks ``evaluation.auc_pair``, tagger accuracy, the
+dict-of-dicts tagger scorer and fixpoint CHAT normalizer that the dense
+scorer and the early-exit normalizer must match, and the line-by-line
+embedding loader that the bulk loader must match."""
 
 from __future__ import annotations
+
+import json
+import struct
 
 import numpy as np
 
@@ -143,6 +147,18 @@ def save_edited_model(config, path, change):
     model.save({n: Parameter(a, n) for n, a in tensors.items()}, config, path)
 
 
+def edit_model_config(path, change):
+    """Rewrite the JSON config block of the model file at ``path`` after
+    ``change`` has edited it as a dict."""
+    data = path.read_bytes()
+    version, cfg_len = struct.unpack("<II", data[4:12])
+    config = json.loads(data[12:12 + cfg_len])
+    change(config)
+    cfg = json.dumps(config, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:4] + struct.pack("<II", version, len(cfg)) + cfg
+                     + data[12 + cfg_len:])
+
+
 def auc_trapezoid(labels, scores) -> float:
     """AUC by trapezoidal integration of the ROC curve.
 
@@ -246,3 +262,51 @@ def reference_normalize_utterance(raw_text: str, warnings: list[str] | None = No
         if stripped == text:
             return text
         text = stripped
+
+
+# ---------------------------------------------------------------------------
+# embedding tables
+
+
+def embedding_table(dim: int, entries: dict[str, np.ndarray]):
+    """An ``EmbeddingTable`` holding ``entries`` in insertion order."""
+    from alzdetect.lexical_features import EmbeddingTable
+
+    vectors = np.array(list(entries.values()) + [np.zeros(dim)], dtype=np.float64)
+    return EmbeddingTable(vectors, {w: i for i, w in enumerate(entries)})
+
+
+def reference_load_embeddings(path) -> tuple[int, dict[str, np.ndarray]]:
+    """(dim, word -> vector) read one line at a time with ``float``'s rules;
+    the width is set by the first line, the first occurrence of a word wins,
+    and a duplicate word's values are not read."""
+    from alzdetect.chat_corpus import reading_utf8
+    from alzdetect.lexical_features import BadEmbeddingFile, DimensionMismatch, EmptyFile
+
+    entries: dict[str, np.ndarray] = {}
+    dim = None
+    with open(path, encoding="utf-8") as fh, reading_utf8(path):
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            word, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim == 0:
+                    raise DimensionMismatch(f"{path}:{lineno}: no vector values")
+            elif len(values) != dim:
+                raise DimensionMismatch(
+                    f"{path}:{lineno}: expected {dim} values, got {len(values)}"
+                )
+            if word not in entries:
+                try:
+                    vec = np.array(values, dtype=np.float64)
+                except ValueError:
+                    raise BadEmbeddingFile(f"{path}:{lineno}: non-numeric vector value") from None
+                if not np.isfinite(vec).all():
+                    raise BadEmbeddingFile(f"{path}:{lineno}: non-finite vector value")
+                entries[word] = vec
+    if dim is None:
+        raise EmptyFile(f"{path}: no embedding lines")
+    return dim, entries

@@ -12,7 +12,7 @@ import yaml
 
 from alzdetect.cli import UsageError, load_run_config, main
 from alzdetect.model import ModelConfig
-from helpers import save_edited_model
+from helpers import edit_model_config, save_edited_model
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -264,6 +264,32 @@ def test_model_file_not_matching_its_config_is_data_error(tmp_path, workspace, c
     cfg = _bad_input_config(tmp_path, workspace)
     _assert_data_error(["predict", str(cfg), "--model", str(path), str(transcript)],
                        capsys, needle)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seq_len", 20.0), ("use_attention", 1), ("feature_mask", "sent"),
+    ("learning_rate", "0.001"),
+])
+def test_mistyped_model_file_config_is_data_error(tmp_path, workspace, capsys, key, value):
+    root, _ = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda t: None)
+    edit_model_config(path, lambda c: c.update({key: value}))
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    cfg = _bad_input_config(tmp_path, workspace)
+    _assert_data_error(["predict", str(cfg), "--model", str(path), str(transcript)],
+                       capsys, f"{key} must be")
+
+
+def test_overflowing_lexicon_mean_is_data_error(tmp_path, workspace, capsys):
+    root, _ = workspace
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(root / "lexicons", lexicons)
+    aoa = lexicons / "aoa.tsv"
+    words = [line.split("\t")[0] for line in aoa.read_text().splitlines()[1:]]
+    aoa.write_text("# range 0 1.7e308\n" + "".join(f"{w}\t1e308\n" for w in words))
+    cfg = _bad_input_config(tmp_path, workspace, lexicons=str(lexicons))
+    _assert_data_error(["train", str(cfg)], capsys, "the aoa feature is not finite")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0.1x"])

@@ -1,8 +1,11 @@
 """Embeddings, scalar lexicons, and the targeted feature vector."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alzdetect.chat_corpus import Demographics, Gender, Label, parse_chat_file
@@ -10,12 +13,13 @@ from alzdetect.lexical_features import (
     FEATURE_GROUPS,
     FEATURE_NAMES,
     LEXICON_SLOTS,
+    BadEmbeddingFile,
     BadLexiconFile,
     DimensionMismatch,
-    EmbeddingTable,
     EmptyFile,
     Lexicon,
     MissingLexicon,
+    NonFiniteFeature,
     build_feature_vector,
     embed,
     encode_corpus,
@@ -32,6 +36,7 @@ from alzdetect.text_pipeline import (
     fix_length,
     tokenize,
 )
+from helpers import embedding_table, reference_load_embeddings
 
 # ---------------------------------------------------------------------------
 # embeddings
@@ -69,14 +74,120 @@ def test_load_embeddings_empty_file_raises(tmp_path):
         load_embeddings(path)
 
 
+def _same_as_reference(path):
+    """The bulk loader gives the reference's words and vector bytes, or
+    raises the reference's exception class with its message."""
+    try:
+        dim, entries = reference_load_embeddings(path)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_embeddings(path)
+        assert str(got.value) == str(exc)
+        return
+    table = load_embeddings(path)
+    assert table.dim == dim
+    assert list(table.rows) == list(entries)
+    assert table.vectors.shape == (len(entries) + 1, dim)
+    want = np.array(list(entries.values()), dtype=np.float64).reshape(len(entries), dim)
+    assert table.vectors[:-1].tobytes() == want.tobytes()
+    assert not table.vectors[-1].any()
+
+
+# every separator str.split() splits on, and one it does not
+_SEPARATORS = [chr(c) for c in range(0x3000) if chr(c).isspace()] + ["\x00"]
+_TOKENS = ["1_0", "\u0663", "0x10", "nan", "inf", "1e400", "-1e-400", "+1", ".5", "5.",
+           "1.0abc"]
+
+
+def _second_chunk_bad_line(value):
+    # lines of about 2.7 KB: line 450 lies past the first 1 MiB read
+    row = " ".join(["0.123456"] * 300)
+    lines = [f"w{i} {row}" for i in range(500)]
+    lines[449] = f"w449 {value} " + " ".join(["0.5"] * 299)
+    return "\n".join(lines) + "\n"
+
+
+def _narrower_after_first_chunk():
+    # a first line longer than 1 MiB is a chunk of its own, so the
+    # narrower lines after it make a chunk of one consistent width
+    long_value = "0." + "1" * 4000
+    first = "a " + " ".join([long_value] * 300)
+    return first + "\n" + "".join(f"w{i} " + " ".join(["0.5"] * 299) + "\n" for i in range(5))
+
+
+_HOSTILE = (
+    [(f"token-{t!r}", f"a 0.5 0.25\nb {t} 2\n") for t in _TOKENS]
+    + [(f"sep-U+{ord(c):04X}", f"a{c}0.5{c}1\nb 1{c}2\nc{c}3 4{c}\n") for c in _SEPARATORS]
+    + [
+        ("ragged", "a 1 2\nb 1\n"),
+        ("first-word-no-values", "a\nb 1 2\n"),
+        ("later-word-no-values", "a 1 2\nb\n"),
+        ("word-trailing-space-no-values", "a 1 2\nb \n"),
+        ("blank-lines", "\n\na 1 2\n   \n\t\nb 3 4\n\n"),
+        ("only-blank-lines", "\n \n\t\n"),
+        ("empty", ""),
+        ("crlf", "a 1 2\r\nb 3 4\r\n\r\nc 5 6\r\n"),
+        ("duplicate-bad-values", "a 1 2\nb 3 4\na nan x\nb 1_0 1e400\n"),
+        ("duplicate-ragged", "a 1 2\na 3\n"),
+        ("second-chunk-non-numeric", _second_chunk_bad_line("abc")),
+        ("second-chunk-non-finite", _second_chunk_bad_line("1e400")),
+        ("second-chunk-underscore", _second_chunk_bad_line("1_5")),
+        ("narrower-after-first-chunk", _narrower_after_first_chunk()),
+    ]
+)
+
+
+@pytest.mark.parametrize("text", [t for _, t in _HOSTILE], ids=[i for i, _ in _HOSTILE])
+def test_load_embeddings_matches_reference_on_hostile_input(tmp_path, text):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    _same_as_reference(path)
+
+
+def test_bad_line_in_second_chunk_names_its_line(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text(_second_chunk_bad_line("abc"))
+    assert path.read_text().index("w449 abc") > 1 << 20
+    with pytest.raises(BadEmbeddingFile, match=f"{path}:450: non-numeric"):
+        load_embeddings(path)
+
+
+_WORDS = st.sampled_from(["the", "boy", "a", "cookie", "jar", "sink", "mother", "water",
+                          "stool", "x\u00e9", "\u0663", "<pad>"])
+_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.floats(-10, 10).map(lambda v: f"{v:.6f}"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 4), hostile=st.booleans(), data=st.data())
+def test_load_embeddings_matches_reference_on_random_tables(dim, hostile, data):
+    # a hostile table may hold blank lines, ragged lines and the hostile
+    # tokens; a clean one is what the bulk parse takes whole
+    lines = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        if hostile and not data.draw(st.integers(0, 4)):
+            lines.append(data.draw(st.sampled_from(["", " ", "w", "w 1 2 3 4 5"])))
+            continue
+        values = data.draw(st.lists(_VALUES, min_size=dim, max_size=dim))
+        if hostile and not data.draw(st.integers(0, 4)):
+            values[data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from(_TOKENS))
+        sep = data.draw(st.sampled_from([" ", "\t", "  ", " \t", "\u3000"]))
+        lines.append(sep.join([data.draw(_WORDS)] + values))
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "vec.txt"
+        path.write_bytes(end.join(lines).encode("utf-8"))
+        _same_as_reference(path)
+
+
 def test_lookup_oov_and_pad_are_zero_vectors():
-    table = EmbeddingTable(3, {"a": np.ones(3)})
+    table = embedding_table(3, {"a": np.ones(3)})
     assert table.lookup("zzz").tolist() == [0.0, 0.0, 0.0]
     assert table.lookup("<pad>").tolist() == [0.0, 0.0, 0.0]
 
 
 def test_embed_stacks_rows():
-    table = EmbeddingTable(2, {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])})
+    table = embedding_table(2, {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])})
     seq = fix_length(TokenSequence(("a", "b"), 2), budget=3)
     mat = embed(seq, table)
     assert mat.shape == (3, 2)
@@ -269,7 +380,7 @@ def _record(label=Label.AD):
 def _table(dim=4):
     rng = np.random.default_rng(0)
     words = ["the", "boy", "fell"]
-    return EmbeddingTable(dim, {w: rng.normal(size=dim) for w in words})
+    return embedding_table(dim, {w: rng.normal(size=dim) for w in words})
 
 
 def test_encode_record_shapes_and_ids():
@@ -305,3 +416,11 @@ def test_encode_corpus_preserves_order():
     out = encode_corpus(corpus, _table(), fixture_lexicons(),
                         PerceptronTaggerModel(), budget=10)
     assert [i.transcript_id for i in out] == ["t-0"]
+
+
+def test_encode_record_rejects_an_overflowing_lexicon_mean():
+    lexicons = dict(fixture_lexicons())
+    lexicons["aoa"] = Lexicon("aoa", {w: 1e308 for w in ("the", "boy", "fell")},
+                              (0.0, 1.7e308))
+    with pytest.raises(NonFiniteFeature, match="transcript t-0: the aoa feature"):
+        encode_record(_record(), _table(), lexicons, PerceptronTaggerModel(), budget=10)

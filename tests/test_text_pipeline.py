@@ -1,7 +1,5 @@
 """Tokenization, length fixing, and the averaged-perceptron POS tagger."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +8,7 @@ from hypothesis import strategies as st
 from alzdetect.text_pipeline import (
     DEFAULT_BUDGET,
     FIXTURE_TAGGED,
+    FIXTURE_TAGGER,
     PAD_TAG,
     PAD_TOKEN,
     PTB_TAGS,
@@ -30,8 +29,6 @@ from alzdetect.text_pipeline import (
     train_tagger,
 )
 from helpers import dense_tagger, reference_tag, tagger_accuracy
-
-GOLDEN_TAGGER = Path(__file__).resolve().parent / "golden" / "default_tagger.txt"
 
 # ---------------------------------------------------------------------------
 # tokenization and padding
@@ -215,10 +212,14 @@ def test_training_is_deterministic():
 
 
 def test_default_tagger_saves_the_golden_file(tmp_path):
-    # written from the dict-of-dicts tagger this dense one replaced
-    path = tmp_path / "tagger.txt"
-    default_tagger().save(path)
-    assert path.read_bytes() == GOLDEN_TAGGER.read_bytes()
+    # the shipped file was first written by the dict-of-dicts tagger this
+    # dense one replaced; retraining must reproduce it, and so must the
+    # tagger loaded from it
+    retrained, loaded = tmp_path / "retrained.txt", tmp_path / "loaded.txt"
+    train_tagger(read_tagged_file(FIXTURE_TAGGED), epochs=5, seed=0).save(retrained)
+    default_tagger().save(loaded)
+    assert retrained.read_bytes() == FIXTURE_TAGGER.read_bytes()
+    assert loaded.read_bytes() == FIXTURE_TAGGER.read_bytes()
 
 
 def test_fixture_tagger_accuracy():
