@@ -9,7 +9,6 @@ this at any .cha file to see where the attention mass sits. Exit codes are
 the CLI's: 1 for a usage or config error, 2 for bad or missing data.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -19,24 +18,16 @@ import numpy as np
 
 from alzdetect import chat_corpus, lexical_features, model, text_pipeline
 from alzdetect.chat_corpus import Label
-from alzdetect.cli import DATA_ERRORS, UsageError, _ArgumentParser, _load_resources, load_run_config
+from alzdetect.cli import _ArgumentParser, _load_resources, load_run_config, run
 
 
-def run(argv=None):
+def main(argv=None):
     parser = _ArgumentParser(description=__doc__)
     parser.add_argument("config")
     parser.add_argument("model")
     parser.add_argument("transcript")
     parser.add_argument("--top", type=int, default=10)
-    args = parser.parse_args(argv)
-    try:
-        return _inspect(parser, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run(_inspect, parser, parser.parse_args(argv))
 
 
 def _inspect(parser, args) -> int:
@@ -64,4 +55,4 @@ def _inspect(parser, args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(main())

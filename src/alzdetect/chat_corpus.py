@@ -17,7 +17,12 @@ from enum import Enum
 from pathlib import Path
 
 
-class ChatParseError(ValueError):
+class DataError(ValueError):
+    """An input file (transcript, embeddings, lexicon, tagger or model) is
+    bad. The CLI exits 2 on any of these, as on any OSError."""
+
+
+class ChatParseError(DataError):
     """Base class for transcript parsing failures."""
 
 
@@ -33,11 +38,11 @@ class BadDemographics(ChatParseError):
     pass
 
 
-class EmptyCorpus(ValueError):
+class EmptyCorpus(DataError):
     pass
 
 
-class NotUtf8(ValueError):
+class NotUtf8(DataError):
     """An input file is not UTF-8 text."""
 
 
@@ -292,7 +297,11 @@ def read_transcript(path: str | Path, label: Label) -> TranscriptRecord:
     with reading_utf8(path):
         text = path.read_text(encoding="utf-8")
     stem = path.stem
-    return parse_chat_file(text, label, transcript_id=stem, participant_id=stem.split("-")[0])
+    try:
+        return parse_chat_file(text, label, transcript_id=stem,
+                               participant_id=stem.split("-")[0])
+    except ChatParseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_corpus(root: str | Path) -> Corpus:

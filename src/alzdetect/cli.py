@@ -23,28 +23,14 @@ import numpy as np
 import yaml
 
 from . import chat_corpus, evaluation, lexical_features, model, synthgen
-from .chat_corpus import ChatParseError, EmptyCorpus, Label, NotUtf8, StatsReport, reading_utf8
-from .evaluation import SplitSpec, TooSmall
-from .lexical_features import (
-    BadEmbeddingFile,
-    BadLexiconFile,
-    DimensionMismatch,
-    EmptyFile,
-    MissingLexicon,
-    NonFiniteFeature,
-)
-from .model import CorruptFile, Diverged, ModelConfig, VersionMismatch, ZeroClass
+from .chat_corpus import DataError, Label, StatsReport, reading_utf8
+from .evaluation import SplitSpec
+from .lexical_features import DimensionMismatch
+from .model import Diverged, ModelConfig
 from .synthgen import SynthConfig
-from .text_pipeline import BadTaggerFile, EmptyText, PerceptronTaggerModel, default_tagger
+from .text_pipeline import PerceptronTaggerModel, default_tagger
 
 OUTPUT_DIR_ENV = "ALZDETECT_OUTPUT_DIR"
-
-DATA_ERRORS = (
-    ChatParseError, EmptyCorpus, EmptyText, EmptyFile, NotUtf8, DimensionMismatch,
-    BadEmbeddingFile, BadLexiconFile, BadTaggerFile, MissingLexicon, NonFiniteFeature,
-    CorruptFile, VersionMismatch, ZeroClass, TooSmall, FileNotFoundError,
-    NotADirectoryError, IsADirectoryError,
-)
 
 
 class UsageError(ValueError):
@@ -108,7 +94,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise UsageError(f"seeds must be a non-empty list of non-negative integers, "
                          f"got {seeds!r}")
     # every run takes its split and model seed from seeds, so neither
-    # section may set one
+    # section may set one; the tagset fixes the POS one-hot width
     cfg = RunConfig(
         corpus_dir=raw.get("corpus_dir"),
         embeddings=raw.get("embeddings"),
@@ -118,7 +104,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         variant=raw.get("variant"),
         seeds=tuple(seeds),
         split=_section(SplitSpec, raw.get("split"), "split", exclude=("seed",)),
-        model=_section(ModelConfig, raw.get("model"), "model", exclude=("seed",)),
+        model=_section(ModelConfig, raw.get("model"), "model", exclude=("seed", "pos_dim")),
         synth=_section(SynthConfig, raw.get("synth"), "synth", exclude=("vocab",)),
     )
     if cfg.variant is not None and cfg.variant not in model.VARIANTS:
@@ -134,16 +120,10 @@ def _output_dir(cfg: RunConfig) -> Path:
 
 
 def _require_paths(cfg: RunConfig, *names: str):
-    """Fail fast, before any long computation, if an input is missing."""
-    missing = []
-    for name in names:
-        value = getattr(cfg, name)
-        if value is None:
-            missing.append(f"{name} (not set in config)")
-        elif not Path(value).exists():
-            missing.append(f"{name}: {value}")
-    if missing:
-        raise FileNotFoundError("; ".join(missing))
+    """Fail fast if the config leaves an input unset."""
+    unset = [name for name in names if getattr(cfg, name) is None]
+    if unset:
+        raise DataError(f"not set in config: {', '.join(unset)}")
 
 
 def _model_config(cfg: RunConfig) -> ModelConfig:
@@ -247,8 +227,6 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
-    if not Path(args.model).exists():
-        raise FileNotFoundError(f"model file: {args.model}")
     out = _output_dir(cfg)
     params, mcfg = model.load(args.model)
     _, _, test = evaluation.split(_encode(cfg, mcfg),
@@ -290,9 +268,6 @@ def _cmd_report(args) -> int:
 def _cmd_predict(args) -> int:
     cfg = load_run_config(args.config)
     _require_paths(cfg, "embeddings", "lexicons")
-    for p in (args.model, args.transcript):
-        if not Path(p).exists():
-            raise FileNotFoundError(p)
     params, mcfg = model.load(args.model)
     table, lexicons, tagger = _load_resources(cfg, mcfg)
     # the label on the record is a placeholder; prediction ignores it
@@ -364,19 +339,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def run(command, *args) -> int:
+    """``command(*args)``, its errors printed as one ``error:`` line and
+    mapped to an exit code: 1 usage or config, 2 bad or missing data (a
+    DataError or any OSError), 3 training divergence."""
     try:
-        return args.func(args)
+        return command(*args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Diverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 3
-    except DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

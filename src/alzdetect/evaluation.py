@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .chat_corpus import DataError
 from .lexical_features import EncodedInstance
 from .model import (
     ModelConfig,
@@ -28,7 +29,7 @@ from .model import (
 ABLATION_LABELS = {"psych": "No Psych.", "sent": "No Sent.", "demo": "No Demo."}
 
 
-class TooSmall(ValueError):
+class TooSmall(DataError):
     pass
 
 
@@ -41,18 +42,18 @@ class LengthMismatch(ValueError):
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """Train and validation fractions; the test slice takes the rest."""
+
     train_fraction: float = 0.81
     val_fraction: float = 0.09
-    test_fraction: float = 0.10
     seed: int = 0
     unit: str = "participant"
 
     def __post_init__(self):
-        total = self.train_fraction + self.val_fraction + self.test_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"fractions sum to {total}, expected 1.0")
-        if min(self.train_fraction, self.val_fraction, self.test_fraction) < 0:
-            raise ValueError("fractions must be non-negative")
+        t, v = self.train_fraction, self.val_fraction
+        if not (t >= 0 and v >= 0 and t + v <= 1):     # also rejects nan
+            raise ValueError(f"train_fraction {t} and val_fraction {v} must be "
+                             f">= 0 and sum to at most 1")
         if self.unit not in ("transcript", "participant"):
             raise ValueError(f"unknown split unit {self.unit!r}")
 

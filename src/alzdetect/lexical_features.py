@@ -17,6 +17,7 @@ import numpy as np
 
 from .chat_corpus import (
     Corpus,
+    DataError,
     Demographics,
     Gender,
     Label,
@@ -26,6 +27,7 @@ from .chat_corpus import (
 )
 from .text_pipeline import (
     DEFAULT_BUDGET,
+    EmptyText,
     PerceptronTaggerModel,
     TokenSequence,
     fix_length,
@@ -50,27 +52,23 @@ FEATURE_GROUPS = {
 FIXTURE_LEXICON_DIR = Path(__file__).parent / "fixtures" / "lexicons"
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(DataError):
     pass
 
 
-class EmptyFile(ValueError):
+class EmptyFile(DataError):
     pass
 
 
-class BadLexiconFile(ValueError):
+class BadLexiconFile(DataError):
     pass
 
 
-class BadEmbeddingFile(ValueError):
+class BadEmbeddingFile(DataError):
     """An embedding line holds a non-numeric or non-finite value."""
 
 
-class MissingLexicon(KeyError):
-    pass
-
-
-class NonFiniteFeature(ValueError):
+class NonFiniteFeature(DataError):
     """A transcript's lexicon scores overflow their float64 mean."""
 
 
@@ -248,14 +246,7 @@ def load_lexicon(path: str | Path, name: str) -> Lexicon:
 
 def load_lexicon_dir(root: str | Path) -> dict[str, Lexicon]:
     """Load the five named lexicons (``<slot>.tsv``) from one directory."""
-    root = Path(root)
-    lexicons = {}
-    for slot in LEXICON_SLOTS:
-        path = root / f"{slot}.tsv"
-        if not path.exists():
-            raise MissingLexicon(slot)
-        lexicons[slot] = load_lexicon(path, slot)
-    return lexicons
+    return {slot: load_lexicon(Path(root) / f"{slot}.tsv", slot) for slot in LEXICON_SLOTS}
 
 
 def fixture_lexicons() -> dict[str, Lexicon]:
@@ -294,11 +285,7 @@ def build_feature_vector(
     """The 7-vector [5 lexicon means, age/100, gender code], in
     ``FEATURE_NAMES`` order."""
     tokens = _real_tokens(seq)
-    means = []
-    for slot in LEXICON_SLOTS:
-        if slot not in lexicons:
-            raise MissingLexicon(slot)
-        means.append(_lexicon_mean(tokens, lexicons[slot])[0])
+    means = [_lexicon_mean(tokens, lexicons[slot])[0] for slot in LEXICON_SLOTS]
     age = 0.0 if demo.age is None else demo.age / 100.0
     return np.array(means + [age, _GENDER_CODE[demo.gender]])
 
@@ -326,7 +313,10 @@ def encode_record(
     tagger: PerceptronTaggerModel,
     budget: int = DEFAULT_BUDGET,
 ) -> EncodedInstance:
-    seq = fix_length(tokenize(extract_participant_text(record)), budget)
+    try:
+        seq = fix_length(tokenize(extract_participant_text(record)), budget)
+    except EmptyText:
+        raise EmptyText(f"transcript {record.transcript_id}: no word tokens") from None
     tags = tag(tagger, seq)
     features = build_feature_vector(seq, lexicons, record.demographics)
     if not np.isfinite(features).all():

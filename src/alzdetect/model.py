@@ -19,6 +19,8 @@ a fixed order, so identical seeds give identical runs.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import typing
 from dataclasses import dataclass, replace
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteValue, Parameter, ShapeMismatch, Tape, Tensor, constant
+from .chat_corpus import DataError
 from .lexical_features import FEATURE_GROUPS, FEATURE_NAMES, EncodedInstance
 
 EPS = 1e-7
@@ -36,7 +39,7 @@ MAGIC = b"ADNM"
 FORMAT_VERSION = 2
 
 
-class ZeroClass(ValueError):
+class ZeroClass(DataError):
     pass
 
 
@@ -44,11 +47,11 @@ class Diverged(FloatingPointError):
     pass
 
 
-class VersionMismatch(ValueError):
+class VersionMismatch(DataError):
     pass
 
 
-class CorruptFile(ValueError):
+class CorruptFile(DataError):
     pass
 
 
@@ -84,7 +87,7 @@ class ModelConfig:
         unknown = set(self.feature_mask) - set(FEATURE_GROUPS)
         if unknown:
             raise ValueError(f"unknown feature groups {sorted(unknown)}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:        # also rejects nan
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
@@ -449,25 +452,31 @@ def save(params: dict[str, Parameter], config: ModelConfig, path: str | Path):
 
 
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CorruptFile(f"unexpected end of file (wanted {n} bytes, got {len(buf)})")
-    return buf
+    """The next ``n`` bytes; a length below zero or past the end of the
+    file is rejected before anything is read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 <= n <= left:
+        raise CorruptFile(f"{fh.name}: unexpected end of file (wanted {n} bytes, {left} left)")
+    return fh.read(n)
 
 
 def load(path: str | Path) -> tuple[dict[str, Parameter], ModelConfig]:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != MAGIC:
-            raise CorruptFile("not a model file (bad magic)")
+            raise CorruptFile(f"{path}: not a model file (bad magic)")
         version, cfg_len = struct.unpack("<II", _read_exact(fh, 8))
         if version != FORMAT_VERSION:
             raise VersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
         try:
             config = _config_from_dict(json.loads(_read_exact(fh, cfg_len)))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            if isinstance(exc, (CorruptFile, VersionMismatch)):
-                raise
-            raise CorruptFile(f"bad config block: {exc}") from exc
+        except DataError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise CorruptFile(f"{path}: bad config block: {exc}") from exc
+        # the graph reads parameters by name with raw numpy ops, so the file's
+        # tensors must be exactly the set its own config would create; each
+        # header is checked before its data is read
+        expected = param_shapes(config)
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors: dict[str, Parameter] = {}
         for _ in range(n_tensors):
@@ -476,25 +485,23 @@ def load(path: str | Path) -> tuple[dict[str, Parameter], ModelConfig]:
                 name = _read_exact(fh, name_len).decode("utf-8")
             except UnicodeDecodeError:
                 raise CorruptFile(f"{path}: tensor name is not UTF-8") from None
+            if name not in expected:
+                raise CorruptFile(f"{path}: unexpected tensor {name!r}")
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
+            if ndim != len(expected[name]):
+                raise CorruptFile(f"{path}: tensor {name!r} has {ndim} dimensions, "
+                                  f"expected {len(expected[name])}")
             shape = struct.unpack(f"<{ndim}q", _read_exact(fh, 8 * ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
+            if shape != expected[name]:
+                raise CorruptFile(f"{path}: tensor {name!r} has shape {shape}, "
+                                  f"expected {expected[name]}")
+            data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
+            if not np.all(np.isfinite(data)):
+                raise CorruptFile(f"{path}: tensor {name!r} holds non-finite values")
             tensors[name] = Parameter(data.reshape(shape).copy(), name)
         if fh.read(1):
-            raise CorruptFile("trailing bytes after last tensor")
-    # the graph reads parameters by name with raw numpy ops, so the file's
-    # tensors must be exactly the set its own config would create
-    expected = param_shapes(config)
-    got = {n: t.shape for n, t in tensors.items()}
-    if got != expected:
-        missing = sorted(set(expected) - set(got))
-        extra = sorted(set(got) - set(expected))
-        wrong = sorted(f"{n} {got[n]} (expected {expected[n]})"
-                       for n in set(got) & set(expected) if got[n] != expected[n])
-        raise CorruptFile(f"{path}: tensors do not match the config: missing {missing}, "
-                          f"unexpected {extra}, wrong shape {wrong}")
-    for name, t in tensors.items():
-        if not np.all(np.isfinite(t.data)):
-            raise CorruptFile(f"{path}: tensor {name!r} holds non-finite values")
+            raise CorruptFile(f"{path}: trailing bytes after last tensor")
+    missing = sorted(set(expected) - set(tensors))
+    if missing:
+        raise CorruptFile(f"{path}: tensors missing from the file: {missing}")
     return tensors, config

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chat_corpus import reading_utf8
+from .chat_corpus import DataError, reading_utf8
 
 PAD_TOKEN = "<pad>"
 PAD_TAG = "PAD"
@@ -36,7 +36,7 @@ FIXTURE_TAGGED = Path(__file__).parent / "fixtures" / "tagged_sentences.txt"
 FIXTURE_TAGGER = Path(__file__).parent / "fixtures" / "default_tagger.txt"
 
 
-class EmptyText(ValueError):
+class EmptyText(DataError):
     pass
 
 
@@ -48,7 +48,7 @@ class UnknownTag(ValueError):
     pass
 
 
-class BadTaggerFile(ValueError):
+class BadTaggerFile(DataError):
     """A saved tagger file has a bad header or a malformed line."""
 
 

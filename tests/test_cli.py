@@ -1,15 +1,23 @@
 """Command-line flows: config parsing, exit codes, artifact round trips."""
 
+import contextlib
+import io
 import re
 import shutil
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from alzdetect import model
 from alzdetect.cli import UsageError, load_run_config, main
 from alzdetect.model import ModelConfig
 from helpers import edit_model_config, save_edited_model
@@ -17,7 +25,7 @@ from helpers import edit_model_config, save_edited_model
 REPO = Path(__file__).resolve().parent.parent
 
 MODEL_SECTION = {
-    "seq_len": 20, "embed_dim": 8, "pos_dim": 37, "conv_filters": 2,
+    "seq_len": 20, "embed_dim": 8, "conv_filters": 2,
     "conv_kernel": 3, "lstm_hidden": 3, "attention_dim": 3, "dense_units": 4,
     "dropout_rate": 0.0, "batch_size": 16, "max_epochs": 2, "patience": 5,
 }
@@ -129,7 +137,9 @@ def test_mistyped_seeds_are_usage_errors(tmp_path, capsys, seeds):
     ("model", "use_targeted_features", "true"),
     ("model", "optimizer", "adam"),
     ("model", "seed", "0"),
+    ("model", "pos_dim", "36"),
     ("split", "seed", "0"),
+    ("split", "test_fraction", "0.1"),
 ], ids=lambda v: str(v))
 def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, workspace, capsys,
                                                          section, key, value):
@@ -249,6 +259,93 @@ def _assert_data_error(argv, capsys, needle):
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_output_dir_that_is_a_file_is_data_error(tmp_path, workspace, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = _bad_input_config(tmp_path, workspace, output_dir=str(taken))
+    _assert_data_error([command, str(cfg)], capsys, str(taken))
+
+
+def test_lexicons_path_that_is_a_file_names_the_lexicon_it_opened(tmp_path, workspace,
+                                                                  capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = _bad_input_config(tmp_path, workspace, lexicons=str(taken))
+    _assert_data_error(["train", str(cfg)], capsys, str(taken / "aoa.tsv"))
+
+
+def _corrupt(data: bytes, edit) -> bytes:
+    """``data`` after one edit: ``("truncate", at)``, ``("overwrite", at,
+    new)``, ``("insert", at, new)`` or ``("nan", k)``. An int ``at`` is a
+    byte offset, taken modulo the length; a bytes ``at`` is the offset just
+    after its first occurrence. ``nan`` replaces the k-th number of a text
+    file, or the last float of a model file, with a NaN."""
+    kind, *rest = edit
+    if kind == "nan":
+        if data.startswith(b"ADNM"):
+            return data[:-8] + struct.pack("<d", float("nan"))
+        numbers = list(re.finditer(rb"\d+(?:\.\d+)?(?:e[-+]?\d+)?", data))
+        if not numbers:
+            return data
+        m = numbers[rest[0] % len(numbers)]
+        return data[:m.start()] + b"nan" + data[m.end():]
+    at = rest[0]
+    at = data.index(at) + len(at) if isinstance(at, bytes) else at % (len(data) + 1)
+    if kind == "truncate":
+        return data[:at]
+    new = rest[1]
+    return data[:at] + new + data[at + len(new) * (kind == "overwrite"):]
+
+
+# edits of the first tensor header (ndim u32, then one i64 per dimension)
+# of a saved model; each once ended `predict` in a traceback
+_FIRST_TENSOR = b"conv_embed_kernels"
+_HEADER_EDITS = {
+    "dim-2^40": ("overwrite", _FIRST_TENSOR, struct.pack("<Iq", 3, 2**40)),
+    "ndim-2^31": ("overwrite", _FIRST_TENSOR, struct.pack("<I", 2**31)),
+    "dim-2^61": ("overwrite", _FIRST_TENSOR, struct.pack("<Iq", 3, 2**61)),
+    "ndim-130": ("overwrite", _FIRST_TENSOR, struct.pack("<I", 130)),
+    "dim-minus-1": ("overwrite", _FIRST_TENSOR, struct.pack("<Iq", 3, -1)),
+    "inserted-byte": ("insert", _FIRST_TENSOR + struct.pack("<II", 3, 2), b"\xff"),
+}
+
+
+@pytest.mark.parametrize("edit", _HEADER_EDITS.values(), ids=_HEADER_EDITS.keys())
+def test_corrupt_tensor_header_is_data_error(tmp_path, workspace, capsys, edit):
+    root, _ = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda t: None)
+    path.write_bytes(_corrupt(path.read_bytes(), edit))
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    cfg = _bad_input_config(tmp_path, workspace)
+    _assert_data_error(["predict", str(cfg), "--model", str(path), str(transcript)],
+                       capsys, str(path))
+
+
+# edits of the first control transcript, which opens with one *INV: line
+# ending "picture ?" and then its *PAR: tiers
+_TRANSCRIPT_EDITS = {
+    "no-par-tier": (("truncate", b"picture ?\n"), "{path}: no *PAR: tier in file"),
+    "no-words": (("truncate", b"*PAR:\t"), "transcript {id}: no word tokens"),
+    "bad-tier": (("insert", b"picture ?\n", b"*PA:\thi\n"),
+                 "{path}: bad tier line: '*PA:\\thi'"),
+}
+
+
+@pytest.mark.parametrize("edit, message", _TRANSCRIPT_EDITS.values(),
+                         ids=_TRANSCRIPT_EDITS.keys())
+def test_bad_transcript_error_names_it(tmp_path, workspace, capsys, edit, message):
+    root, _ = workspace
+    for label in ("ad", "ct"):
+        shutil.copytree(root / label, tmp_path / "corpus" / label)
+    bad = sorted((tmp_path / "corpus" / "ct").glob("*.cha"))[0]
+    bad.write_bytes(_corrupt(bad.read_bytes(), edit))
+    cfg = _bad_input_config(tmp_path, workspace, corpus_dir=str(tmp_path / "corpus"))
+    _assert_data_error(["train", str(cfg)], capsys,
+                       message.format(path=bad, id=bad.stem))
 
 
 @pytest.mark.parametrize("change, needle", [
@@ -551,3 +648,164 @@ def test_smoke_reports_match_golden_files(tmp_path, capsys):
     for report in ("compare", "ablate"):
         golden = REPO / "tests" / "golden" / f"smoke_{report}.csv"
         assert (tmp_path / f"{report}.csv").read_bytes() == golden.read_bytes(), report
+
+
+# ---------------------------------------------------------------------------
+# property: no bad config value or corrupt input file ends in a traceback
+
+
+class _FitEntered(Exception):
+    """Raised by the patched ``model.fit``: the run got past its input checks."""
+
+
+_NOT_UTF8 = b"caf\xff"
+_WRONG_KIND = "<an existing path of the wrong kind>"
+
+
+_ANY_VALUE = {
+    bool: st.booleans(), int: st.integers(), float: st.floats(), str: st.text(max_size=4),
+    list: st.lists(st.integers(), min_size=1, max_size=2),
+    dict: st.dictionaries(st.text(max_size=2), st.integers(), min_size=1, max_size=1),
+}
+
+
+def _wrong_type(*kinds):
+    """YAML values of none of the types ``kinds`` (a bool is not an int)."""
+    return st.one_of(*[values for kind, values in _ANY_VALUE.items() if kind not in kinds])
+
+
+_DIMS = ("seq_len", "embed_dim", "conv_filters", "lstm_hidden", "attention_dim",
+         "dense_units", "batch_size", "max_epochs")
+_BAD_VALUES = {
+    **{("top", k): st.one_of(_wrong_type(str), st.just(_WRONG_KIND))
+       for k in ("corpus_dir", "embeddings", "lexicons", "tagger", "output_dir")},
+    ("top", "variant"): st.one_of(_wrong_type(str), st.sampled_from(["OURS-Att-x", ""])),
+    ("top", "seeds"): st.one_of(
+        st.integers(), st.just([]), st.lists(st.integers(max_value=-1), min_size=1, max_size=2),
+        st.lists(st.one_of(st.booleans(), st.floats(), st.text(max_size=2)), min_size=1,
+                 max_size=2)),
+    **{("model", k): st.one_of(_wrong_type(int), st.sampled_from([0, -1])) for k in _DIMS},
+    ("model", "conv_kernel"): st.one_of(_wrong_type(int), st.sampled_from([0, 2, -1])),
+    ("model", "patience"): st.one_of(_wrong_type(int), st.just(-1)),
+    ("model", "dropout_rate"): st.one_of(_wrong_type(int, float),
+                                         st.sampled_from([-0.01, 1.0, float("nan")])),
+    ("model", "learning_rate"): st.one_of(_wrong_type(int, float),
+                                          st.sampled_from([0.0, -0.001, float("nan")])),
+    **{("model", k): _wrong_type(bool) for k in ("use_attention", "use_class_weights")},
+    ("model", "feature_mask"): st.one_of(
+        st.text(max_size=5), st.integers(), st.lists(st.integers(), min_size=1, max_size=2),
+        st.sampled_from([["psy"], ["sent", "demos"]])),
+    **{(section, k): st.integers(0, 64)          # keys the config does not take
+       for section, k in (("model", "seed"), ("model", "pos_dim"),
+                          ("split", "seed"), ("split", "test_fraction"))},
+    ("split", "train_fraction"): st.one_of(_wrong_type(int, float),
+                                           st.sampled_from([-0.01, 0.92, float("nan")])),
+    ("split", "val_fraction"): st.one_of(_wrong_type(int, float),
+                                         st.sampled_from([-0.01, 0.2, float("nan")])),
+    ("split", "unit"): st.one_of(_wrong_type(str), st.sampled_from(["speaker", ""])),
+}
+_CONFIG_CASES = st.sampled_from(sorted(_BAD_VALUES)).flatmap(
+    lambda key: st.tuples(st.just("config"), st.just(key[0]), st.just(key[1]),
+                          st.one_of(_BAD_VALUES[key], st.just(_NOT_UTF8))))
+
+_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.sampled_from(["overwrite", "insert"]), st.integers(0, 10**6),
+              st.one_of(st.binary(min_size=1, max_size=3),
+                        st.sampled_from([b"\xff", b"\x00", b"nan", b"\t", b"\n"]))),
+    st.tuples(st.just("nan"), st.integers(0, 50)),
+)
+_FILE_CASES = st.tuples(
+    st.sampled_from([(target, command) for target in ("transcript", "lexicon", "embeddings")
+                     for command in ("train", "predict")] + [("model", "predict")]),
+    _EDITS,
+).map(lambda c: ("file", *c[0], c[1]))
+
+_PINNED = [
+    ("config", "top", "output_dir", _WRONG_KIND),
+    ("config", "top", "lexicons", _WRONG_KIND),
+    ("config", "model", "pos_dim", 36),
+    ("config", "split", "test_fraction", 0.1),
+    *[("file", "model", "predict", edit) for edit in _HEADER_EDITS.values()],
+    *[("file", "transcript", "train", edit) for edit, _ in _TRANSCRIPT_EDITS.values()],
+]
+
+
+def _config_case_argv(tmp, workspace, section, key, value):
+    if value == _WRONG_KIND:     # a file where a directory belongs, or the reverse
+        value = str(tmp if key in ("embeddings", "tagger") else tmp / "c.yaml")
+    written = "NOT-UTF8" if value == _NOT_UTF8 else value
+    overrides = ({key: written} if section == "top" else
+                 {"model": {**MODEL_SECTION, key: written}} if section == "model" else
+                 {"split": {key: written}})
+    cfg = _bad_input_config(tmp, workspace, **overrides)
+    if value == _NOT_UTF8:
+        cfg.write_bytes(cfg.read_bytes().replace(b"NOT-UTF8", _NOT_UTF8))
+    return ["train", str(cfg)]
+
+
+def _file_case_argv(tmp, workspace, target, command, edit):
+    root, _ = workspace
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    paths = {}
+    if target == "transcript" and command == "train":
+        for label in ("ad", "ct"):
+            shutil.copytree(root / label, tmp / "corpus" / label)
+        paths["corpus_dir"] = str(tmp / "corpus")
+        victim = tmp / "corpus" / "ct" / transcript.name
+    elif target == "transcript":
+        victim = tmp / transcript.name
+        shutil.copy(transcript, victim)
+    elif target == "lexicon":
+        shutil.copytree(root / "lexicons", tmp / "lexicons")
+        paths["lexicons"] = str(tmp / "lexicons")
+        victim = tmp / "lexicons" / "aoa.tsv"
+    elif target == "embeddings":
+        victim = tmp / "embeddings.txt"
+        shutil.copy(root / "embeddings.txt", victim)
+        paths["embeddings"] = str(victim)
+    model_path = tmp / "model.bin"
+    save_edited_model(ModelConfig(**MODEL_SECTION), model_path, lambda t: None)
+    if target == "model":
+        victim = model_path
+    victim.write_bytes(_corrupt(victim.read_bytes(), edit))
+    cfg = str(_bad_input_config(tmp, workspace, **paths))
+    if command == "train":
+        return ["train", cfg]
+    return ["predict", cfg, "--model", str(model_path),
+            str(victim if target == "transcript" else transcript)]
+
+
+def _with_examples(cases):
+    def pin(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return pin
+
+
+@_with_examples(_PINNED)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=st.one_of(_CONFIG_CASES, _FILE_CASES))
+def test_bad_input_never_ends_in_a_traceback(workspace, case):
+    """(a) One invalid config value stops `train` before training, with exit 1
+    or 2 and one error line. (b) One corrupt input file does the same, or
+    leaves the file valid: `train` then reaches `model.fit`, `predict` exits 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = (_config_case_argv(tmp, workspace, *case[1:]) if case[0] == "config"
+                else _file_case_argv(tmp, workspace, *case[1:]))
+        err = io.StringIO()
+        with (mock.patch.object(model, "fit", side_effect=_FitEntered),
+              contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+            try:
+                code = main(argv)
+            except _FitEntered:
+                assert case[0] == "file" and argv[0] == "train", "training started"
+                return
+    err = err.getvalue()
+    if case[0] == "file" and argv[0] == "predict" and code == 0:
+        return
+    assert code in (1, 2), (code, err)
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err

@@ -133,7 +133,7 @@ def test_one_item_per_participant_splits_alike_under_both_units(n, seed):
 
 def test_split_spec_validation():
     with pytest.raises(ValueError):
-        SplitSpec(train_fraction=0.5, val_fraction=0.2, test_fraction=0.2)
+        SplitSpec(train_fraction=0.9, val_fraction=0.2)
     with pytest.raises(ValueError):
         SplitSpec(unit="conversation")
 

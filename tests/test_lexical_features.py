@@ -1,5 +1,6 @@
 """Embeddings, scalar lexicons, and the targeted feature vector."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from alzdetect.lexical_features import (
     DimensionMismatch,
     EmptyFile,
     Lexicon,
-    MissingLexicon,
     NonFiniteFeature,
     build_feature_vector,
     embed,
@@ -245,7 +245,7 @@ def test_load_lexicon_rejects_non_finite_values(tmp_path, text, needle):
 
 def test_load_lexicon_dir_requires_all_slots(tmp_path):
     (tmp_path / "aoa.tsv").write_text("# range 1 10\nthe\t2.5\n")
-    with pytest.raises(MissingLexicon):
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "concreteness.tsv"))):
         load_lexicon_dir(tmp_path)
 
 
@@ -362,7 +362,7 @@ def test_missing_age_encodes_as_zero():
 def test_feature_vector_requires_all_lexicons():
     lex = dict(fixture_lexicons())
     del lex["sentiment"]
-    with pytest.raises(MissingLexicon):
+    with pytest.raises(KeyError, match="sentiment"):
         build_feature_vector(TokenSequence(("the",), 1), lex,
                              Demographics(70, Gender.FEMALE))
 
