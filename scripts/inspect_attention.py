@@ -18,7 +18,7 @@ import numpy as np
 
 from alzdetect import chat_corpus, lexical_features, model, text_pipeline
 from alzdetect.chat_corpus import Label
-from alzdetect.cli import _ArgumentParser, _load_resources, load_run_config, run
+from alzdetect.cli import _ArgumentParser, _check_width, _load_resources, load_run_config, run
 
 
 def main(argv=None):
@@ -35,7 +35,8 @@ def _inspect(parser, args) -> int:
     params, mcfg = model.load(args.model)
     if not mcfg.use_attention:
         parser.error("that model was trained without attention")
-    table, lexicons, tagger = _load_resources(cfg, mcfg)
+    table, lexicons, tagger = _load_resources(cfg)
+    _check_width(table.dim, mcfg)
 
     record = chat_corpus.read_transcript(args.transcript, Label.CT)
     instance = lexical_features.encode_record(record, table, lexicons, tagger,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -50,24 +49,19 @@ class RunConfig:
     model: ModelConfig = ModelConfig()
     synth: SynthConfig = SynthConfig()
 
+    def __post_init__(self):
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be a non-empty list of non-negative integers, "
+                             f"got {list(self.seeds)}")
+        if self.variant is not None and self.variant not in model.VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"expected one of {', '.join(model.VARIANTS)}")
 
-def _section(cls, raw, label: str, exclude: tuple[str, ...] = ()):
-    """One dataclass from a config section; each value must have its field's type."""
-    raw = {} if raw is None else raw
-    if not isinstance(raw, dict):
-        raise UsageError(f"config section {label!r} must be a mapping")
-    kinds = typing.get_type_hints(cls)
-    unknown = set(raw) - (set(kinds) - set(exclude))
-    if unknown:
-        raise UsageError(f"unknown {label} keys: {', '.join(sorted(unknown))}")
-    try:
-        values = {k: model.typed_value(v, kinds[k], f"{label}.{k}") for k, v in raw.items()}
-    except TypeError as exc:
-        raise UsageError(str(exc)) from None
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise UsageError(f"bad {label} config: {exc}") from exc
+
+# Config fields the YAML may not set: every run takes its split and model
+# seed from seeds, the tagset fixes the POS one-hot width, the embedding
+# file the model's width, and synth keeps its built-in vocabulary.
+_NOT_IN_YAML = ("split.seed", "model.seed", "model.pos_dim", "model.embed_dim", "synth.vocab")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -75,42 +69,12 @@ def load_run_config(path: str | Path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:    # ValueError: an int of over 4300 digits
         raise UsageError(f"cannot parse config {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise UsageError(f"config {path} must be a mapping")
-    unknown = set(raw) - set(RunConfig.__dataclass_fields__)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    for key in ("corpus_dir", "embeddings", "lexicons", "tagger", "output_dir", "variant"):
-        if raw.get(key) is not None and type(raw[key]) is not str:
-            raise UsageError(f"{key} must be a string, got {raw[key]!r}")
-    seeds = raw.get("seeds", [0, 1, 2])
-    if (not isinstance(seeds, list) or not seeds
-            or not all(type(s) is int and s >= 0 for s in seeds)):
-        raise UsageError(f"seeds must be a non-empty list of non-negative integers, "
-                         f"got {seeds!r}")
-    # every run takes its split and model seed from seeds, so neither
-    # section may set one; the tagset fixes the POS one-hot width
-    cfg = RunConfig(
-        corpus_dir=raw.get("corpus_dir"),
-        embeddings=raw.get("embeddings"),
-        lexicons=raw.get("lexicons"),
-        tagger=raw.get("tagger"),
-        output_dir=raw.get("output_dir"),
-        variant=raw.get("variant"),
-        seeds=tuple(seeds),
-        split=_section(SplitSpec, raw.get("split"), "split", exclude=("seed",)),
-        model=_section(ModelConfig, raw.get("model"), "model", exclude=("seed", "pos_dim")),
-        synth=_section(SynthConfig, raw.get("synth"), "synth", exclude=("vocab",)),
-    )
-    if cfg.variant is not None and cfg.variant not in model.VARIANTS:
-        raise UsageError(f"unknown variant {cfg.variant!r}; "
-                         f"expected one of {', '.join(model.VARIANTS)}")
-    return cfg
+    try:
+        return model.typed_value(raw, RunConfig, skip=_NOT_IN_YAML)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -126,33 +90,35 @@ def _require_paths(cfg: RunConfig, *names: str):
         raise DataError(f"not set in config: {', '.join(unset)}")
 
 
-def _model_config(cfg: RunConfig) -> ModelConfig:
-    if cfg.variant is not None:
-        return model.variant_config(cfg.variant, cfg.model)
-    return cfg.model
-
-
-def _load_resources(cfg: RunConfig, mcfg: ModelConfig):
-    """Embedding table, lexicons and tagger; the table must be as wide as
-    the model's embedding input."""
+def _load_resources(cfg: RunConfig):
+    """Embedding table, lexicons and tagger."""
     table = lexical_features.load_embeddings(cfg.embeddings)
     lexicons = lexical_features.load_lexicon_dir(cfg.lexicons)
     if cfg.tagger is not None:
         tagger = PerceptronTaggerModel.load(cfg.tagger)
     else:
         tagger = default_tagger()
-    if table.dim != mcfg.embed_dim:
-        raise DimensionMismatch(
-            f"embedding file is {table.dim}-dimensional but the model "
-            f"expects {mcfg.embed_dim}")
     return table, lexicons, tagger
 
 
+def _check_width(dim: int, mcfg: ModelConfig):
+    """A saved model reads vectors exactly as wide as the embedding table."""
+    if dim != mcfg.embed_dim:
+        raise DimensionMismatch(
+            f"embedding file is {dim}-dimensional but the model expects {mcfg.embed_dim}")
+
+
 def _encode(cfg: RunConfig, mcfg: ModelConfig):
+    """The corpus encoded at ``mcfg.seq_len``, and ``mcfg`` as wide as the
+    embedding table: the embedding file fixes a new model's width."""
     corpus = chat_corpus.load_corpus(cfg.corpus_dir)
-    table, lexicons, tagger = _load_resources(cfg, mcfg)
-    return lexical_features.encode_corpus(corpus, table, lexicons, tagger,
-                                          budget=mcfg.seq_len)
+    table, lexicons, tagger = _load_resources(cfg)
+    instances = lexical_features.encode_corpus(corpus, table, lexicons, tagger,
+                                               budget=mcfg.seq_len)
+    try:
+        return instances, replace(mcfg, embed_dim=table.dim)
+    except ValueError as exc:          # a table too wide for model.MAX_PARAMS
+        raise DimensionMismatch(f"embedding file is {table.dim}-dimensional: {exc}") from None
 
 
 def _stats_table(report: StatsReport) -> str:
@@ -210,9 +176,10 @@ def _cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
     out = _output_dir(cfg)
-    mcfg = replace(_model_config(cfg), seed=cfg.seeds[0])
-    train, val, _ = evaluation.split(_encode(cfg, mcfg),
-                                     replace(cfg.split, seed=cfg.seeds[0]))
+    mcfg = model.variant_config(cfg.variant, cfg.model) if cfg.variant else cfg.model
+    mcfg = replace(mcfg, seed=cfg.seeds[0])
+    instances, mcfg = _encode(cfg, mcfg)
+    train, val, _ = evaluation.split(instances, replace(cfg.split, seed=cfg.seeds[0]))
     params, log = model.fit(mcfg, train, val)
     model_path = out / "model.bin"
     model.save(params, mcfg, model_path)
@@ -229,13 +196,16 @@ def _cmd_eval(args) -> int:
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
     out = _output_dir(cfg)
     params, mcfg = model.load(args.model)
-    _, _, test = evaluation.split(_encode(cfg, mcfg),
-                                  replace(cfg.split, seed=cfg.seeds[0]))
+    instances, wide = _encode(cfg, mcfg)
+    _check_width(wide.embed_dim, mcfg)
+    _, _, test = evaluation.split(instances, replace(cfg.split, seed=cfg.seeds[0]))
     scores = model.predict(params, mcfg, test)
     labels = np.array([i.label for i in test])
     report = evaluation.evaluate_scores(labels, scores)
+    # the row is named after the model file's switches, not the YAML variant
+    name = next((v for v in model.VARIANTS if model.variant_config(v, mcfg) == mcfg), "model")
     result = evaluation.ExperimentResult(
-        variant=cfg.variant or "model", seeds=(cfg.seeds[0],),
+        variant=name, seeds=(cfg.seeds[0],),
         per_seed=(report,), mean=report,
         feature_dim=len(model.active_feature_indices(mcfg)))
     (out / "eval.csv").write_text(evaluation.results_csv([result]),
@@ -256,8 +226,9 @@ def _cmd_report(args) -> int:
     cfg = load_run_config(args.config)
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
     out = _output_dir(cfg)
-    results = _REPORTS[args.command](_encode(cfg, cfg.model), list(cfg.seeds),
-                                     base=cfg.model, split_spec=cfg.split)
+    instances, base = _encode(cfg, cfg.model)
+    results = _REPORTS[args.command](instances, list(cfg.seeds), base=base,
+                                     split_spec=cfg.split)
     path = out / f"{args.command}.csv"
     path.write_text(evaluation.results_csv(results), encoding="utf-8")
     print(evaluation.format_table(results), end="")
@@ -269,7 +240,8 @@ def _cmd_predict(args) -> int:
     cfg = load_run_config(args.config)
     _require_paths(cfg, "embeddings", "lexicons")
     params, mcfg = model.load(args.model)
-    table, lexicons, tagger = _load_resources(cfg, mcfg)
+    table, lexicons, tagger = _load_resources(cfg)
+    _check_width(table.dim, mcfg)
     # the label on the record is a placeholder; prediction ignores it
     record = chat_corpus.read_transcript(args.transcript, Label.CT)
     instance = lexical_features.encode_record(record, table, lexicons, tagger,

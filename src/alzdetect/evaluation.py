@@ -47,41 +47,35 @@ class SplitSpec:
     train_fraction: float = 0.81
     val_fraction: float = 0.09
     seed: int = 0
-    unit: str = "participant"
 
     def __post_init__(self):
         t, v = self.train_fraction, self.val_fraction
         if not (t >= 0 and v >= 0 and t + v <= 1):     # also rejects nan
             raise ValueError(f"train_fraction {t} and val_fraction {v} must be "
                              f">= 0 and sum to at most 1")
-        if self.unit not in ("transcript", "participant"):
-            raise ValueError(f"unknown split unit {self.unit!r}")
 
 
 def split(items: list, spec: SplitSpec) -> tuple[list, list, list]:
-    """Seeded shuffle of units, then contiguous slices: floor(train·N),
-    floor(val·N), remainder to test, N counting units.
+    """Seeded shuffle of participants, then contiguous slices: floor(train·N),
+    floor(val·N), remainder to test, N counting participants.
 
-    A unit is one item (unit="transcript") or all of a participant's items
-    (unit="participant"), which keeps a participant on one side; items must
-    then expose ``.participant_id``.
+    All of a participant's items (by ``.participant_id``) land in one
+    slice, so no speaker is on both sides of the split.
     """
     if not items:
         raise TooSmall("nothing to split")
     units: dict = {}
     try:
-        for i, item in enumerate(items):
-            key = i if spec.unit == "transcript" else item.participant_id
-            units.setdefault(key, []).append(item)
+        for item in items:
+            units.setdefault(item.participant_id, []).append(item)
     except AttributeError:
-        raise ValueError(f"{type(items[i]).__name__} items have no participant_id; "
-                         "split them with unit='transcript'") from None
+        raise ValueError(f"{type(item).__name__} items have no participant_id") from None
     groups = list(units.values())
     n = len(groups)
     n_train = math.floor(spec.train_fraction * n)
     n_val = math.floor(spec.val_fraction * n)
     if min(n_train, n_val, n - n_train - n_val) < 1:
-        raise TooSmall(f"{n} {spec.unit}s leave an empty slice")
+        raise TooSmall(f"{n} participants leave an empty slice")
     shuffled = [groups[k] for k in np.random.default_rng(spec.seed).permutation(n)]
     return tuple([x for group in part for x in group]
                  for part in (shuffled[:n_train], shuffled[n_train:n_train + n_val],

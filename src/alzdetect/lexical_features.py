@@ -26,7 +26,7 @@ from .chat_corpus import (
     reading_utf8,
 )
 from .text_pipeline import (
-    DEFAULT_BUDGET,
+    PAD_TOKEN,
     EmptyText,
     PerceptronTaggerModel,
     TokenSequence,
@@ -172,6 +172,8 @@ class _TableBuilder:
     def table(self) -> EmbeddingTable:
         if self.dim is None:
             raise EmptyFile(f"{self.path}: no embedding lines")
+        # pads embed as zeros whatever the file says; a <pad> line's row is never read
+        self.rows.pop(PAD_TOKEN, None)
         return EmbeddingTable(np.concatenate(self.blocks + [np.zeros((1, self.dim))]),
                               self.rows)
 
@@ -311,7 +313,7 @@ def encode_record(
     table: EmbeddingTable,
     lexicons: dict[str, Lexicon],
     tagger: PerceptronTaggerModel,
-    budget: int = DEFAULT_BUDGET,
+    budget: int,
 ) -> EncodedInstance:
     try:
         seq = fix_length(tokenize(extract_participant_text(record)), budget)
@@ -339,6 +341,6 @@ def encode_corpus(
     table: EmbeddingTable,
     lexicons: dict[str, Lexicon],
     tagger: PerceptronTaggerModel,
-    budget: int = DEFAULT_BUDGET,
+    budget: int,
 ) -> list[EncodedInstance]:
     return [encode_record(r, table, lexicons, tagger, budget) for r in corpus.records]

@@ -18,6 +18,7 @@ a fixed order, so identical seeds give identical runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -37,6 +38,15 @@ EPS = 1e-7
 
 MAGIC = b"ADNM"
 FORMAT_VERSION = 2
+
+# Sanity bounds on a config's sizes, far above the paper's (73 tokens,
+# about 0.5M parameters): past them a run would overflow or fail to
+# allocate, so the config is refused instead.
+MAX_SEQ_LEN = 10_000
+MAX_PARAMS = 10**8
+# the sizes the parameter count grows with
+_SIZES = ("embed_dim", "pos_dim", "conv_filters", "conv_kernel", "lstm_hidden",
+          "attention_dim", "dense_units")
 
 
 class ZeroClass(DataError):
@@ -80,10 +90,11 @@ class ModelConfig:
             raise ValueError("conv_kernel must be a positive odd width")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        for dim in ("seq_len", "embed_dim", "pos_dim", "conv_filters",
-                    "lstm_hidden", "attention_dim", "dense_units"):
+        for dim in ("seq_len",) + _SIZES:
             if getattr(self, dim) < 1:
                 raise ValueError(f"{dim} must be >= 1")
+        if self.seq_len > MAX_SEQ_LEN:
+            raise ValueError(f"seq_len must be at most {MAX_SEQ_LEN}")
         unknown = set(self.feature_mask) - set(FEATURE_GROUPS)
         if unknown:
             raise ValueError(f"unknown feature groups {sorted(unknown)}")
@@ -93,6 +104,10 @@ class ModelConfig:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        if sum(math.prod(s) for s in param_shapes(self).values()) > MAX_PARAMS:
+            widest = max(_SIZES, key=lambda k: getattr(self, k))
+            raise ValueError(f"the model would have more than {MAX_PARAMS:,} parameters; "
+                             f"its largest size is {widest} = {getattr(self, widest)}")
 
 
 # Switch settings for the six reported variants, in report order. The
@@ -402,40 +417,49 @@ def classify(probabilities: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    d = {f: getattr(config, f) for f in config.__dataclass_fields__}
-    d["feature_mask"] = list(config.feature_mask)
-    return d
-
-
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", tuple[str, ...]: "a list of strings"}
+               str: "a string", str | None: "a string", tuple[str, ...]: "a list of strings",
+               tuple[int, ...]: "a list of integers"}
 
 
-def typed_value(value, kind, key: str):
-    """``value`` (as YAML or JSON decodes it) as the config field type
-    ``kind``: an int is widened to float, a list of str becomes a tuple, and
-    a bool is not a number. Raises TypeError naming ``key``."""
+def typed_value(value, kind, key: str = "", skip: tuple[str, ...] = ()):
+    """``value`` (as YAML or JSON decodes it) as the config type ``kind``: a
+    config dataclass from a mapping (or None) of its fields less the dotted
+    keys in ``skip``, an int widened to float, a list of str or of int as a
+    tuple; a bool is not a number. Raises TypeError or ValueError naming the key."""
+    if dataclasses.is_dataclass(kind):
+        name, value = key or "config", {} if value is None else value
+        if type(value) is not dict:
+            raise TypeError(f"{name} must be a mapping, got {value!r}")
+        kinds = {k: t for k, t in typing.get_type_hints(kind).items()
+                 if f"{key}.{k}".lstrip(".") not in skip}
+        unknown = set(map(str, value)) - set(kinds)
+        if unknown:
+            raise TypeError(f"unknown {name} keys: {', '.join(sorted(unknown))}")
+        fields = {k: typed_value(v, kinds[k], f"{key}.{k}".lstrip("."), skip)
+                  for k, v in value.items()}
+        try:
+            return kind(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}" if key else exc) from None
     if kind is float and type(value) in (int, float):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{key} is out of range") from None
     if kind in (int, bool, str) and type(value) is kind:
         return value
-    if kind == tuple[str, ...] and type(value) is list and all(type(v) is str for v in value):
+    if kind == str | None and (value is None or type(value) is str):
+        return value
+    if (kind in (tuple[str, ...], tuple[int, ...]) and type(value) is list
+            and all(type(v) is kind.__args__[0] for v in value)):
         return tuple(value)
     raise TypeError(f"{key} must be {_TYPE_NAMES[kind]}, "
                     f"got {value!r} ({type(value).__name__})")
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
-    kinds = typing.get_type_hints(ModelConfig)
-    unknown = set(d) - set(kinds)
-    if unknown:
-        raise CorruptFile(f"unknown config keys {sorted(unknown)}")
-    return ModelConfig(**{k: typed_value(v, kinds[k], k) for k, v in d.items()})
-
-
 def save(params: dict[str, Parameter], config: ModelConfig, path: str | Path):
-    cfg = json.dumps(_config_to_dict(config), sort_keys=True).encode("utf-8")
+    cfg = json.dumps(dataclasses.asdict(config), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(cfg)))
@@ -468,7 +492,7 @@ def load(path: str | Path) -> tuple[dict[str, Parameter], ModelConfig]:
         if version != FORMAT_VERSION:
             raise VersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
         try:
-            config = _config_from_dict(json.loads(_read_exact(fh, cfg_len)))
+            config = typed_value(json.loads(_read_exact(fh, cfg_len)), ModelConfig)
         except DataError:
             raise
         except (TypeError, ValueError) as exc:

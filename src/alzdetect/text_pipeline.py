@@ -1,11 +1,11 @@
 """Token and POS-tag sequences of fixed length, ready for encoding.
 
 Participant text is tokenized, lowercased, and cut or padded to a fixed
-budget of 73 word tokens. POS tags come from a small averaged-perceptron
-tagger, trained at start-up on a packaged hand-tagged fixture corpus or
-loaded from a file that ``PerceptronTaggerModel.save`` wrote. The tagset
-is frozen to the 36 Penn Treebank word tags plus a PAD tag at index 0,
-which fixes the one-hot width at 37.
+token budget, the model's ``seq_len``. POS tags come from a small
+averaged-perceptron tagger, trained at start-up on a packaged hand-tagged
+fixture corpus or loaded from a file that ``PerceptronTaggerModel.save``
+wrote. The tagset is frozen to the 36 Penn Treebank word tags plus a PAD
+tag at index 0, which fixes the one-hot width at 37.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .chat_corpus import DataError, reading_utf8
 
 PAD_TOKEN = "<pad>"
 PAD_TAG = "PAD"
-DEFAULT_BUDGET = 73
 
 # 36 Penn Treebank word tags; PAD occupies index 0.
 PTB_TAGS = [
@@ -102,7 +101,7 @@ def tokenize(text: str) -> TokenSequence:
     return TokenSequence(tokens=tuple(tokens), original_length=len(tokens))
 
 
-def fix_length(seq: TokenSequence, budget: int = DEFAULT_BUDGET) -> TokenSequence:
+def fix_length(seq: TokenSequence, budget: int) -> TokenSequence:
     """Truncate to the first ``budget`` tokens or pad with ``<pad>``."""
     if budget < 1:
         raise ValueError("budget must be >= 1")

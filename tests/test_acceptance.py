@@ -301,7 +301,7 @@ def test_comparison_report_byte_determinism(tmp_path):
             "embeddings": str(corpus_dir / "embeddings.txt"),
             "lexicons": str(corpus_dir / "lexicons"),
             "seeds": [0],
-            "model": {"seq_len": 20, "embed_dim": 8, "conv_filters": 2,
+            "model": {"seq_len": 20, "conv_filters": 2,
                       "lstm_hidden": 3, "attention_dim": 3, "dense_units": 4,
                       "dropout_rate": 0.0, "batch_size": 16, "max_epochs": 2},
         }

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -25,10 +26,12 @@ from helpers import edit_model_config, save_edited_model
 REPO = Path(__file__).resolve().parent.parent
 
 MODEL_SECTION = {
-    "seq_len": 20, "embed_dim": 8, "conv_filters": 2,
+    "seq_len": 20, "conv_filters": 2,
     "conv_kernel": 3, "lstm_hidden": 3, "attention_dim": 3, "dense_units": 4,
     "dropout_rate": 0.0, "batch_size": 16, "max_epochs": 2, "patience": 5,
 }
+# a saved model as `train` writes it from the workspace's 8-d embeddings
+SAVED = ModelConfig(**MODEL_SECTION, embed_dim=8)
 
 SYNTH_SECTION = {
     "n_participants": 24, "ad_fraction": 0.5, "embed_dim": 8, "seed": 0,
@@ -138,8 +141,10 @@ def test_mistyped_seeds_are_usage_errors(tmp_path, capsys, seeds):
     ("model", "optimizer", "adam"),
     ("model", "seed", "0"),
     ("model", "pos_dim", "36"),
+    ("model", "embed_dim", "8"),
     ("split", "seed", "0"),
     ("split", "test_fraction", "0.1"),
+    ("split", "unit", "transcript"),
 ], ids=lambda v: str(v))
 def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, workspace, capsys,
                                                          section, key, value):
@@ -210,6 +215,14 @@ def test_config_error_exits_one(tmp_path, capsys):
     path.write_text("bogus: 1\n")
     assert main(["train", str(path)]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_integer_too_long_to_parse_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text("model: {learning_rate: " + "9" * 5000 + "}\n")
+    assert main(["train", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse config") and err.count("\n") == 1
 
 
 def test_missing_corpus_is_data_error(tmp_path, capsys):
@@ -317,7 +330,7 @@ _HEADER_EDITS = {
 def test_corrupt_tensor_header_is_data_error(tmp_path, workspace, capsys, edit):
     root, _ = workspace
     path = tmp_path / "model.bin"
-    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda t: None)
+    save_edited_model(SAVED, path, lambda t: None)
     path.write_bytes(_corrupt(path.read_bytes(), edit))
     transcript = sorted((root / "ct").glob("*.cha"))[0]
     cfg = _bad_input_config(tmp_path, workspace)
@@ -356,7 +369,7 @@ def test_model_file_not_matching_its_config_is_data_error(tmp_path, workspace, c
                                                           change, needle):
     root, _ = workspace
     path = tmp_path / "model.bin"
-    save_edited_model(ModelConfig(**MODEL_SECTION), path, change)
+    save_edited_model(SAVED, path, change)
     transcript = sorted((root / "ct").glob("*.cha"))[0]
     cfg = _bad_input_config(tmp_path, workspace)
     _assert_data_error(["predict", str(cfg), "--model", str(path), str(transcript)],
@@ -370,12 +383,89 @@ def test_model_file_not_matching_its_config_is_data_error(tmp_path, workspace, c
 def test_mistyped_model_file_config_is_data_error(tmp_path, workspace, capsys, key, value):
     root, _ = workspace
     path = tmp_path / "model.bin"
-    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda t: None)
+    save_edited_model(SAVED, path, lambda t: None)
     edit_model_config(path, lambda c: c.update({key: value}))
     transcript = sorted((root / "ct").glob("*.cha"))[0]
     cfg = _bad_input_config(tmp_path, workspace)
     _assert_data_error(["predict", str(cfg), "--model", str(path), str(transcript)],
                        capsys, f"{key} must be")
+
+
+@pytest.mark.parametrize("switches, name, feature_dim", [
+    (model.VARIANTS["C-LSTM"], "C-LSTM", 0),
+    (dict(model.VARIANTS["OURS"], feature_mask=("sent",)), "OURS", 1),
+    (dict(use_attention=False, use_class_weights=True), "model", 7),
+], ids=["C-LSTM", "OURS", "no-variant"])
+def test_eval_names_its_row_after_the_model_file(tmp_path, workspace, capsys,
+                                                 switches, name, feature_dim):
+    path = tmp_path / "model.bin"
+    save_edited_model(replace(SAVED, **switches), path, lambda t: None)
+    cfg = _bad_input_config(tmp_path, workspace, variant="OURS-Att-w")
+    assert main(["eval", str(cfg), "--model", str(path)]) == 0
+    capsys.readouterr()
+    row = (tmp_path / "eval.csv").read_text().splitlines()[1].split(",")
+    assert (row[0], row[-1]) == (name, str(feature_dim))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seq_len", 10**30), ("seq_len", model.MAX_SEQ_LEN + 1), ("conv_filters", 10**30),
+    ("lstm_hidden", 10**10), ("conv_kernel", 10**9 + 1), ("learning_rate", 10**400),
+])
+def test_oversize_config_value_is_refused(tmp_path, workspace, capsys, key, value):
+    """Too large in the YAML: exit 1; in a model file's config block: exit 2.
+    Either way one error line names the key."""
+    cfg = _bad_input_config(tmp_path, workspace, model={**MODEL_SECTION, key: value})
+    assert main(["train", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+    root, _ = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(SAVED, path, lambda t: None)
+    edit_model_config(path, lambda c: c.update({key: value}))
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    _assert_data_error(["predict", str(_bad_input_config(tmp_path, workspace)),
+                        "--model", str(path), str(transcript)], capsys, key)
+
+
+def test_too_wide_embeddings_are_data_error(tmp_path, workspace, capsys):
+    """The embedding file sets a new model's width, so a table too wide for
+    model.MAX_PARAMS is bad data, though the config alone is within it."""
+    wide = tmp_path / "wide.txt"
+    wide.write_text("the " + " ".join(["0.5"] * 1000) + "\n")
+    cfg = _bad_input_config(tmp_path, workspace, embeddings=str(wide),
+                            model={**MODEL_SECTION, "conv_filters": 50_000})
+    _assert_data_error(["train", str(cfg)], capsys, "1000-dimensional")
+
+
+_PROBES = [0, 1, 3, -1, 10**30, 0.5, 2.5, float("nan"), True, "x", None, [],
+           ["sent"], [1], {"a": 1}]
+
+
+def test_yaml_and_model_file_decode_model_values_alike(tmp_path, workspace):
+    """For every ModelConfig field, the YAML model section and a model file's
+    config block accept and refuse the same values, and decode them alike;
+    the fields the YAML does not take are refused there whatever the value."""
+    path = tmp_path / "model.bin"
+    for key in ModelConfig.__dataclass_fields__:
+        for value in _PROBES:
+            try:
+                yaml_cfg = load_run_config(_write_config(
+                    tmp_path / "c.yaml", model={**MODEL_SECTION, key: value})).model
+            except UsageError:
+                yaml_cfg = None
+            save_edited_model(SAVED, path, lambda t: None)
+            edit_model_config(path, lambda c: c.update({key: value}))
+            file_cfg, file_ok = None, True
+            try:
+                file_cfg = model.load(path)[1]
+            except model.CorruptFile as exc:     # the config, or the tensors it implies
+                file_ok = "bad config block" not in str(exc)
+            if key in ("seed", "pos_dim", "embed_dim"):
+                assert yaml_cfg is None, (key, value)
+                continue
+            assert (yaml_cfg is not None) == file_ok, (key, value)
+            if yaml_cfg is not None and file_cfg is not None:
+                assert getattr(yaml_cfg, key) == getattr(file_cfg, key), (key, value)
 
 
 def test_overflowing_lexicon_mean_is_data_error(tmp_path, workspace, capsys):
@@ -434,7 +524,7 @@ def _not_utf8(path, source=None):
 def _non_utf8_transcript_predict(tmp_path, workspace):
     root, _ = workspace
     model_path = tmp_path / "model.bin"
-    save_edited_model(ModelConfig(**MODEL_SECTION), model_path, lambda tensors: None)
+    save_edited_model(SAVED, model_path, lambda tensors: None)
     bad = _not_utf8(tmp_path / "p1-1.cha", sorted((root / "ct").glob("*.cha"))[0])
     cfg = _bad_input_config(tmp_path, workspace)
     return ["predict", str(cfg), "--model", str(model_path), str(bad)], bad
@@ -485,7 +575,8 @@ def test_non_utf8_input_is_data_error(tmp_path, workspace, capsys, make):
 
 @pytest.fixture
 def narrow_embeddings_config(tmp_path, workspace):
-    """The workspace config (8-d model) pointed at a 5-d embeddings file."""
+    """The workspace config (whose saved models are 8-d) pointed at a 5-d
+    embeddings file."""
     root, _ = workspace
     narrow = tmp_path / "embeddings5.txt"
     narrow.write_text("".join(" ".join(line.split()[:6]) + "\n"
@@ -493,15 +584,18 @@ def narrow_embeddings_config(tmp_path, workspace):
     return _bad_input_config(tmp_path, workspace, embeddings=str(narrow))
 
 
-def test_train_with_narrower_embeddings_is_data_error(narrow_embeddings_config, capsys):
-    _assert_data_error(["train", str(narrow_embeddings_config)], capsys, "dimensional")
+def test_train_takes_its_width_from_the_embeddings(narrow_embeddings_config, capsys):
+    assert main(["train", str(narrow_embeddings_config)]) == 0
+    capsys.readouterr()
+    _, mcfg = model.load(narrow_embeddings_config.parent / "model.bin")
+    assert mcfg.embed_dim == 5
 
 
 def test_predict_with_narrower_embeddings_is_data_error(tmp_path, workspace,
                                                          narrow_embeddings_config, capsys):
     root, _ = workspace
     path = tmp_path / "model.bin"
-    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda tensors: None)
+    save_edited_model(SAVED, path, lambda tensors: None)
     transcript = sorted((root / "ct").glob("*.cha"))[0]
     _assert_data_error(["predict", str(narrow_embeddings_config), "--model", str(path),
                         str(transcript)], capsys, "dimensional")
@@ -530,7 +624,7 @@ def test_inspect_attention_missing_model_is_data_error(tmp_path, workspace):
 def test_inspect_attention_non_utf8_transcript_is_data_error(tmp_path, workspace):
     root, cfg_path = workspace
     path = tmp_path / "model.bin"
-    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda tensors: None)
+    save_edited_model(SAVED, path, lambda tensors: None)
     bad = _not_utf8(tmp_path / "p1-1.cha", sorted((root / "ct").glob("*.cha"))[0])
     _assert_one_line_data_error(_run_inspect_attention(cfg_path, path, bad),
                                 f"{bad}: not UTF-8 text")
@@ -540,7 +634,7 @@ def test_inspect_attention_narrower_embeddings_is_data_error(tmp_path, workspace
                                                              narrow_embeddings_config):
     root, _ = workspace
     path = tmp_path / "model.bin"
-    save_edited_model(ModelConfig(**MODEL_SECTION), path, lambda tensors: None)
+    save_edited_model(SAVED, path, lambda tensors: None)
     transcript = sorted((root / "ct").glob("*.cha"))[0]
     _assert_one_line_data_error(
         _run_inspect_attention(narrow_embeddings_config, path, transcript), "dimensional")
@@ -674,8 +768,8 @@ def _wrong_type(*kinds):
     return st.one_of(*[values for kind, values in _ANY_VALUE.items() if kind not in kinds])
 
 
-_DIMS = ("seq_len", "embed_dim", "conv_filters", "lstm_hidden", "attention_dim",
-         "dense_units", "batch_size", "max_epochs")
+_SIZES = ("seq_len", "conv_filters", "lstm_hidden", "attention_dim", "dense_units")
+_NOT_A_FLOAT = 10**400     # an integer no float can hold
 _BAD_VALUES = {
     **{("top", k): st.one_of(_wrong_type(str), st.just(_WRONG_KIND))
        for k in ("corpus_dir", "embeddings", "lexicons", "tagger", "output_dir")},
@@ -684,25 +778,28 @@ _BAD_VALUES = {
         st.integers(), st.just([]), st.lists(st.integers(max_value=-1), min_size=1, max_size=2),
         st.lists(st.one_of(st.booleans(), st.floats(), st.text(max_size=2)), min_size=1,
                  max_size=2)),
-    **{("model", k): st.one_of(_wrong_type(int), st.sampled_from([0, -1])) for k in _DIMS},
-    ("model", "conv_kernel"): st.one_of(_wrong_type(int), st.sampled_from([0, 2, -1])),
+    **{("model", k): st.one_of(_wrong_type(int), st.sampled_from([0, -1, 10**10, 10**30]))
+       for k in _SIZES},
+    **{("model", k): st.one_of(_wrong_type(int), st.sampled_from([0, -1]))
+       for k in ("batch_size", "max_epochs")},
+    ("model", "conv_kernel"): st.one_of(_wrong_type(int),
+                                        st.sampled_from([0, 2, -1, 10**10 + 1])),
     ("model", "patience"): st.one_of(_wrong_type(int), st.just(-1)),
-    ("model", "dropout_rate"): st.one_of(_wrong_type(int, float),
-                                         st.sampled_from([-0.01, 1.0, float("nan")])),
-    ("model", "learning_rate"): st.one_of(_wrong_type(int, float),
-                                          st.sampled_from([0.0, -0.001, float("nan")])),
+    ("model", "dropout_rate"): st.one_of(_wrong_type(int, float), st.sampled_from(
+        [-0.01, 1.0, float("nan"), _NOT_A_FLOAT])),
+    ("model", "learning_rate"): st.one_of(_wrong_type(int, float), st.sampled_from(
+        [0.0, -0.001, float("nan"), _NOT_A_FLOAT])),
     **{("model", k): _wrong_type(bool) for k in ("use_attention", "use_class_weights")},
     ("model", "feature_mask"): st.one_of(
         st.text(max_size=5), st.integers(), st.lists(st.integers(), min_size=1, max_size=2),
         st.sampled_from([["psy"], ["sent", "demos"]])),
     **{(section, k): st.integers(0, 64)          # keys the config does not take
-       for section, k in (("model", "seed"), ("model", "pos_dim"),
-                          ("split", "seed"), ("split", "test_fraction"))},
-    ("split", "train_fraction"): st.one_of(_wrong_type(int, float),
-                                           st.sampled_from([-0.01, 0.92, float("nan")])),
-    ("split", "val_fraction"): st.one_of(_wrong_type(int, float),
-                                         st.sampled_from([-0.01, 0.2, float("nan")])),
-    ("split", "unit"): st.one_of(_wrong_type(str), st.sampled_from(["speaker", ""])),
+       for section, k in (("model", "seed"), ("model", "pos_dim"), ("model", "embed_dim"),
+                          ("split", "seed"), ("split", "test_fraction"), ("split", "unit"))},
+    ("split", "train_fraction"): st.one_of(_wrong_type(int, float), st.sampled_from(
+        [-0.01, 0.92, float("nan"), _NOT_A_FLOAT])),
+    ("split", "val_fraction"): st.one_of(_wrong_type(int, float), st.sampled_from(
+        [-0.01, 0.2, float("nan"), _NOT_A_FLOAT])),
 }
 _CONFIG_CASES = st.sampled_from(sorted(_BAD_VALUES)).flatmap(
     lambda key: st.tuples(st.just("config"), st.just(key[0]), st.just(key[1]),
@@ -725,7 +822,12 @@ _PINNED = [
     ("config", "top", "output_dir", _WRONG_KIND),
     ("config", "top", "lexicons", _WRONG_KIND),
     ("config", "model", "pos_dim", 36),
+    ("config", "model", "embed_dim", 8),
+    ("config", "model", "seq_len", 10**30),
+    ("config", "model", "conv_filters", 10**30),
+    ("config", "model", "learning_rate", _NOT_A_FLOAT),
     ("config", "split", "test_fraction", 0.1),
+    ("config", "split", "unit", "transcript"),
     *[("file", "model", "predict", edit) for edit in _HEADER_EDITS.values()],
     *[("file", "transcript", "train", edit) for edit, _ in _TRANSCRIPT_EDITS.values()],
 ]
@@ -765,7 +867,7 @@ def _file_case_argv(tmp, workspace, target, command, edit):
         shutil.copy(root / "embeddings.txt", victim)
         paths["embeddings"] = str(victim)
     model_path = tmp / "model.bin"
-    save_edited_model(ModelConfig(**MODEL_SECTION), model_path, lambda t: None)
+    save_edited_model(SAVED, model_path, lambda t: None)
     if target == "model":
         victim = model_path
     victim.write_bytes(_corrupt(victim.read_bytes(), edit))

@@ -36,31 +36,42 @@ from helpers import auc_trapezoid, make_instances
 # splitting
 
 
+@dataclass(frozen=True, order=True)
+class _Row:
+    participant_id: str
+    visit: int
+
+
+def _speakers(n):
+    """``n`` items, one per participant."""
+    return [_Row(f"p{i:04d}", 0) for i in range(n)]
+
+
 def test_split_sizes_100():
-    train, val, test = split(list(range(100)), SplitSpec(seed=0, unit="transcript"))
+    train, val, test = split(_speakers(100), SplitSpec(seed=0))
     assert (len(train), len(val), len(test)) == (81, 9, 10)
 
 
 def test_split_sizes_1229():
-    train, val, test = split(list(range(1229)), SplitSpec(seed=0, unit="transcript"))
+    train, val, test = split(_speakers(1229), SplitSpec(seed=0))
     assert (len(train), len(val), len(test)) == (995, 110, 124)
 
 
 def test_split_is_seed_deterministic():
-    items = list(range(60))
-    spec = SplitSpec(seed=4, unit="transcript")
+    items = _speakers(60)
+    spec = SplitSpec(seed=4)
     assert split(items, spec) == split(items, spec)
 
 
 def test_split_reshuffles_across_seeds():
-    items = list(range(100))
-    trains = {tuple(split(items, SplitSpec(seed=s, unit="transcript"))[0]) for s in range(5)}
+    items = _speakers(100)
+    trains = {tuple(split(items, SplitSpec(seed=s))[0]) for s in range(5)}
     assert len(trains) > 1
 
 
 def test_split_too_small_raises():
     with pytest.raises(TooSmall):
-        split(list(range(11)), SplitSpec(unit="transcript"))   # floor(0.09 * 11) = 0
+        split(_speakers(11), SplitSpec())   # floor(0.09 * 11) = 0
     with pytest.raises(TooSmall):
         split([], SplitSpec())
 
@@ -68,22 +79,16 @@ def test_split_too_small_raises():
 @settings(max_examples=60)
 @given(st.integers(min_value=12, max_value=400), st.integers(min_value=0, max_value=50))
 def test_split_is_a_partition(n, seed):
-    items = list(range(n))
-    train, val, test = split(items, SplitSpec(seed=seed, unit="transcript"))
+    items = _speakers(n)
+    train, val, test = split(items, SplitSpec(seed=seed))
     assert sorted(train + val + test) == items
     assert len(train) == int(np.floor(0.81 * n))
     assert len(val) == int(np.floor(0.09 * n))
 
 
-@dataclass(frozen=True)
-class _Row:
-    participant_id: str
-    visit: int
-
-
 def test_participant_split_keeps_participants_whole():
     rows = [_Row(f"p{i:02d}", v) for i in range(15) for v in range(3)]
-    spec = SplitSpec(unit="participant")
+    spec = SplitSpec()
     for seed in range(6):
         train, val, test = split(rows, replace(spec, seed=seed))
         sides = [{r.participant_id for r in part} for part in (train, val, test)]
@@ -114,11 +119,11 @@ def test_default_split_never_shares_a_participant(repeat_visit_corpus, seed):
 def test_participant_split_too_few_participants():
     rows = [_Row(f"p{i}", v) for i in range(4) for v in range(10)]
     with pytest.raises(TooSmall):
-        split(rows, SplitSpec(unit="participant"))
+        split(rows, SplitSpec())
 
 
 def test_participant_split_of_items_without_participant_id_names_the_fix():
-    with pytest.raises(ValueError, match="unit='transcript'") as exc:
+    with pytest.raises(ValueError, match="int items have no participant_id") as exc:
         split(list(range(100)), SplitSpec())
     assert not isinstance(exc.value, TooSmall)
 
@@ -126,16 +131,20 @@ def test_participant_split_of_items_without_participant_id_names_the_fix():
 @settings(max_examples=30)
 @given(st.integers(min_value=12, max_value=200), st.integers(min_value=0, max_value=50))
 def test_one_item_per_participant_splits_alike_under_both_units(n, seed):
-    rows = [_Row(f"p{i}", 0) for i in range(n)]
-    assert (split(rows, SplitSpec(seed=seed, unit="participant"))
-            == split(rows, SplitSpec(seed=seed, unit="transcript")))
+    """With one item per participant, the split is what shuffling and slicing
+    the items one by one (the former transcript unit) gives."""
+    rows = _speakers(n)
+    order = [rows[k] for k in np.random.default_rng(seed).permutation(n)]
+    n_train, n_val = int(np.floor(0.81 * n)), int(np.floor(0.09 * n))
+    assert split(rows, SplitSpec(seed=seed)) == (
+        order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:])
 
 
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(train_fraction=0.9, val_fraction=0.2)
     with pytest.raises(ValueError):
-        SplitSpec(unit="conversation")
+        SplitSpec(train_fraction=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from alzdetect.lexical_features import (
     mean_lexicon_score,
 )
 from alzdetect.text_pipeline import (
+    PAD_TOKEN,
     PerceptronTaggerModel,
     TokenSequence,
     fix_length,
@@ -86,7 +87,8 @@ def _same_as_reference(path):
         return
     table = load_embeddings(path)
     assert table.dim == dim
-    assert list(table.rows) == list(entries)
+    # a <pad> line's row stays in the matrix, but no word maps to it
+    assert table.rows == {w: i for i, w in enumerate(entries) if w != PAD_TOKEN}
     assert table.vectors.shape == (len(entries) + 1, dim)
     want = np.array(list(entries.values()), dtype=np.float64).reshape(len(entries), dim)
     assert table.vectors[:-1].tobytes() == want.tobytes()
@@ -184,6 +186,13 @@ def test_lookup_oov_and_pad_are_zero_vectors():
     table = embedding_table(3, {"a": np.ones(3)})
     assert table.lookup("zzz").tolist() == [0.0, 0.0, 0.0]
     assert table.lookup("<pad>").tolist() == [0.0, 0.0, 0.0]
+
+
+def test_pads_embed_as_zeros_whatever_the_file_says(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("the 1 2\n<pad> 5 6\ncat 3 4\n")
+    seq = fix_length(tokenize("the cat"), budget=4)
+    assert embed(seq, load_embeddings(path)).tolist() == [[1, 2], [3, 4], [0, 0], [0, 0]]
 
 
 def test_embed_stacks_rows():

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alzdetect.text_pipeline import (
-    DEFAULT_BUDGET,
     FIXTURE_TAGGED,
     FIXTURE_TAGGER,
     PAD_TAG,
@@ -71,9 +70,9 @@ def test_fix_length_pads_short_sequences():
 
 def test_fix_length_truncates_long_sequences():
     long = tokenize(" ".join(f"w{i}" for i in range(80)))
-    seq = fix_length(long)
-    assert len(seq.tokens) == DEFAULT_BUDGET
-    assert seq.tokens == long.tokens[:DEFAULT_BUDGET]
+    seq = fix_length(long, budget=73)
+    assert len(seq.tokens) == 73
+    assert seq.tokens == long.tokens[:73]
     assert seq.original_length == 80
 
 
@@ -97,8 +96,8 @@ def test_pad_mask_marks_real_positions():
 
 def test_pad_mask_on_truncated_sequence_is_all_ones():
     long = tokenize(" ".join(f"w{i}" for i in range(80)))
-    mask = pad_mask(fix_length(long))
-    assert mask.shape == (DEFAULT_BUDGET,)
+    mask = pad_mask(fix_length(long, budget=73))
+    assert mask.shape == (73,)
     assert np.all(mask == 1.0)
 
 
