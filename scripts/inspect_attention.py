@@ -31,6 +31,8 @@ def main(argv=None):
 
 
 def _inspect(parser, args) -> int:
+    if args.top < 1:
+        parser.error(f"--top must be at least 1, got {args.top}")
     cfg = load_run_config(args.config)
     params, mcfg = model.load(args.model)
     if not mcfg.use_attention:

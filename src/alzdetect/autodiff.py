@@ -132,10 +132,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Constant(x)
-
-
 def constant(data, name: str | None = None) -> Tensor:
     """A tensor that participates in the graph but is never differentiated
     through: no gradient is computed for it or stored on it."""
@@ -146,8 +142,7 @@ def constant(data, name: str | None = None) -> Tensor:
 # elementwise and linear-algebra primitives
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
     except ValueError as e:
@@ -160,8 +155,7 @@ def add(a, b) -> Tensor:
     return _out(data, "add", bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data - b.data
     except ValueError as e:
@@ -174,8 +168,7 @@ def sub(a, b) -> Tensor:
     return _out(data, "sub", bw)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data * b.data
     except ValueError as e:

@@ -25,9 +25,9 @@ from . import chat_corpus, evaluation, lexical_features, model, synthgen
 from .chat_corpus import DataError, Label, StatsReport, reading_utf8
 from .evaluation import SplitSpec
 from .lexical_features import DimensionMismatch
-from .model import Diverged, ModelConfig
+from .model import Diverged, ModelConfig, ZeroClass
 from .synthgen import SynthConfig
-from .text_pipeline import PerceptronTaggerModel, default_tagger
+from .text_pipeline import default_tagger
 
 OUTPUT_DIR_ENV = "ALZDETECT_OUTPUT_DIR"
 
@@ -41,7 +41,6 @@ class RunConfig:
     corpus_dir: str | None = None
     embeddings: str | None = None
     lexicons: str | None = None
-    tagger: str | None = None
     output_dir: str | None = None
     variant: str | None = None
     seeds: tuple[int, ...] = (0, 1, 2)
@@ -91,14 +90,10 @@ def _require_paths(cfg: RunConfig, *names: str):
 
 
 def _load_resources(cfg: RunConfig):
-    """Embedding table, lexicons and tagger."""
+    """Embedding table, lexicons and the shipped tagger."""
     table = lexical_features.load_embeddings(cfg.embeddings)
     lexicons = lexical_features.load_lexicon_dir(cfg.lexicons)
-    if cfg.tagger is not None:
-        tagger = PerceptronTaggerModel.load(cfg.tagger)
-    else:
-        tagger = default_tagger()
-    return table, lexicons, tagger
+    return table, lexicons, default_tagger()
 
 
 def _check_width(dim: int, mcfg: ModelConfig):
@@ -119,6 +114,17 @@ def _encode(cfg: RunConfig, mcfg: ModelConfig):
         return instances, replace(mcfg, embed_dim=table.dim)
     except ValueError as exc:          # a table too wide for model.MAX_PARAMS
         raise DimensionMismatch(f"embedding file is {table.dim}-dimensional: {exc}") from None
+
+
+def _check_classes(instances, cfg: RunConfig, seeds):
+    """Each seed's train slice holds both classes. Checked for every seed
+    before the first fit, so a one-class corpus costs no training."""
+    for seed in seeds:
+        train, _, _ = evaluation.split(instances, replace(cfg.split, seed=seed))
+        n_ad = sum(i.label for i in train)
+        if n_ad in (0, len(train)):
+            raise ZeroClass(f"seed {seed}: the train slice needs both classes, "
+                            f"got ad={n_ad} ct={len(train) - n_ad}")
 
 
 def _stats_table(report: StatsReport) -> str:
@@ -179,6 +185,7 @@ def _cmd_train(args) -> int:
     mcfg = model.variant_config(cfg.variant, cfg.model) if cfg.variant else cfg.model
     mcfg = replace(mcfg, seed=cfg.seeds[0])
     instances, mcfg = _encode(cfg, mcfg)
+    _check_classes(instances, cfg, cfg.seeds[:1])
     train, val, _ = evaluation.split(instances, replace(cfg.split, seed=cfg.seeds[0]))
     params, log = model.fit(mcfg, train, val)
     model_path = out / "model.bin"
@@ -198,6 +205,7 @@ def _cmd_eval(args) -> int:
     params, mcfg = model.load(args.model)
     instances, wide = _encode(cfg, mcfg)
     _check_width(wide.embed_dim, mcfg)
+    _check_classes(instances, cfg, cfg.seeds[:1])
     _, _, test = evaluation.split(instances, replace(cfg.split, seed=cfg.seeds[0]))
     scores = model.predict(params, mcfg, test)
     labels = np.array([i.label for i in test])
@@ -227,6 +235,7 @@ def _cmd_report(args) -> int:
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
     out = _output_dir(cfg)
     instances, base = _encode(cfg, cfg.model)
+    _check_classes(instances, cfg, cfg.seeds)
     results = _REPORTS[args.command](instances, list(cfg.seeds), base=base,
                                      split_spec=cfg.split)
     path = out / f"{args.command}.csv"
@@ -247,7 +256,7 @@ def _cmd_predict(args) -> int:
     instance = lexical_features.encode_record(record, table, lexicons, tagger,
                                               budget=mcfg.seq_len)
     prob = model.predict(params, mcfg, [instance])[0]
-    label = "AD" if prob >= 0.5 else "CT"
+    label = "AD" if model.classify(prob) else "CT"
     print(f"{record.transcript_id}\t{prob:.4f}\t{label}")
     return 0
 

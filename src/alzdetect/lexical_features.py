@@ -49,8 +49,6 @@ FEATURE_GROUPS = {
     "demo": (5, 6),
 }
 
-FIXTURE_LEXICON_DIR = Path(__file__).parent / "fixtures" / "lexicons"
-
 
 class DimensionMismatch(DataError):
     pass
@@ -89,9 +87,6 @@ class EmbeddingTable:
 
     def __contains__(self, word: str):
         return word in self.rows
-
-    def lookup(self, word: str) -> np.ndarray:
-        return self.vectors[self.rows.get(word, -1)]
 
 
 # lines read per bulk parse: about 350 lines of a 300-d GloVe table
@@ -251,25 +246,13 @@ def load_lexicon_dir(root: str | Path) -> dict[str, Lexicon]:
     return {slot: load_lexicon(Path(root) / f"{slot}.tsv", slot) for slot in LEXICON_SLOTS}
 
 
-def fixture_lexicons() -> dict[str, Lexicon]:
-    return load_lexicon_dir(FIXTURE_LEXICON_DIR)
-
-
-def _real_tokens(seq: TokenSequence) -> tuple[str, ...]:
-    n = min(seq.original_length, len(seq.tokens))
-    return seq.tokens[:n]
-
-
-def mean_lexicon_score(seq: TokenSequence, lex: Lexicon) -> tuple[float, float]:
-    """Mean score over non-pad tokens found in the lexicon.
+def lexicon_mean(tokens: tuple[str, ...], lex: Lexicon) -> tuple[float, float]:
+    """Mean score over the tokens found in the lexicon, and the share of
+    tokens found (its coverage).
 
     Tokens absent from the lexicon are excluded from both numerator and
-    denominator. Returns (mean, coverage); zero coverage gives mean 0.0.
+    denominator; zero coverage gives mean 0.0.
     """
-    return _lexicon_mean(_real_tokens(seq), lex)
-
-
-def _lexicon_mean(tokens: tuple[str, ...], lex: Lexicon) -> tuple[float, float]:
     scores = [lex.entries[t] for t in tokens if t in lex.entries]
     if not tokens or not scores:
         return 0.0, 0.0
@@ -286,8 +269,8 @@ def build_feature_vector(
 ) -> np.ndarray:
     """The 7-vector [5 lexicon means, age/100, gender code], in
     ``FEATURE_NAMES`` order."""
-    tokens = _real_tokens(seq)
-    means = [_lexicon_mean(tokens, lexicons[slot])[0] for slot in LEXICON_SLOTS]
+    tokens = seq.tokens[:seq.original_length]      # the real tokens, no pads
+    means = [lexicon_mean(tokens, lexicons[slot])[0] for slot in LEXICON_SLOTS]
     age = 0.0 if demo.age is None else demo.age / 100.0
     return np.array(means + [age, _GENDER_CODE[demo.gender]])
 

@@ -2,16 +2,16 @@
 
 Participant text is tokenized, lowercased, and cut or padded to a fixed
 token budget, the model's ``seq_len``. POS tags come from a small
-averaged-perceptron tagger, trained at start-up on a packaged hand-tagged
-fixture corpus or loaded from a file that ``PerceptronTaggerModel.save``
-wrote. The tagset is frozen to the 36 Penn Treebank word tags plus a PAD
-tag at index 0, which fixes the one-hot width at 37.
+averaged-perceptron tagger, loaded from the shipped file
+``fixtures/default_tagger.txt``; the test suite retrains it from its
+hand-tagged corpus and checks that the bytes match. The tagset is frozen to
+the 36 Penn Treebank word tags plus a PAD tag at index 0, which fixes the
+one-hot width at 37.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,20 +30,12 @@ PTB_TAGS = [
     "VBZ", "WDT", "WP", "WP$", "WRB",
 ]
 
-FIXTURE_TAGGED = Path(__file__).parent / "fixtures" / "tagged_sentences.txt"
-# the tagger train_tagger(read_tagged_file(FIXTURE_TAGGED), epochs=5, seed=0) saves
+# the averaged perceptron trained on tests/fixtures/tagged_sentences.txt
+# (5 epochs, seed 0); tests/test_text_pipeline.py retrains it byte for byte
 FIXTURE_TAGGER = Path(__file__).parent / "fixtures" / "default_tagger.txt"
 
 
 class EmptyText(DataError):
-    pass
-
-
-class EmptyTagCorpus(ValueError):
-    pass
-
-
-class UnknownTag(ValueError):
     pass
 
 
@@ -62,27 +54,11 @@ class PosTagSequence:
     tags: tuple[str, ...]
 
 
-class TagSet:
-    """The fixed 37-tag inventory with dense indices, PAD at 0."""
-
-    def __init__(self):
-        self.tags: tuple[str, ...] = (PAD_TAG, *PTB_TAGS)
-        self._index = {t: i for i, t in enumerate(self.tags)}
-
-    def __len__(self):
-        return len(self.tags)
-
-    def __contains__(self, tag: str):
-        return tag in self._index
-
-    def index(self, tag: str) -> int:
-        try:
-            return self._index[tag]
-        except KeyError:
-            raise UnknownTag(f"tag {tag!r} not in tagset") from None
-
-
-TAGSET = TagSet()
+# The fixed 37-tag inventory, PAD at 0: the columns of a one-hot row.
+TAGSET = (PAD_TAG, *PTB_TAGS)
+_TAG_INDEX = {t: i for i, t in enumerate(TAGSET)}
+# the tagger's weight column of each word tag
+_TAG_COLUMN = {t: j for j, t in enumerate(PTB_TAGS)}
 
 
 def tokenize(text: str) -> TokenSequence:
@@ -175,23 +151,10 @@ class PerceptronTaggerModel:
             return "NN"
         return PTB_TAGS[best]
 
-    def save(self, path: str | Path):
-        """Versioned flat file: ``PTAG v1`` header, then
-        feature<TAB>tag<TAB>weight lines for the nonzero weights, sorted.
-        Tag-dictionary entries are stored under the reserved feature
-        prefix ``!tagdict``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("PTAG v1\n")
-            for word in sorted(self.tagdict):
-                fh.write(f"!tagdict {word}\t{self.tagdict[word]}\t1.0\n")
-            for feat in sorted(self.features):
-                # PTB_TAGS is in sorted order, so the tags of a feature are too
-                for tag, w in zip(PTB_TAGS, self.weights[self.features[feat]].tolist()):
-                    if w != 0.0:
-                        fh.write(f"{feat}\t{tag}\t{w!r}\n")
-
     @classmethod
     def load(cls, path: str | Path) -> "PerceptronTaggerModel":
+        """Read a ``PTAG v1`` file: feature<TAB>tag<TAB>weight lines, with
+        tag-dictionary entries under the feature prefix ``!tagdict``."""
         with open(path, encoding="utf-8") as fh, reading_utf8(path):
             header = fh.readline().rstrip("\n")
             if header != "PTAG v1":
@@ -222,78 +185,6 @@ class PerceptronTaggerModel:
         return cls(weights=weights, features=features, tagdict=tagdict)
 
 
-_TAG_COLUMN = {t: j for j, t in enumerate(PTB_TAGS)}
-
-
-def train_tagger(tagged_corpus: list[list[tuple[str, str]]], epochs: int = 5,
-                 seed: int = 0) -> PerceptronTaggerModel:
-    """Train an averaged perceptron on (token, gold tag) sentences.
-
-    Update order matters for exact reproducibility, so training is
-    single-threaded with a seeded shuffle between epochs.
-    """
-    if not tagged_corpus:
-        raise EmptyTagCorpus("no tagged sentences to train on")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    for sent in tagged_corpus:
-        for _, tag in sent:
-            if tag not in TAGSET or tag == PAD_TAG:
-                raise UnknownTag(f"gold tag {tag!r} not in tagset")
-
-    # unambiguous frequent words go straight to the tag dictionary
-    tag_counts: dict[str, dict[str, int]] = {}
-    for sent in tagged_corpus:
-        for word, gold in sent:
-            counts = tag_counts.setdefault(word, {})
-            counts[gold] = counts.get(gold, 0) + 1
-    tagdict = {w: next(iter(c)) for w, c in tag_counts.items()
-               if len(c) == 1 and sum(c.values()) >= 2}
-
-    model = PerceptronTaggerModel(tagdict=tagdict)
-    index = model.features
-    # Averaging is lazy: a cell's running total catches up on the
-    # instances since its last update (its stamp) only when it changes.
-    # Rows are allocated by doubling; rows past len(index) stay zero.
-    model.weights = np.zeros((256, len(PTB_TAGS)))
-    totals = np.zeros_like(model.weights)
-    stamps = np.zeros(model.weights.shape, dtype=np.int64)
-    instance = 0
-
-    rng = random.Random(seed)
-    order = list(range(len(tagged_corpus)))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for si in order:
-            sent = tagged_corpus[si]
-            tokens = tuple(w for w, _ in sent)
-            prev, prev2 = "-START-", "-START2-"
-            for i, (word, gold) in enumerate(sent):
-                instance += 1
-                if word in model.tagdict:
-                    prev2, prev = prev, model.tagdict[word]
-                    continue
-                guess = model.predict_word(tokens, i, prev, prev2)
-                if guess != gold:
-                    # the nine templates never repeat a feature, so the rows differ
-                    rows = [index.setdefault(f, len(index))
-                            for f in model._features(tokens, i, prev, prev2)]
-                    if len(index) > len(model.weights):
-                        model.weights, totals, stamps = (
-                            np.concatenate([a, np.zeros_like(a)]) for a in (model.weights, totals, stamps))
-                    for col, delta in ((_TAG_COLUMN[gold], 1.0), (_TAG_COLUMN[guess], -1.0)):
-                        cur = model.weights[rows, col]
-                        totals[rows, col] += (instance - stamps[rows, col]) * cur
-                        stamps[rows, col] = instance
-                        model.weights[rows, col] = cur + delta
-                prev2, prev = prev, guess
-
-    # average the weights over all update timesteps
-    n = len(index)
-    model.weights = (totals[:n] + (instance - stamps[:n]) * model.weights[:n]) / instance
-    return model
-
-
 def tag(model: PerceptronTaggerModel, seq: TokenSequence) -> PosTagSequence:
     """Tag every token; pad tokens always get PAD."""
     tags = []
@@ -312,32 +203,10 @@ def one_hot(tags: PosTagSequence) -> np.ndarray:
     """[len(tags) x len(TAGSET)] matrix, one 1.0 per row."""
     n = len(tags.tags)
     mat = np.zeros((n, len(TAGSET)))
-    mat[np.arange(n), [TAGSET.index(t) for t in tags.tags]] = 1.0
+    mat[np.arange(n), [_TAG_INDEX[t] for t in tags.tags]] = 1.0
     return mat
 
 
-# ---------------------------------------------------------------------------
-# the hand-tagged training fixture
-
-def read_tagged_file(path: str | Path) -> list[list[tuple[str, str]]]:
-    """Read ``token<TAB>TAG`` lines; blank lines separate sentences. This
-    is the format of the packaged corpus the default tagger is trained on."""
-    groups: list[list[tuple[str, str]]] = []
-    current: list[tuple[str, str]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.rstrip()
-        if not line:
-            if current:
-                groups.append(current)
-                current = []
-            continue
-        word, pos = line.split("\t")
-        current.append((word, pos))
-    if current:
-        groups.append(current)
-    return groups
-
-
 def default_tagger() -> PerceptronTaggerModel:
-    """The packaged tagger, trained on the packaged fixture corpus."""
+    """The shipped tagger, read from ``FIXTURE_TAGGER``."""
     return PerceptronTaggerModel.load(FIXTURE_TAGGER)

@@ -1,14 +1,18 @@
 """Shared test utilities: the finite-difference gradient oracle, the
 per-timestep LSTM composition the fused ``lstm`` primitive must match, the
-trapezoidal AUC that checks ``evaluation.auc_pair``, tagger accuracy, the
-dict-of-dicts tagger scorer and fixpoint CHAT normalizer that the dense
-scorer and the early-exit normalizer must match, and the line-by-line
-embedding loader that the bulk loader must match."""
+trapezoidal AUC that checks ``evaluation.auc_pair``, the training and saving
+of the shipped tagger with its hand-tagged corpus and tagger accuracy, the
+norm lexicons of the feature tests, the dict-of-dicts tagger scorer and
+fixpoint CHAT normalizer that the dense scorer and the early-exit normalizer
+must match, and the line-by-line embedding loader that the bulk loader must
+match."""
 
 from __future__ import annotations
 
 import json
+import random
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -189,6 +193,119 @@ def auc_trapezoid(labels, scores) -> float:
         num += (fp - prev_fp) * (tp + prev_tp)
         i = j
     return num / (2 * n_pos * n_neg)
+
+
+# ---------------------------------------------------------------------------
+# the shipped tagger: its training set, trainer and file writer
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_TAGGED = FIXTURES / "tagged_sentences.txt"
+FIXTURE_LEXICON_DIR = FIXTURES / "lexicons"
+
+
+def fixture_lexicons():
+    from alzdetect.lexical_features import load_lexicon_dir
+
+    return load_lexicon_dir(FIXTURE_LEXICON_DIR)
+
+
+def read_tagged_file(path) -> list[list[tuple[str, str]]]:
+    """Read ``token<TAB>TAG`` lines; blank lines separate sentences. This
+    is the format of the corpus the shipped tagger is trained on."""
+    groups: list[list[tuple[str, str]]] = []
+    current: list[tuple[str, str]] = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line = line.rstrip()
+        if not line:
+            if current:
+                groups.append(current)
+                current = []
+            continue
+        word, pos = line.split("\t")
+        current.append((word, pos))
+    if current:
+        groups.append(current)
+    return groups
+
+
+def train_tagger(tagged_corpus: list[list[tuple[str, str]]], epochs: int = 5,
+                 seed: int = 0):
+    """Train an averaged perceptron on (token, gold tag) sentences.
+
+    Update order matters for exact reproducibility, so training is
+    single-threaded with a seeded shuffle between epochs.
+    """
+    from alzdetect.text_pipeline import _TAG_COLUMN, PTB_TAGS, PerceptronTaggerModel
+
+    # unambiguous frequent words go straight to the tag dictionary
+    tag_counts: dict[str, dict[str, int]] = {}
+    for sent in tagged_corpus:
+        for word, gold in sent:
+            counts = tag_counts.setdefault(word, {})
+            counts[gold] = counts.get(gold, 0) + 1
+    tagdict = {w: next(iter(c)) for w, c in tag_counts.items()
+               if len(c) == 1 and sum(c.values()) >= 2}
+
+    model = PerceptronTaggerModel(tagdict=tagdict)
+    index = model.features
+    # Averaging is lazy: a cell's running total catches up on the
+    # instances since its last update (its stamp) only when it changes.
+    # Rows are allocated by doubling; rows past len(index) stay zero.
+    model.weights = np.zeros((256, len(PTB_TAGS)))
+    totals = np.zeros_like(model.weights)
+    stamps = np.zeros(model.weights.shape, dtype=np.int64)
+    instance = 0
+
+    rng = random.Random(seed)
+    order = list(range(len(tagged_corpus)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for si in order:
+            sent = tagged_corpus[si]
+            tokens = tuple(w for w, _ in sent)
+            prev, prev2 = "-START-", "-START2-"
+            for i, (word, gold) in enumerate(sent):
+                instance += 1
+                if word in model.tagdict:
+                    prev2, prev = prev, model.tagdict[word]
+                    continue
+                guess = model.predict_word(tokens, i, prev, prev2)
+                if guess != gold:
+                    # the nine templates never repeat a feature, so the rows differ
+                    rows = [index.setdefault(f, len(index))
+                            for f in model._features(tokens, i, prev, prev2)]
+                    if len(index) > len(model.weights):
+                        model.weights, totals, stamps = (
+                            np.concatenate([a, np.zeros_like(a)]) for a in (model.weights, totals, stamps))
+                    for col, delta in ((_TAG_COLUMN[gold], 1.0), (_TAG_COLUMN[guess], -1.0)):
+                        cur = model.weights[rows, col]
+                        totals[rows, col] += (instance - stamps[rows, col]) * cur
+                        stamps[rows, col] = instance
+                        model.weights[rows, col] = cur + delta
+                prev2, prev = prev, guess
+
+    # average the weights over all update timesteps
+    n = len(index)
+    model.weights = (totals[:n] + (instance - stamps[:n]) * model.weights[:n]) / instance
+    return model
+
+
+def save_tagger(model, path):
+    """Write ``model`` as ``PerceptronTaggerModel.load`` reads it: a ``PTAG
+    v1`` header, then feature<TAB>tag<TAB>weight lines for the nonzero
+    weights, sorted. Tag-dictionary entries are stored under the reserved
+    feature prefix ``!tagdict``."""
+    from alzdetect.text_pipeline import PTB_TAGS
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("PTAG v1\n")
+        for word in sorted(model.tagdict):
+            fh.write(f"!tagdict {word}\t{model.tagdict[word]}\t1.0\n")
+        for feat in sorted(model.features):
+            # PTB_TAGS is in sorted order, so the tags of a feature are too
+            for tag, w in zip(PTB_TAGS, model.weights[model.features[feat]].tolist()):
+                if w != 0.0:
+                    fh.write(f"{feat}\t{tag}\t{w!r}\n")
 
 
 def tagger_accuracy(model, tagged_corpus: list[list[tuple[str, str]]]) -> float:

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alzdetect import model
+from alzdetect import evaluation, model
 from alzdetect.cli import UsageError, load_run_config, main
 from alzdetect.model import ModelConfig
 from helpers import edit_model_config, save_edited_model
@@ -131,6 +131,7 @@ def test_mistyped_seeds_are_usage_errors(tmp_path, capsys, seeds):
 
 @pytest.mark.parametrize("section, key, value", [
     ("variant", None, "[a]"),
+    ("tagger", None, "tagger.txt"),
     ("model", None, "[1]"),
     ("model", "seq_len", "20.5"),
     ("model", "batch_size", "true"),
@@ -492,19 +493,6 @@ def test_bad_embedding_value_is_data_error(tmp_path, workspace, capsys, value):
     _assert_data_error(["train", str(cfg)], capsys, f"{bad}:3:")
 
 
-@pytest.mark.parametrize("text, needle", [
-    ("PTAG v9\n", ":1:"),
-    ("PTAG v1\nbias NN 0.5\n", ":2:"),
-    ("PTAG v1\nbias\tNN\tlots\n", ":2:"),
-    ("PTAG v1\nbias\tXX\t0.5\n", ":2:"),
-], ids=["header", "no-tabs", "bad-weight", "unknown-tag"])
-def test_bad_tagger_file_is_data_error(tmp_path, workspace, capsys, text, needle):
-    tagger = tmp_path / "tagger.txt"
-    tagger.write_text(text)
-    cfg = _bad_input_config(tmp_path, workspace, tagger=str(tagger))
-    _assert_data_error(["train", str(cfg)], capsys, needle)
-
-
 def test_non_finite_lexicon_is_data_error(tmp_path, workspace, capsys):
     root, _ = workspace
     lexicons = tmp_path / "lexicons"
@@ -551,13 +539,6 @@ def _non_utf8_embeddings(tmp_path, workspace):
     return ["train", str(_bad_input_config(tmp_path, workspace, embeddings=str(bad)))], bad
 
 
-def _non_utf8_tagger(tmp_path, workspace):
-    tagger = tmp_path / "tagger.txt"
-    tagger.write_text("PTAG v1\nbias\tNN\t0.5\n")
-    bad = _not_utf8(tagger, tagger)
-    return ["train", str(_bad_input_config(tmp_path, workspace, tagger=str(bad)))], bad
-
-
 def _non_utf8_config(tmp_path, workspace):
     cfg = _bad_input_config(tmp_path, workspace)
     return ["train", str(_not_utf8(cfg, cfg))], cfg
@@ -565,9 +546,8 @@ def _non_utf8_config(tmp_path, workspace):
 
 @pytest.mark.parametrize("make", [
     _non_utf8_transcript_predict, _non_utf8_transcript_corpus, _non_utf8_lexicon,
-    _non_utf8_embeddings, _non_utf8_tagger, _non_utf8_config,
-], ids=["transcript-predict", "transcript-corpus", "lexicon", "embeddings", "tagger",
-        "config"])
+    _non_utf8_embeddings, _non_utf8_config,
+], ids=["transcript-predict", "transcript-corpus", "lexicon", "embeddings", "config"])
 def test_non_utf8_input_is_data_error(tmp_path, workspace, capsys, make):
     argv, bad = make(tmp_path, workspace)
     _assert_data_error(argv, capsys, f"{bad}: not UTF-8 text")
@@ -638,6 +618,43 @@ def test_inspect_attention_narrower_embeddings_is_data_error(tmp_path, workspace
     transcript = sorted((root / "ct").glob("*.cha"))[0]
     _assert_one_line_data_error(
         _run_inspect_attention(narrow_embeddings_config, path, transcript), "dimensional")
+
+
+@pytest.mark.parametrize("top", ["0", "-3"])
+def test_inspect_attention_top_below_one_is_usage_error(tmp_path, workspace, top):
+    root, cfg_path = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(SAVED, path, lambda tensors: None)
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    proc = _run_inspect_attention(cfg_path, path, transcript, "--top", top)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"--top must be at least 1, got {top}" in proc.stderr
+
+
+def _one_class_corpus(tmp, workspace, dropped):
+    """A copy of the workspace corpus without its ``dropped`` directory."""
+    root, _ = workspace
+    kept = "ct" if dropped == "ad" else "ad"
+    shutil.copytree(root / kept, tmp / "corpus" / kept)
+    return str(tmp / "corpus")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "compare", "ablate"])
+def test_one_class_corpus_stops_before_any_fit(tmp_path, workspace, capsys, command):
+    """Without ct/, each command that splits the corpus exits 2 naming the
+    seed, the slice and the class counts, and trains nothing. Unchecked,
+    `train` of a variant without class weights and `eval` exit 0 with a
+    degenerate model or report, and `compare` fails only inside a later fit."""
+    model_path = tmp_path / "saved.bin"
+    save_edited_model(SAVED, model_path, lambda tensors: None)
+    cfg = _bad_input_config(tmp_path, workspace, seeds=[0, 1], variant="C-LSTM",
+                            corpus_dir=_one_class_corpus(tmp_path, workspace, "ct"))
+    argv = [command, str(cfg)] + (["--model", str(model_path)] if command == "eval" else [])
+    spy = mock.Mock(wraps=model.fit)
+    with mock.patch.object(model, "fit", spy), mock.patch.object(evaluation, "fit", spy):
+        _assert_data_error(argv, capsys, "seed 0: the train slice needs both classes, got ad=")
+    assert spy.call_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +789,7 @@ _SIZES = ("seq_len", "conv_filters", "lstm_hidden", "attention_dim", "dense_unit
 _NOT_A_FLOAT = 10**400     # an integer no float can hold
 _BAD_VALUES = {
     **{("top", k): st.one_of(_wrong_type(str), st.just(_WRONG_KIND))
-       for k in ("corpus_dir", "embeddings", "lexicons", "tagger", "output_dir")},
+       for k in ("corpus_dir", "embeddings", "lexicons", "output_dir")},
     ("top", "variant"): st.one_of(_wrong_type(str), st.sampled_from(["OURS-Att-x", ""])),
     ("top", "seeds"): st.one_of(
         st.integers(), st.just([]), st.lists(st.integers(max_value=-1), min_size=1, max_size=2),
@@ -794,8 +811,9 @@ _BAD_VALUES = {
         st.text(max_size=5), st.integers(), st.lists(st.integers(), min_size=1, max_size=2),
         st.sampled_from([["psy"], ["sent", "demos"]])),
     **{(section, k): st.integers(0, 64)          # keys the config does not take
-       for section, k in (("model", "seed"), ("model", "pos_dim"), ("model", "embed_dim"),
-                          ("split", "seed"), ("split", "test_fraction"), ("split", "unit"))},
+       for section, k in (("top", "tagger"), ("model", "seed"), ("model", "pos_dim"),
+                          ("model", "embed_dim"), ("split", "seed"), ("split", "test_fraction"),
+                          ("split", "unit"))},
     ("split", "train_fraction"): st.one_of(_wrong_type(int, float), st.sampled_from(
         [-0.01, 0.92, float("nan"), _NOT_A_FLOAT])),
     ("split", "val_fraction"): st.one_of(_wrong_type(int, float), st.sampled_from(
@@ -812,6 +830,7 @@ _EDITS = st.one_of(
                         st.sampled_from([b"\xff", b"\x00", b"nan", b"\t", b"\n"]))),
     st.tuples(st.just("nan"), st.integers(0, 50)),
 )
+_LAYOUT_CASES = st.tuples(st.just("layout"), st.sampled_from(["ad", "ct"]))
 _FILE_CASES = st.tuples(
     st.sampled_from([(target, command) for target in ("transcript", "lexicon", "embeddings")
                      for command in ("train", "predict")] + [("model", "predict")]),
@@ -830,12 +849,14 @@ _PINNED = [
     ("config", "split", "unit", "transcript"),
     *[("file", "model", "predict", edit) for edit in _HEADER_EDITS.values()],
     *[("file", "transcript", "train", edit) for edit, _ in _TRANSCRIPT_EDITS.values()],
+    ("layout", "ad"),
+    ("layout", "ct"),
 ]
 
 
 def _config_case_argv(tmp, workspace, section, key, value):
     if value == _WRONG_KIND:     # a file where a directory belongs, or the reverse
-        value = str(tmp if key in ("embeddings", "tagger") else tmp / "c.yaml")
+        value = str(tmp if key == "embeddings" else tmp / "c.yaml")
     written = "NOT-UTF8" if value == _NOT_UTF8 else value
     overrides = ({key: written} if section == "top" else
                  {"model": {**MODEL_SECTION, key: written}} if section == "model" else
@@ -844,6 +865,11 @@ def _config_case_argv(tmp, workspace, section, key, value):
     if value == _NOT_UTF8:
         cfg.write_bytes(cfg.read_bytes().replace(b"NOT-UTF8", _NOT_UTF8))
     return ["train", str(cfg)]
+
+
+def _layout_case_argv(tmp, workspace, dropped):
+    return ["train", str(_bad_input_config(
+        tmp, workspace, corpus_dir=_one_class_corpus(tmp, workspace, dropped)))]
 
 
 def _file_case_argv(tmp, workspace, target, command, edit):
@@ -888,15 +914,17 @@ def _with_examples(cases):
 
 @_with_examples(_PINNED)
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(case=st.one_of(_CONFIG_CASES, _FILE_CASES))
+@given(case=st.one_of(_CONFIG_CASES, _FILE_CASES, _LAYOUT_CASES))
 def test_bad_input_never_ends_in_a_traceback(workspace, case):
     """(a) One invalid config value stops `train` before training, with exit 1
     or 2 and one error line. (b) One corrupt input file does the same, or
-    leaves the file valid: `train` then reaches `model.fit`, `predict` exits 0."""
+    leaves the file valid: `train` then reaches `model.fit`, `predict` exits 0.
+    (c) A corpus without its ad/ or its ct/ directory stops `train` with exit 2."""
+    make_argv = {"config": _config_case_argv, "file": _file_case_argv,
+                 "layout": _layout_case_argv}[case[0]]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        argv = (_config_case_argv(tmp, workspace, *case[1:]) if case[0] == "config"
-                else _file_case_argv(tmp, workspace, *case[1:]))
+        argv = make_argv(tmp, workspace, *case[1:])
         err = io.StringIO()
         with (mock.patch.object(model, "fit", side_effect=_FitEntered),
               contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
@@ -908,6 +936,6 @@ def test_bad_input_never_ends_in_a_traceback(workspace, case):
     err = err.getvalue()
     if case[0] == "file" and argv[0] == "predict" and code == 0:
         return
-    assert code in (1, 2), (code, err)
+    assert code in ((2,) if case[0] == "layout" else (1, 2)), (code, err)
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "Traceback" not in err

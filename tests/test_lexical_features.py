@@ -24,11 +24,10 @@ from alzdetect.lexical_features import (
     embed,
     encode_corpus,
     encode_record,
-    fixture_lexicons,
+    lexicon_mean,
     load_embeddings,
     load_lexicon,
     load_lexicon_dir,
-    mean_lexicon_score,
 )
 from alzdetect.text_pipeline import (
     PAD_TOKEN,
@@ -37,7 +36,7 @@ from alzdetect.text_pipeline import (
     fix_length,
     tokenize,
 )
-from helpers import embedding_table, reference_load_embeddings
+from helpers import embedding_table, fixture_lexicons, reference_load_embeddings
 
 # ---------------------------------------------------------------------------
 # embeddings
@@ -51,7 +50,7 @@ def test_load_embeddings_basic(tmp_path):
     assert len(table) == 2
     assert "boy" in table and "girl" not in table
     # duplicates keep the first occurrence
-    assert table.lookup("the").tolist() == [0.1, 0.2]
+    assert table.vectors[table.rows["the"]].tolist() == [0.1, 0.2]
 
 
 def test_load_embeddings_ragged_line_raises(tmp_path):
@@ -184,8 +183,7 @@ def test_load_embeddings_matches_reference_on_random_tables(dim, hostile, data):
 
 def test_lookup_oov_and_pad_are_zero_vectors():
     table = embedding_table(3, {"a": np.ones(3)})
-    assert table.lookup("zzz").tolist() == [0.0, 0.0, 0.0]
-    assert table.lookup("<pad>").tolist() == [0.0, 0.0, 0.0]
+    assert embed(TokenSequence(("zzz", "<pad>"), 1), table).tolist() == [[0.0] * 3] * 2
 
 
 def test_pads_embed_as_zeros_whatever_the_file_says(tmp_path):
@@ -288,35 +286,38 @@ TOY = Lexicon(name="toy", entries={"the": 2.5, "boy": 3.2, "fell": 3.4},
               declared_range=(1.0, 10.0))
 
 
+def _means(seq):
+    """The five lexicon slots of ``seq``'s feature vector, each read from TOY."""
+    return build_feature_vector(seq, dict.fromkeys(LEXICON_SLOTS, TOY),
+                                Demographics(70, Gender.FEMALE))[:5].tolist()
+
+
 def test_mean_score_full_coverage():
-    mean, cov = mean_lexicon_score(TokenSequence(("the", "boy"), 2), TOY)
+    mean, cov = lexicon_mean(("the", "boy"), TOY)
     assert mean == pytest.approx((2.5 + 3.2) / 2)
     assert cov == 1.0
 
 
 def test_mean_score_misses_are_fully_excluded():
-    seq = TokenSequence(("the", "boy", "zorp"), 3)
-    mean, cov = mean_lexicon_score(seq, TOY)
+    mean, cov = lexicon_mean(("the", "boy", "zorp"), TOY)
     assert mean == pytest.approx((2.5 + 3.2) / 2)  # zorp not in denominator
     assert cov == pytest.approx(2 / 3)
 
 
 def test_mean_score_zero_coverage_is_zero():
-    assert mean_lexicon_score(TokenSequence(("zorp", "blag"), 2), TOY) == (0.0, 0.0)
+    assert lexicon_mean(("zorp", "blag"), TOY) == (0.0, 0.0)
 
 
 def test_mean_score_ignores_pad_positions():
     short = TokenSequence(("the", "boy"), 2)
     padded = fix_length(short, budget=10)
-    assert mean_lexicon_score(padded, TOY) == mean_lexicon_score(short, TOY)
+    assert _means(padded) == _means(short) == [(2.5 + 3.2) / 2] * 5
 
 
 @given(st.permutations(["the", "boy", "fell", "zorp", "the"]))
 def test_mean_score_is_order_invariant(words):
-    base = TokenSequence(("the", "boy", "fell", "zorp", "the"), 5)
-    shuffled = TokenSequence(tuple(words), 5)
-    m0, c0 = mean_lexicon_score(base, TOY)
-    m1, c1 = mean_lexicon_score(shuffled, TOY)
+    m0, c0 = lexicon_mean(("the", "boy", "fell", "zorp", "the"), TOY)
+    m1, c1 = lexicon_mean(tuple(words), TOY)
     assert m1 == pytest.approx(m0)
     assert c1 == c0
 
@@ -324,7 +325,7 @@ def test_mean_score_is_order_invariant(words):
 @given(st.integers(min_value=3, max_value=20))
 def test_mean_score_is_padding_invariant(budget):
     seq = TokenSequence(("the", "boy", "fell"), 3)
-    assert mean_lexicon_score(fix_length(seq, budget), TOY) == mean_lexicon_score(seq, TOY)
+    assert _means(fix_length(seq, budget)) == _means(seq)
 
 
 # ---------------------------------------------------------------------------
