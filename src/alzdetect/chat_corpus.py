@@ -72,9 +72,7 @@ PARTICIPANT = "PAR"
 @dataclass(frozen=True)
 class Utterance:
     speaker: str        # three-letter tier tag, e.g. PARTICIPANT
-    raw_text: str
     clean_text: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -254,11 +252,8 @@ def parse_chat_file(content: str, label: Label, transcript_id: str = "",
 
     flush()
 
-    utterances = []
-    for i, (tag, body) in enumerate(tiers):
-        clean = normalize_utterance(body, warnings)
-        utterances.append(Utterance(speaker=tag, raw_text=body,
-                                    clean_text=clean, index=i))
+    utterances = [Utterance(speaker=tag, clean_text=normalize_utterance(body, warnings))
+                  for tag, body in tiers]
 
     if not any(u.speaker == PARTICIPANT for u in utterances):
         raise MissingParticipantTier("no *PAR: tier in file")

@@ -25,7 +25,7 @@ from . import chat_corpus, evaluation, lexical_features, model, synthgen
 from .chat_corpus import DataError, Label, StatsReport, reading_utf8
 from .evaluation import SplitSpec
 from .lexical_features import DimensionMismatch
-from .model import Diverged, ModelConfig, ZeroClass
+from .model import Diverged, ModelConfig
 from .synthgen import SynthConfig
 from .text_pipeline import default_tagger
 
@@ -116,36 +116,20 @@ def _encode(cfg: RunConfig, mcfg: ModelConfig):
         raise DimensionMismatch(f"embedding file is {table.dim}-dimensional: {exc}") from None
 
 
-def _check_classes(instances, cfg: RunConfig, seeds):
-    """Each seed's train slice holds both classes. Checked for every seed
-    before the first fit, so a one-class corpus costs no training."""
-    for seed in seeds:
-        train, _, _ = evaluation.split(instances, replace(cfg.split, seed=seed))
-        n_ad = sum(i.label for i in train)
-        if n_ad in (0, len(train)):
-            raise ZeroClass(f"seed {seed}: the train slice needs both classes, "
-                            f"got ad={n_ad} ct={len(train) - n_ad}")
-
-
 def _stats_table(report: StatsReport) -> str:
-    rows = [("", "total", "ad", "ct"),
-            ("participants",) + tuple(str(report.n_participants[k])
-                                      for k in ("total", "ad", "ct")),
-            ("transcripts",) + tuple(str(report.n_transcripts[k])
-                                     for k in ("total", "ad", "ct")),
-            ("median words",) + tuple(str(report.median_words[k])
-                                      for k in ("total", "ad", "ct"))]
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    return "\n".join(
-        "  ".join(c.ljust(widths[0]) if i == 0 else c.rjust(widths[i])
-                  for i, c in enumerate(row))
-        for row in rows)
+    keys = ("total", "ad", "ct")
+    return evaluation.align([["", *keys]] + [
+        [name, *(str(counts[k]) for k in keys)]
+        for name, counts in (("participants", report.n_participants),
+                             ("transcripts", report.n_transcripts),
+                             ("median words", report.median_words))])
 
 
 def _log_csv(log: list[model.TrainLogRow]) -> str:
+    """One row per epoch; the val_auc cell is empty where none was measured."""
     lines = ["epoch,train_loss,val_loss,val_auc"]
-    lines += [f"{r.epoch},{r.train_loss:.6f},{r.val_loss:.6f},{r.val_auc:.6f}"
-              for r in log]
+    lines += [f"{r.epoch},{r.train_loss:.6f},{r.val_loss:.6f},"
+              + ("" if r.val_auc is None else f"{r.val_auc:.6f}") for r in log]
     return "\n".join(lines) + "\n"
 
 
@@ -185,15 +169,15 @@ def _cmd_train(args) -> int:
     mcfg = model.variant_config(cfg.variant, cfg.model) if cfg.variant else cfg.model
     mcfg = replace(mcfg, seed=cfg.seeds[0])
     instances, mcfg = _encode(cfg, mcfg)
-    _check_classes(instances, cfg, cfg.seeds[:1])
-    train, val, _ = evaluation.split(instances, replace(cfg.split, seed=cfg.seeds[0]))
+    [(_, train, val, _)] = evaluation.seed_splits(instances, cfg.split, cfg.seeds[:1])
     params, log = model.fit(mcfg, train, val)
     model_path = out / "model.bin"
     model.save(params, mcfg, model_path)
     (out / "training_log.csv").write_text(_log_csv(log), encoding="utf-8")
     best = min(log, key=lambda r: r.val_loss)
+    auc = "n/a" if best.val_auc is None else f"{best.val_auc:.4f}"
     print(f"trained {len(log)} epochs; best epoch {best.epoch} "
-          f"(val loss {best.val_loss:.4f}, val auc {best.val_auc:.4f})")
+          f"(val loss {best.val_loss:.4f}, val auc {auc})")
     print(f"model -> {model_path}")
     return 0
 
@@ -205,8 +189,7 @@ def _cmd_eval(args) -> int:
     params, mcfg = model.load(args.model)
     instances, wide = _encode(cfg, mcfg)
     _check_width(wide.embed_dim, mcfg)
-    _check_classes(instances, cfg, cfg.seeds[:1])
-    _, _, test = evaluation.split(instances, replace(cfg.split, seed=cfg.seeds[0]))
+    [(_, _, _, test)] = evaluation.seed_splits(instances, cfg.split, cfg.seeds[:1])
     scores = model.predict(params, mcfg, test)
     labels = np.array([i.label for i in test])
     report = evaluation.evaluate_scores(labels, scores)
@@ -235,7 +218,6 @@ def _cmd_report(args) -> int:
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
     out = _output_dir(cfg)
     instances, base = _encode(cfg, cfg.model)
-    _check_classes(instances, cfg, cfg.seeds)
     results = _REPORTS[args.command](instances, list(cfg.seeds), base=base,
                                      split_spec=cfg.split)
     path = out / f"{args.command}.csv"

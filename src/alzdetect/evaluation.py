@@ -1,10 +1,13 @@
 """Dataset splitting, metrics, the multi-seed protocol, variant
 comparison, and the feature-ablation harness.
 
-AUC is counted over positive/negative score pairs, ties counting half,
-as an integer numerator over 2·P·N. Metrics are averaged metric-by-metric
-across seeds; confusion counts are averaged the same way, which is why
-they are reals.
+Each seed's corpus is split once (``seed_splits``), and every seed's
+train slice is checked for both classes before any model is fitted; the
+variants of a comparison and the rows of an ablation all train on those
+same slices. AUC is counted over positive/negative score pairs, ties
+counting half, as an integer numerator over 2·P·N. Metrics are averaged
+metric-by-metric across seeds; confusion counts are averaged the same
+way, which is why they are reals.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chat_corpus import DataError
-from .lexical_features import EncodedInstance
+from .lexical_features import FEATURE_GROUPS, EncodedInstance
 from .model import (
     ModelConfig,
     VARIANTS,
+    ZeroClass,
     active_feature_indices,
     classify,
     fit,
@@ -26,7 +30,8 @@ from .model import (
     variant_config,
 )
 
-ABLATION_LABELS = {"psych": "No Psych.", "sent": "No Sent.", "demo": "No Demo."}
+# the ablation row of each feature group: "No Psych.", "No Sent.", "No Demo."
+ABLATION_LABELS = {group: f"No {group.capitalize()}." for group in FEATURE_GROUPS}
 
 
 class TooSmall(DataError):
@@ -80,6 +85,24 @@ def split(items: list, spec: SplitSpec) -> tuple[list, list, list]:
     return tuple([x for group in part for x in group]
                  for part in (shuffled[:n_train], shuffled[n_train:n_train + n_val],
                               shuffled[n_train + n_val:]))
+
+
+def seed_splits(instances: list[EncodedInstance], spec: SplitSpec,
+                seeds: list[int]) -> list[tuple[int, list, list, list]]:
+    """``(seed, train, val, test)`` for every seed, each seed split once.
+    Every train slice is checked for both classes before this returns, so
+    no fit starts on a corpus that some seed cannot train on."""
+    if not seeds:
+        raise ValueError("need at least one seed")
+    splits = []
+    for seed in seeds:
+        train, val, test = split(instances, replace(spec, seed=seed))
+        n_ad = sum(i.label for i in train)
+        if n_ad in (0, len(train)):
+            raise ZeroClass(f"seed {seed}: the train slice needs both classes, "
+                            f"got ad={n_ad} ct={len(train) - n_ad}")
+        splits.append((seed, train, val, test))
+    return splits
 
 
 # ---------------------------------------------------------------------------
@@ -213,84 +236,67 @@ class ExperimentResult:
     feature_dim: int
 
 
+def report_values(r: MetricsReport) -> tuple[float, ...]:
+    """The nine report columns in CSV order: accuracy, precision, recall,
+    f1, auc, tn, fp, fn, tp."""
+    c = r.counts
+    return (r.accuracy, r.precision, r.recall, r.f1, r.auc, c.tn, c.fp, c.fn, c.tp)
+
+
 def mean_report(reports: list[MetricsReport]) -> MetricsReport:
-    """Arithmetic mean of every metric and every confusion count."""
+    """Arithmetic mean of every metric and every confusion count: each
+    column summed over the reports in order, then divided by their number."""
     n = len(reports)
-    counts = ConfusionCounts(
-        tn=sum(r.counts.tn for r in reports) / n,
-        fp=sum(r.counts.fp for r in reports) / n,
-        fn=sum(r.counts.fn for r in reports) / n,
-        tp=sum(r.counts.tp for r in reports) / n,
-    )
-    flags = sorted({f for r in reports for f in r.undefined})
-    return MetricsReport(
-        accuracy=sum(r.accuracy for r in reports) / n,
-        precision=sum(r.precision for r in reports) / n,
-        recall=sum(r.recall for r in reports) / n,
-        f1=sum(r.f1 for r in reports) / n,
-        auc=sum(r.auc for r in reports) / n,
-        counts=counts,
-        undefined=tuple(flags),
-    )
+    means = [sum(column) / n for column in zip(*map(report_values, reports))]
+    return MetricsReport(*means[:5], counts=ConfusionCounts(*means[5:]),
+                         undefined=tuple(sorted({f for r in reports for f in r.undefined})))
 
 
-def run_experiment(instances: list[EncodedInstance], config: ModelConfig,
-                   seeds: list[int], variant: str = "",
-                   split_spec: SplitSpec | None = None) -> ExperimentResult:
-    """split -> fit -> evaluate-on-test once per seed, then average.
-
-    Each seed reseeds both the split shuffle and the model (init,
-    batch order, dropout).
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    base_split = split_spec or SplitSpec()
+def _run(splits: list[tuple[int, list, list, list]], config: ModelConfig,
+         variant: str) -> ExperimentResult:
+    """fit -> evaluate-on-test once per seed's slices, then average. Each
+    seed also reseeds the model (init, batch order, dropout)."""
     reports = []
-    for seed in seeds:
-        train, val, test = split(instances, replace(base_split, seed=seed))
+    for seed, train, val, test in splits:
         cfg = replace(config, seed=seed)
         params, _ = fit(cfg, train, val)
         reports.append(evaluate_scores(np.array([i.label for i in test]),
                                        predict(params, cfg, test)))
     return ExperimentResult(
         variant=variant,
-        seeds=tuple(seeds),
+        seeds=tuple(seed for seed, *_ in splits),
         per_seed=tuple(reports),
         mean=mean_report(reports),
         feature_dim=len(active_feature_indices(config)),
     )
 
 
+def run_experiment(instances: list[EncodedInstance], config: ModelConfig,
+                   seeds: list[int], variant: str = "",
+                   split_spec: SplitSpec | None = None) -> ExperimentResult:
+    """split -> fit -> evaluate-on-test once per seed, then average."""
+    return _run(seed_splits(instances, split_spec or SplitSpec(), seeds), config, variant)
+
+
 def compare_variants(instances: list[EncodedInstance], seeds: list[int],
                      base: ModelConfig | None = None,
                      split_spec: SplitSpec | None = None) -> list[ExperimentResult]:
     """The six-variant comparison, rows in VARIANTS order."""
+    splits = seed_splits(instances, split_spec or SplitSpec(), seeds)
     base = base or ModelConfig()
-    return [run_experiment(instances, variant_config(name, base), seeds,
-                           variant=name, split_spec=split_spec)
-            for name in VARIANTS]
+    return [_run(splits, variant_config(name, base), name) for name in VARIANTS]
 
 
 def ablate(instances: list[EncodedInstance], seeds: list[int],
-           groups: list[str] | None = None,
            base: ModelConfig | None = None,
            split_spec: SplitSpec | None = None) -> list[ExperimentResult]:
     """Rerun the full model with one targeted-feature group removed per row."""
-    groups = list(ABLATION_LABELS) if groups is None else groups
-    if not groups:
-        raise ValueError("need at least one group to ablate")
-    unknown = set(groups) - set(ABLATION_LABELS)
-    if unknown:
-        raise ValueError(f"unknown feature groups {sorted(unknown)}")
-    base = base or ModelConfig()
-    full = variant_config("OURS-Att-w", base)
+    splits = seed_splits(instances, split_spec or SplitSpec(), seeds)
+    full = variant_config("OURS-Att-w", base or ModelConfig())
     results = []
-    for group in groups:
-        kept = tuple(g for g in ("psych", "sent", "demo") if g != group)
-        cfg = replace(full, feature_mask=kept)
-        results.append(run_experiment(instances, cfg, seeds,
-                                      variant=ABLATION_LABELS[group],
-                                      split_spec=split_spec))
+    for group, label in ABLATION_LABELS.items():
+        kept = tuple(g for g in FEATURE_GROUPS if g != group)
+        results.append(_run(splits, replace(full, feature_mask=kept), label))
     return results
 
 
@@ -301,11 +307,7 @@ _CSV_HEADER = "variant,seed,accuracy,precision,recall,f1,auc,tn,fp,fn,tp,feature
 
 
 def _csv_row(variant: str, seed: str, r: MetricsReport, feature_dim: int) -> str:
-    cells = [variant, seed]
-    cells += [f"{v:.6f}" for v in (r.accuracy, r.precision, r.recall, r.f1, r.auc,
-                                   r.counts.tn, r.counts.fp, r.counts.fn, r.counts.tp)]
-    cells.append(str(feature_dim))
-    return ",".join(cells)
+    return ",".join([variant, seed, *(f"{v:.6f}" for v in report_values(r)), str(feature_dim)])
 
 
 def results_csv(results: list[ExperimentResult]) -> str:
@@ -324,18 +326,20 @@ def roc_csv(labels, scores) -> str:
     return "\n".join(lines) + "\n"
 
 
+def align(rows: list[list[str]]) -> str:
+    """Rows as text columns two spaces apart: the first column
+    left-aligned, the others right-aligned."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
+                               for i, (cell, w) in enumerate(zip(row, widths)))
+                     for row in rows)
+
+
 def format_table(results: list[ExperimentResult]) -> str:
     """Aligned human-readable summary of the mean rows."""
-    header = ["Variant", "Acc", "Prec", "Rec", "F1", "AUC", "TN", "FP", "FN", "TP"]
-    rows = [header]
+    rows = [["Variant", "Acc", "Prec", "Rec", "F1", "AUC", "TN", "FP", "FN", "TP"]]
     for res in results:
-        m = res.mean
-        rows.append([res.variant] +
-                    [f"{v:.4f}" for v in (m.accuracy, m.precision, m.recall, m.f1, m.auc)] +
-                    [f"{c:.1f}" for c in (m.counts.tn, m.counts.fp, m.counts.fn, m.counts.tp)])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    out = []
-    for row in rows:
-        out.append("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
-                             for i, (cell, w) in enumerate(zip(row, widths))))
-    return "\n".join(out) + "\n"
+        values = report_values(res.mean)
+        rows.append([res.variant] + [f"{v:.4f}" for v in values[:5]] +
+                    [f"{c:.1f}" for c in values[5:]])
+    return align(rows) + "\n"

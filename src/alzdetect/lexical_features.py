@@ -42,7 +42,8 @@ from .text_pipeline import (
 LEXICON_SLOTS = ("aoa", "concreteness", "familiarity", "imageability", "sentiment")
 FEATURE_NAMES = LEXICON_SLOTS + ("age", "gender")
 
-# Index groups used by the ablation harness and by model feature masking.
+# Index groups of the feature vector, used by the ablation harness and by
+# model feature masking; this dict's order is the group order of both.
 FEATURE_GROUPS = {
     "psych": (0, 1, 2, 3),
     "sent": (4,),
@@ -81,9 +82,6 @@ class EmbeddingTable:
         self.vectors = vectors
         self.rows = rows
         self.dim = vectors.shape[1]
-
-    def __len__(self):
-        return len(self.rows)
 
     def __contains__(self, word: str):
         return word in self.rows
@@ -198,16 +196,9 @@ def embed(seq: TokenSequence, table: EmbeddingTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # scalar lexicons
 
-@dataclass(frozen=True)
-class Lexicon:
-    name: str
-    entries: dict[str, float]
-    declared_range: tuple[float, float]
-
-
-def load_lexicon(path: str | Path, name: str) -> Lexicon:
-    """Read a ``word<TAB>score`` file headed by ``# range lo hi``; every
-    score must lie in that (finite, non-empty) range."""
+def load_lexicon(path: str | Path) -> dict[str, float]:
+    """Word -> score from a ``word<TAB>score`` file headed by ``# range lo
+    hi``; every score must lie in that (finite, non-empty) range."""
     with open(path, encoding="utf-8") as fh, reading_utf8(path):
         lines = fh.read().splitlines()
     if not lines:
@@ -238,22 +229,22 @@ def load_lexicon(path: str | Path, name: str) -> Lexicon:
             raise BadLexiconFile(f"{path}:{lineno}: score {parts[1]!r} for {parts[0]!r} "
                                  f"outside [{lo}, {hi}]")
         entries[parts[0]] = score
-    return Lexicon(name=name, entries=entries, declared_range=(lo, hi))
+    return entries
 
 
-def load_lexicon_dir(root: str | Path) -> dict[str, Lexicon]:
+def load_lexicon_dir(root: str | Path) -> dict[str, dict[str, float]]:
     """Load the five named lexicons (``<slot>.tsv``) from one directory."""
-    return {slot: load_lexicon(Path(root) / f"{slot}.tsv", slot) for slot in LEXICON_SLOTS}
+    return {slot: load_lexicon(Path(root) / f"{slot}.tsv") for slot in LEXICON_SLOTS}
 
 
-def lexicon_mean(tokens: tuple[str, ...], lex: Lexicon) -> tuple[float, float]:
+def lexicon_mean(tokens: tuple[str, ...], lex: dict[str, float]) -> tuple[float, float]:
     """Mean score over the tokens found in the lexicon, and the share of
     tokens found (its coverage).
 
     Tokens absent from the lexicon are excluded from both numerator and
     denominator; zero coverage gives mean 0.0.
     """
-    scores = [lex.entries[t] for t in tokens if t in lex.entries]
+    scores = [lex[t] for t in tokens if t in lex]
     if not tokens or not scores:
         return 0.0, 0.0
     return sum(scores) / len(scores), len(scores) / len(tokens)
@@ -264,7 +255,7 @@ _GENDER_CODE = {Gender.FEMALE: 1.0, Gender.MALE: 0.0, Gender.UNKNOWN: 0.5}
 
 def build_feature_vector(
     seq: TokenSequence,
-    lexicons: dict[str, Lexicon],
+    lexicons: dict[str, dict[str, float]],
     demo: Demographics,
 ) -> np.ndarray:
     """The 7-vector [5 lexicon means, age/100, gender code], in
@@ -294,7 +285,7 @@ class EncodedInstance:
 def encode_record(
     record: TranscriptRecord,
     table: EmbeddingTable,
-    lexicons: dict[str, Lexicon],
+    lexicons: dict[str, dict[str, float]],
     tagger: PerceptronTaggerModel,
     budget: int,
 ) -> EncodedInstance:
@@ -322,7 +313,7 @@ def encode_record(
 def encode_corpus(
     corpus: Corpus,
     table: EmbeddingTable,
-    lexicons: dict[str, Lexicon],
+    lexicons: dict[str, dict[str, float]],
     tagger: PerceptronTaggerModel,
     budget: int,
 ) -> list[EncodedInstance]:

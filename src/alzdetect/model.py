@@ -78,7 +78,7 @@ class ModelConfig:
     dropout_rate: float = 0.5
     use_attention: bool = True
     use_class_weights: bool = True
-    feature_mask: tuple[str, ...] = ("psych", "sent", "demo")
+    feature_mask: tuple[str, ...] = tuple(FEATURE_GROUPS)
     learning_rate: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 50
@@ -131,11 +131,8 @@ def variant_config(name: str, base: ModelConfig) -> ModelConfig:
 
 def active_feature_indices(config: ModelConfig) -> tuple[int, ...]:
     """Feature-vector columns the dense layer actually sees."""
-    idx: list[int] = []
-    for group in ("psych", "sent", "demo"):
-        if group in config.feature_mask:
-            idx.extend(FEATURE_GROUPS[group])
-    return tuple(idx)
+    return tuple(i for group, idx in FEATURE_GROUPS.items()
+                 if group in config.feature_mask for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,7 @@ class TrainLogRow:
     epoch: int
     train_loss: float
     val_loss: float
-    val_auc: float
+    val_auc: float | None      # None: the validation slice holds one class
 
 
 def _batches(n: int, size: int, order: np.ndarray):
@@ -380,7 +377,7 @@ def fit(config: ModelConfig, train: list[EncodedInstance],
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise Diverged(f"epoch {epoch}: non-finite loss")
         both_classes = 0 < val_labels.sum() < len(val_labels)
-        val_auc = auc_pair(val_labels, val_scores) if both_classes else 0.5
+        val_auc = auc_pair(val_labels, val_scores) if both_classes else None
         log.append(TrainLogRow(epoch, train_loss, val_loss, val_auc))
 
         if val_loss < best_val:

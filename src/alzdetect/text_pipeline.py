@@ -49,11 +49,6 @@ class TokenSequence:
     original_length: int
 
 
-@dataclass(frozen=True)
-class PosTagSequence:
-    tags: tuple[str, ...]
-
-
 # The fixed 37-tag inventory, PAD at 0: the columns of a one-hot row.
 TAGSET = (PAD_TAG, *PTB_TAGS)
 _TAG_INDEX = {t: i for i, t in enumerate(TAGSET)}
@@ -108,12 +103,11 @@ class PerceptronTaggerModel:
     and a word whose every score is 0 defaults to NN.
     """
 
-    def __init__(self, weights: np.ndarray | None = None,
-                 features: dict[str, int] | None = None,
-                 tagdict: dict[str, str] | None = None):
-        self.weights = weights if weights is not None else np.zeros((0, len(PTB_TAGS)))
-        self.features = features if features is not None else {}
-        self.tagdict = tagdict if tagdict is not None else {}
+    def __init__(self, weights: np.ndarray, features: dict[str, int],
+                 tagdict: dict[str, str]):
+        self.weights = weights
+        self.features = features
+        self.tagdict = tagdict
 
     # feature templates: keep them cheap and purely local
     @staticmethod
@@ -185,7 +179,7 @@ class PerceptronTaggerModel:
         return cls(weights=weights, features=features, tagdict=tagdict)
 
 
-def tag(model: PerceptronTaggerModel, seq: TokenSequence) -> PosTagSequence:
+def tag(model: PerceptronTaggerModel, seq: TokenSequence) -> tuple[str, ...]:
     """Tag every token; pad tokens always get PAD."""
     tags = []
     prev, prev2 = "-START-", "-START2-"
@@ -196,14 +190,14 @@ def tag(model: PerceptronTaggerModel, seq: TokenSequence) -> PosTagSequence:
         t = model.predict_word(seq.tokens, i, prev, prev2)
         tags.append(t)
         prev2, prev = prev, t
-    return PosTagSequence(tags=tuple(tags))
+    return tuple(tags)
 
 
-def one_hot(tags: PosTagSequence) -> np.ndarray:
+def one_hot(tags: tuple[str, ...]) -> np.ndarray:
     """[len(tags) x len(TAGSET)] matrix, one 1.0 per row."""
-    n = len(tags.tags)
+    n = len(tags)
     mat = np.zeros((n, len(TAGSET)))
-    mat[np.arange(n), [_TAG_INDEX[t] for t in tags.tags]] = 1.0
+    mat[np.arange(n), [_TAG_INDEX[t] for t in tags]] = 1.0
     return mat
 
 

@@ -246,12 +246,11 @@ def train_tagger(tagged_corpus: list[list[tuple[str, str]]], epochs: int = 5,
     tagdict = {w: next(iter(c)) for w, c in tag_counts.items()
                if len(c) == 1 and sum(c.values()) >= 2}
 
-    model = PerceptronTaggerModel(tagdict=tagdict)
-    index = model.features
     # Averaging is lazy: a cell's running total catches up on the
     # instances since its last update (its stamp) only when it changes.
     # Rows are allocated by doubling; rows past len(index) stay zero.
-    model.weights = np.zeros((256, len(PTB_TAGS)))
+    model = PerceptronTaggerModel(np.zeros((256, len(PTB_TAGS))), {}, tagdict)
+    index = model.features
     totals = np.zeros_like(model.weights)
     stamps = np.zeros(model.weights.shape, dtype=np.int64)
     instance = 0
@@ -316,7 +315,7 @@ def tagger_accuracy(model, tagged_corpus: list[list[tuple[str, str]]]) -> float:
     for sent in tagged_corpus:
         seq = TokenSequence(tokens=tuple(w for w, _ in sent),
                             original_length=len(sent))
-        predicted = tag(model, seq).tags
+        predicted = tag(model, seq)
         for (_, gold), guess in zip(sent, predicted):
             correct += guess == gold
             total += 1
@@ -336,7 +335,7 @@ def dense_tagger(table: dict[str, dict[str, float]], tagdict: dict[str, str] | N
     for f, per_tag in table.items():
         for t, w in per_tag.items():
             weights[features[f], PTB_TAGS.index(t)] = w
-    return PerceptronTaggerModel(weights=weights, features=features, tagdict=tagdict)
+    return PerceptronTaggerModel(weights=weights, features=features, tagdict=tagdict or {})
 
 
 def reference_tag(table: dict[str, dict[str, float]], tagdict: dict[str, str],

@@ -151,7 +151,6 @@ def test_sample_file_tier_assembly():
     assert rec.label is Label.AD
     tags = [u.speaker for u in rec.utterances]
     assert tags == ["INV", "PAR", "PAR", "PAR"]
-    assert [u.index for u in rec.utterances] == [0, 1, 2, 3]
 
 
 def test_sample_file_clean_text():
@@ -277,7 +276,7 @@ def test_word_count_skips_punctuation_tokens():
 
 
 def _record(pid, label, words):
-    utt = Utterance("PAR", " ".join(words), " ".join(words), 0)
+    utt = Utterance("PAR", " ".join(words))
     return TranscriptRecord(
         transcript_id=f"{pid}-{len(words)}", participant_id=pid,
         utterances=(utt,), demographics=Demographics(70, Gender.FEMALE),

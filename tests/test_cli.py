@@ -657,6 +657,24 @@ def test_one_class_corpus_stops_before_any_fit(tmp_path, workspace, capsys, comm
     assert spy.call_count == 0
 
 
+@pytest.mark.parametrize("command, seeds_used", [
+    ("train", [0]), ("eval", [0]), ("compare", [0, 1]), ("ablate", [0, 1])],
+    ids=["train", "eval", "compare", "ablate"])
+def test_each_seed_is_split_once(tmp_path, workspace, capsys, command, seeds_used):
+    """train and eval use the first seed, compare and ablate every seed; each
+    seed's corpus is split once, and every variant or ablation row trains on
+    those slices."""
+    model_path = tmp_path / "saved.bin"
+    save_edited_model(SAVED, model_path, lambda tensors: None)
+    cfg = _bad_input_config(tmp_path, workspace, seeds=[0, 1])
+    argv = [command, str(cfg)] + (["--model", str(model_path)] if command == "eval" else [])
+    spy = mock.Mock(wraps=evaluation.split)
+    with mock.patch.object(evaluation, "split", spy):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert [call.args[1].seed for call in spy.call_args_list] == seeds_used
+
+
 # ---------------------------------------------------------------------------
 # command flows on the shared synthetic corpus
 
@@ -759,6 +777,42 @@ def test_smoke_reports_match_golden_files(tmp_path, capsys):
     for report in ("compare", "ablate"):
         golden = REPO / "tests" / "golden" / f"smoke_{report}.csv"
         assert (tmp_path / f"{report}.csv").read_bytes() == golden.read_bytes(), report
+
+
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """configs/smoke.yaml pointed at a fresh directory, its corpus synthesized."""
+    root = tmp_path_factory.mktemp("smoke")
+    config = yaml.safe_load((REPO / "configs" / "smoke.yaml").read_text())
+    config.update(corpus_dir=str(root), embeddings=str(root / "embeddings.txt"),
+                  lexicons=str(root / "lexicons"), output_dir=str(root))
+    path = root / "smoke.yaml"
+    path.write_text(yaml.safe_dump(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", str(path)]) == 0
+    return root, path
+
+
+def test_smoke_tables_match_golden_files(smoke, capsys):
+    """The printed stats and compare tables, byte for byte."""
+    root, path = smoke
+    golden = REPO / "tests" / "golden"
+    assert main(["stats", str(root)]) == 0
+    assert capsys.readouterr().out == (golden / "smoke_stats.txt").read_text()
+    assert main(["compare", str(path)]) == 0
+    assert capsys.readouterr().out == ((golden / "smoke_compare_table.txt").read_text()
+                                       + f"report -> {root / 'compare.csv'}\n")
+
+
+def test_smoke_train_logs_no_auc_for_a_one_class_validation_slice(smoke, capsys):
+    """The smoke validation slice is two participants of one class, so there
+    is no validation AUC: the log leaves its cells empty and the summary says n/a."""
+    root, path = smoke
+    assert main(["train", str(path)]) == 0
+    assert "val auc n/a)" in capsys.readouterr().out
+    rows = (root / "training_log.csv").read_text().splitlines()
+    assert rows[0] == "epoch,train_loss,val_loss,val_auc" and len(rows) > 1
+    assert all(row.count(",") == 3 and row.endswith(",") for row in rows[1:])
 
 
 # ---------------------------------------------------------------------------

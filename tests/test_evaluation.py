@@ -1,13 +1,14 @@
 """Splitting, metrics, AUC agreement, and the experiment protocol."""
 
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alzdetect import synthgen
+from alzdetect import evaluation, synthgen
 from alzdetect.evaluation import (
     ABLATION_LABELS,
     ConfusionCounts,
@@ -29,7 +30,7 @@ from alzdetect.evaluation import (
     run_experiment,
     split,
 )
-from alzdetect.model import ModelConfig
+from alzdetect.model import VARIANTS, ModelConfig, ZeroClass
 from helpers import auc_trapezoid, make_instances
 
 # ---------------------------------------------------------------------------
@@ -325,11 +326,19 @@ def test_ablate_rows_and_dims():
     assert [r.feature_dim for r in results] == [3, 6, 5]
 
 
-def test_ablate_rejects_unknown_groups():
-    with pytest.raises(ValueError):
-        ablate(_data(), seeds=[0], groups=["typo"], base=TINY)
-    with pytest.raises(ValueError):
-        ablate(_data(), seeds=[0], groups=[], base=TINY)
+def test_run_experiment_checks_every_seed_before_any_fit():
+    """One AD participant among twelve: some seed leaves it out of the train
+    slice. C-LSTM uses no class weights, so nothing in fit would notice; the
+    run stops before the first seed is trained."""
+    data = [replace(inst, label=int(k == 0)) for k, inst in enumerate(_data(n=12))]
+    train_has_ad = [any(i.label for i in split(data, SplitSpec(seed=s))[0]) for s in range(20)]
+    good, bad = train_has_ad.index(True), train_has_ad.index(False)
+    spy = mock.Mock(wraps=evaluation.fit)
+    with mock.patch.object(evaluation, "fit", spy), \
+            pytest.raises(ZeroClass, match=f"seed {bad}: the train slice needs both classes, "
+                                           f"got ad=0 ct=9"):
+        run_experiment(data, replace(TINY, **VARIANTS["C-LSTM"]), seeds=[good, bad])
+    assert spy.call_count == 0
 
 
 def test_ablation_labels_cover_groups():

@@ -18,7 +18,6 @@ from alzdetect.lexical_features import (
     BadLexiconFile,
     DimensionMismatch,
     EmptyFile,
-    Lexicon,
     NonFiniteFeature,
     build_feature_vector,
     embed,
@@ -31,12 +30,11 @@ from alzdetect.lexical_features import (
 )
 from alzdetect.text_pipeline import (
     PAD_TOKEN,
-    PerceptronTaggerModel,
     TokenSequence,
     fix_length,
     tokenize,
 )
-from helpers import embedding_table, fixture_lexicons, reference_load_embeddings
+from helpers import dense_tagger, embedding_table, fixture_lexicons, reference_load_embeddings
 
 # ---------------------------------------------------------------------------
 # embeddings
@@ -47,7 +45,7 @@ def test_load_embeddings_basic(tmp_path):
     path.write_text("the 0.1 0.2\nboy 0.3 0.4\nthe 9.0 9.0\n")
     table = load_embeddings(path)
     assert table.dim == 2
-    assert len(table) == 2
+    assert len(table.rows) == 2
     assert "boy" in table and "girl" not in table
     # duplicates keep the first occurrence
     assert table.vectors[table.rows["the"]].tolist() == [0.1, 0.2]
@@ -208,30 +206,28 @@ def test_embed_stacks_rows():
 def test_load_lexicon_parses_header_and_entries(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_text("# range 1 5\nthe\t2.0\n\nboy\t4.5\n")
-    lex = load_lexicon(path, "x")
-    assert lex.declared_range == (1.0, 5.0)
-    assert lex.entries == {"the": 2.0, "boy": 4.5}
+    assert load_lexicon(path) == {"the": 2.0, "boy": 4.5}
 
 
 def test_load_lexicon_requires_range_header(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_text("the\t2.0\n")
     with pytest.raises(BadLexiconFile):
-        load_lexicon(path, "x")
+        load_lexicon(path)
 
 
 def test_load_lexicon_rejects_bad_score(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_text("# range 1 5\nthe\tabc\n")
     with pytest.raises(BadLexiconFile):
-        load_lexicon(path, "x")
+        load_lexicon(path)
 
 
 def test_load_lexicon_rejects_out_of_range_score(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_text("# range 1 5\nthe\t7.0\n")
     with pytest.raises(BadLexiconFile):
-        load_lexicon(path, "x")
+        load_lexicon(path)
 
 
 @pytest.mark.parametrize("text, needle", [
@@ -247,7 +243,7 @@ def test_load_lexicon_rejects_non_finite_values(tmp_path, text, needle):
     path = tmp_path / "x.tsv"
     path.write_text(text)
     with pytest.raises(BadLexiconFile, match=f"{path}{needle}"):
-        load_lexicon(path, "x")
+        load_lexicon(path)
 
 
 def test_load_lexicon_dir_requires_all_slots(tmp_path):
@@ -259,11 +255,10 @@ def test_load_lexicon_dir_requires_all_slots(tmp_path):
 def test_fixture_lexicons_cover_all_slots():
     lex = fixture_lexicons()
     assert set(lex) == set(LEXICON_SLOTS)
-    assert lex["aoa"].declared_range == (1.0, 10.0)
-    assert lex["concreteness"].declared_range == (1.0, 5.0)
-    assert lex["familiarity"].declared_range == (1.0, 7.0)
-    assert lex["imageability"].declared_range == (1.0, 7.0)
-    assert lex["sentiment"].declared_range == (-1.0, 1.0)
+    ranges = {"aoa": (1.0, 10.0), "concreteness": (1.0, 5.0), "familiarity": (1.0, 7.0),
+              "imageability": (1.0, 7.0), "sentiment": (-1.0, 1.0)}
+    for slot, (lo, hi) in ranges.items():
+        assert lex[slot] and all(lo <= v <= hi for v in lex[slot].values()), slot
 
 
 def test_fixture_anchor_scores_are_frozen():
@@ -274,7 +269,7 @@ def test_fixture_anchor_scores_are_frozen():
         "fell": (3.4, 3.4, 6.0, 4.2, -0.3),
     }
     for word, expected in anchors.items():
-        got = tuple(lex[slot].entries[word] for slot in LEXICON_SLOTS)
+        got = tuple(lex[slot][word] for slot in LEXICON_SLOTS)
         assert got == expected, word
 
 
@@ -282,8 +277,7 @@ def test_fixture_anchor_scores_are_frozen():
 # mean scores
 
 
-TOY = Lexicon(name="toy", entries={"the": 2.5, "boy": 3.2, "fell": 3.4},
-              declared_range=(1.0, 10.0))
+TOY = {"the": 2.5, "boy": 3.2, "fell": 3.4}
 
 
 def _means(seq):
@@ -395,7 +389,7 @@ def _table(dim=4):
 
 def test_encode_record_shapes_and_ids():
     inst = encode_record(_record(), _table(), fixture_lexicons(),
-                         PerceptronTaggerModel(), budget=10)
+                         dense_tagger({}), budget=10)
     assert inst.transcript_id == "t-0"
     assert inst.participant_id == "t"
     assert inst.embeddings.shape == (10, 4)
@@ -407,13 +401,13 @@ def test_encode_record_shapes_and_ids():
 
 def test_encode_record_control_label_is_zero():
     inst = encode_record(_record(Label.CT), _table(), fixture_lexicons(),
-                         PerceptronTaggerModel(), budget=10)
+                         dense_tagger({}), budget=10)
     assert inst.label == 0
 
 
 def test_encode_record_pad_rows():
     inst = encode_record(_record(), _table(), fixture_lexicons(),
-                         PerceptronTaggerModel(), budget=10)
+                         dense_tagger({}), budget=10)
     assert np.all(inst.embeddings[3:] == 0.0)          # pad embeddings are zero
     assert np.all(inst.pos_onehot[3:, 0] == 1.0)       # pad tag is column 0
 
@@ -424,13 +418,12 @@ def test_encode_corpus_preserves_order():
     recs = (_record(Label.AD), )
     corpus = Corpus(records=recs)
     out = encode_corpus(corpus, _table(), fixture_lexicons(),
-                        PerceptronTaggerModel(), budget=10)
+                        dense_tagger({}), budget=10)
     assert [i.transcript_id for i in out] == ["t-0"]
 
 
 def test_encode_record_rejects_an_overflowing_lexicon_mean():
     lexicons = dict(fixture_lexicons())
-    lexicons["aoa"] = Lexicon("aoa", {w: 1e308 for w in ("the", "boy", "fell")},
-                              (0.0, 1.7e308))
+    lexicons["aoa"] = {w: 1e308 for w in ("the", "boy", "fell")}
     with pytest.raises(NonFiniteFeature, match="transcript t-0: the aoa feature"):
-        encode_record(_record(), _table(), lexicons, PerceptronTaggerModel(), budget=10)
+        encode_record(_record(), _table(), lexicons, dense_tagger({}), budget=10)
