@@ -541,15 +541,15 @@ class Adam:
             raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}   # name -> (m, v)
 
     def step(self, params: list[Parameter]):
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p in params:
-            m = self._m.setdefault(p.name, np.zeros_like(p.data))
-            v = self._v.setdefault(p.name, np.zeros_like(p.data))
+            if p.name not in self._moments:
+                self._moments[p.name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+            m, v = self._moments[p.name]
             m[...] = b1 * m + (1 - b1) * p.grad
             v[...] = b2 * v + (1 - b2) * p.grad * p.grad
             mhat = m / (1 - b1 ** self.t)

@@ -3,8 +3,10 @@
 Only the subset of CHAT this project needs is handled: ``*TAG:`` main
 tiers with tab-indented continuations, ``@`` metadata lines (``@ID``
 carries demographics), and the inline annotation codes that appear in
-picture-description interviews. Unknown ``@`` headers are ignored;
-unknown bracket codes are deleted and tallied as warnings.
+picture-description interviews. Unknown ``@`` headers are ignored. A
+record keeps the participant's speech alone: only ``*PAR:`` tiers are
+normalized, and their unknown bracket codes are deleted and tallied as
+warnings; other speakers' tiers are scanned but not kept.
 """
 
 from __future__ import annotations
@@ -70,12 +72,6 @@ PARTICIPANT = "PAR"
 
 
 @dataclass(frozen=True)
-class Utterance:
-    speaker: str        # three-letter tier tag, e.g. PARTICIPANT
-    clean_text: str
-
-
-@dataclass(frozen=True)
 class Demographics:
     age: int | None  # None only when the source file omits it
     gender: Gender
@@ -89,7 +85,7 @@ class Demographics:
 class TranscriptRecord:
     transcript_id: str
     participant_id: str
-    utterances: tuple[Utterance, ...]
+    participant_text: str   # clean text of the *PAR: tiers, file order
     demographics: Demographics
     label: Label
     warnings: tuple[str, ...] = ()
@@ -203,65 +199,42 @@ def parse_chat_file(content: str, label: Label, transcript_id: str = "",
     """Parse one CHAT file into a TranscriptRecord.
 
     Main tiers are ``*TAG:<TAB>text`` with tab-indented continuation
-    lines; ``@`` lines are metadata. Dependent ``%`` tiers are skipped.
+    lines; ``@`` lines are metadata. Only ``*PAR:`` tiers are kept and
+    normalized, so ``warnings`` holds their unknown codes alone; other
+    main tiers and dependent ``%`` tiers are skipped.
     """
     demographics = Demographics(age=None, gender=Gender.UNKNOWN)
-    warnings: list[str] = []
-    tiers: list[tuple[str, str]] = []  # (speaker tag, joined raw body)
-
-    pending_tag: str | None = None
-    pending_body: list[str] = []
-
-    def flush():
-        nonlocal pending_tag
-        if pending_tag is not None:
-            tiers.append((pending_tag, " ".join(pending_body)))
-            pending_tag = None
-            pending_body.clear()
-
+    bodies: list[list[str]] = []   # the lines of each *PAR: tier, file order
+    body: list[str] | None = None  # the lines of the open *PAR: tier
     for line in content.splitlines():
         if not line.strip():
             continue
-        if line.startswith("\t") or line.startswith("    "):
-            if pending_tag is not None:
-                pending_body.append(line.strip())
+        if line.startswith(("\t", "    ")) or line[0] not in "@*%":
+            if body is not None:       # a continuation, indented or stray
+                body.append(line.strip())
             continue
-        if line.startswith("@"):
-            flush()
-            if ":" in line:
-                key, value = line[1:].split(":", 1)
-                if key.strip() == "ID":
-                    demo = _parse_id_header(value.strip())
-                    if demo is not None:
-                        demographics = demo
-            continue
-        if line.startswith("*"):
-            flush()
+        body = None
+        if line[0] == "*":
             m = _RE_TIER.match(line)
             if not m:
                 raise MalformedTier(f"bad tier line: {line.strip()!r}")
-            pending_tag = m.group(1)
-            pending_body.append(line[m.end():].strip())
-            continue
-        if line.startswith("%"):
-            flush()
-            continue
-        # stray non-tab-indented text: treat as continuation of the open tier
-        if pending_tag is not None:
-            pending_body.append(line.strip())
+            if m.group(1) == PARTICIPANT:
+                body = [line[m.end():].strip()]
+                bodies.append(body)
+        elif line[0] == "@" and ":" in line:
+            key, value = line[1:].split(":", 1)
+            if key.strip() == "ID":
+                demographics = _parse_id_header(value.strip()) or demographics
 
-    flush()
-
-    utterances = [Utterance(speaker=tag, clean_text=normalize_utterance(body, warnings))
-                  for tag, body in tiers]
-
-    if not any(u.speaker == PARTICIPANT for u in utterances):
+    if not bodies:
         raise MissingParticipantTier("no *PAR: tier in file")
+    warnings: list[str] = []
+    texts = [normalize_utterance(" ".join(lines), warnings) for lines in bodies]
 
     return TranscriptRecord(
         transcript_id=transcript_id,
         participant_id=participant_id,
-        utterances=tuple(utterances),
+        participant_text=" ".join(filter(None, texts)),
         demographics=demographics,
         label=label,
         warnings=tuple(warnings),
@@ -270,9 +243,7 @@ def parse_chat_file(content: str, label: Label, transcript_id: str = "",
 
 def extract_participant_text(record: TranscriptRecord) -> str:
     """Concatenated clean text of participant utterances, file order."""
-    parts = [u.clean_text for u in record.utterances
-             if u.speaker == PARTICIPANT and u.clean_text]
-    return " ".join(parts)
+    return record.participant_text
 
 
 def participant_word_count(record: TranscriptRecord) -> int:

@@ -201,7 +201,7 @@ def _cmd_eval(args) -> int:
         feature_dim=len(model.active_feature_indices(mcfg)))
     (out / "eval.csv").write_text(evaluation.results_csv([result]),
                                   encoding="utf-8")
-    if "auc" not in report.undefined:
+    if report.auc is not None:
         (out / "roc.csv").write_text(evaluation.roc_csv(labels, scores),
                                      encoding="utf-8")
     print(evaluation.format_table([result]), end="")

@@ -5,9 +5,11 @@ Each seed's corpus is split once (``seed_splits``), and every seed's
 train slice is checked for both classes before any model is fitted; the
 variants of a comparison and the rows of an ablation all train on those
 same slices. AUC is counted over positive/negative score pairs, ties
-counting half, as an integer numerator over 2·P·N. Metrics are averaged
-metric-by-metric across seeds; confusion counts are averaged the same
-way, which is why they are reals.
+counting half, as an integer numerator over 2·P·N; it is None, printed as
+an empty CSV cell and ``n/a`` in tables, when the scores are missing or
+hold one class. Metrics are averaged metric-by-metric across seeds (a
+mean over any None is None); confusion counts are averaged the same way,
+which is why they are reals.
 """
 
 from __future__ import annotations
@@ -129,9 +131,8 @@ class MetricsReport:
     precision: float
     recall: float
     f1: float
-    auc: float
+    auc: float | None   # None: no scores, or scores of one class
     counts: ConfusionCounts
-    undefined: tuple[str, ...] = ()
 
 
 def confusion(labels, predictions) -> ConfusionCounts:
@@ -189,33 +190,23 @@ def roc_points(labels, scores) -> list[tuple[float, float]]:
 def metrics(counts: ConfusionCounts, scores=None, labels=None) -> MetricsReport:
     """Threshold metrics from counts plus AUC from raw scores.
 
-    Zero-denominator metrics come back 0.0 and flagged; AUC on a
-    single-class score set is flagged the same way.
+    Zero-denominator metrics come back 0.0; AUC is None without scores or
+    on a single-class score set.
     """
-    undefined: list[str] = []
+    def ratio(num, den):
+        return num / den if den else 0.0
 
-    def ratio(num, den, name):
-        if den == 0:
-            undefined.append(name)
-            return 0.0
-        return num / den
-
-    accuracy = ratio(counts.tp + counts.tn, counts.total(), "accuracy")
-    precision = ratio(counts.tp, counts.tp + counts.fp, "precision")
-    recall = ratio(counts.tp, counts.tp + counts.fn, "recall")
-    f1 = ratio(2 * precision * recall, precision + recall, "f1")
-    auc = 0.0
-    if scores is None or labels is None:
-        undefined.append("auc")
-    else:
+    accuracy = ratio(counts.tp + counts.tn, counts.total())
+    precision = ratio(counts.tp, counts.tp + counts.fp)
+    recall = ratio(counts.tp, counts.tp + counts.fn)
+    f1 = ratio(2 * precision * recall, precision + recall)
+    auc = None
+    if scores is not None and labels is not None:
         y = np.asarray(labels)
         if 0 < np.sum(y == 1) < len(y):
             auc = auc_pair(labels, scores)
-        else:
-            undefined.append("auc")
     return MetricsReport(accuracy=accuracy, precision=precision, recall=recall,
-                         f1=f1, auc=auc, counts=counts,
-                         undefined=tuple(undefined))
+                         f1=f1, auc=auc, counts=counts)
 
 
 def evaluate_scores(labels, scores) -> MetricsReport:
@@ -236,7 +227,7 @@ class ExperimentResult:
     feature_dim: int
 
 
-def report_values(r: MetricsReport) -> tuple[float, ...]:
+def report_values(r: MetricsReport) -> tuple[float | None, ...]:
     """The nine report columns in CSV order: accuracy, precision, recall,
     f1, auc, tn, fp, fn, tp."""
     c = r.counts
@@ -245,11 +236,12 @@ def report_values(r: MetricsReport) -> tuple[float, ...]:
 
 def mean_report(reports: list[MetricsReport]) -> MetricsReport:
     """Arithmetic mean of every metric and every confusion count: each
-    column summed over the reports in order, then divided by their number."""
+    column summed over the reports in order, then divided by their number.
+    A column holding any None (an AUC not computed) averages to None."""
     n = len(reports)
-    means = [sum(column) / n for column in zip(*map(report_values, reports))]
-    return MetricsReport(*means[:5], counts=ConfusionCounts(*means[5:]),
-                         undefined=tuple(sorted({f for r in reports for f in r.undefined})))
+    means = [None if None in column else sum(column) / n
+             for column in zip(*map(report_values, reports))]
+    return MetricsReport(*means[:5], counts=ConfusionCounts(*means[5:]))
 
 
 def _run(splits: list[tuple[int, list, list, list]], config: ModelConfig,
@@ -307,7 +299,9 @@ _CSV_HEADER = "variant,seed,accuracy,precision,recall,f1,auc,tn,fp,fn,tp,feature
 
 
 def _csv_row(variant: str, seed: str, r: MetricsReport, feature_dim: int) -> str:
-    return ",".join([variant, seed, *(f"{v:.6f}" for v in report_values(r)), str(feature_dim)])
+    """The AUC cell is empty where none was computed."""
+    return ",".join([variant, seed, *("" if v is None else f"{v:.6f}" for v in report_values(r)),
+                     str(feature_dim)])
 
 
 def results_csv(results: list[ExperimentResult]) -> str:
@@ -340,6 +334,6 @@ def format_table(results: list[ExperimentResult]) -> str:
     rows = [["Variant", "Acc", "Prec", "Rec", "F1", "AUC", "TN", "FP", "FN", "TP"]]
     for res in results:
         values = report_values(res.mean)
-        rows.append([res.variant] + [f"{v:.4f}" for v in values[:5]] +
+        rows.append([res.variant] + ["n/a" if v is None else f"{v:.4f}" for v in values[:5]] +
                     [f"{c:.1f}" for c in values[5:]])
     return align(rows) + "\n"

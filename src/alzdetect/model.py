@@ -191,10 +191,10 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Para
 # forward graph
 
 def _stack_instances(config: ModelConfig, instances) -> tuple[np.ndarray, ...]:
-    emb = np.stack([i.embeddings for i in instances]).astype(np.float64)
-    pos = np.stack([i.pos_onehot for i in instances]).astype(np.float64)
-    feats = np.stack([i.features for i in instances]).astype(np.float64)
-    mask = np.stack([i.mask for i in instances]).astype(np.float64)
+    emb = np.stack([i.embeddings for i in instances], dtype=np.float64)
+    pos = np.stack([i.pos_onehot for i in instances], dtype=np.float64)
+    feats = np.stack([i.features for i in instances], dtype=np.float64)
+    mask = np.stack([i.mask for i in instances], dtype=np.float64)
     labels = np.array([i.label for i in instances], dtype=np.float64)
     if emb.shape[1:] != (config.seq_len, config.embed_dim):
         raise ShapeMismatch(f"embeddings {emb.shape[1:]} vs config "
@@ -394,8 +394,6 @@ def fit(config: ModelConfig, train: list[EncodedInstance],
 def predict(params: dict[str, Parameter], config: ModelConfig,
             instances: list[EncodedInstance]) -> np.ndarray:
     """Evaluation-mode probabilities, batched; dropout off."""
-    if not instances:
-        return np.zeros(0)
     out = np.empty(len(instances))
     for lo in range(0, len(instances), config.batch_size):
         batch = instances[lo:lo + config.batch_size]

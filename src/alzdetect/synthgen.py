@@ -124,6 +124,12 @@ class SynthConfig:
         for rate in (self.filler_rate_ad, self.filler_rate_ct):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("filler rates must be in [0, 1]")
+        spreads = (self.length_sd, self.age_sd)
+        if not np.all(np.isfinite((self.mean_length_ad, self.mean_length_ct,
+                                   self.mean_age_ad, self.mean_age_ct, *spreads))):
+            raise ValueError("mean lengths, mean ages and their spreads must be finite")
+        if min(*spreads, self.seed) < 0:
+            raise ValueError("length_sd, age_sd and seed must be >= 0")
         if min(self.mean_length_ad, self.mean_length_ct) < 5:
             raise ValueError("mean lengths must be >= 5")
         if min(self.mean_age_ad, self.mean_age_ct) <= 0:

@@ -1,6 +1,8 @@
 """Engine tests: forward values against hand-worked examples, backward
 values against the finite-difference oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,17 @@ def test_adam_bias_correction_second_step():
         opt.step([p])
         p.zero_grad()
     np.testing.assert_allclose(-p.data, 0.02, rtol=1e-3)
+
+
+def test_adam_allocates_its_moments_once_per_parameter():
+    params = [Parameter(np.zeros((2, 3)), "w"), Parameter(np.zeros(3), "b")]
+    opt = Adam(0.01)
+    with mock.patch.object(np, "zeros_like", wraps=np.zeros_like) as zeros_like:
+        for _ in range(3):
+            for p in params:
+                p.grad[...] = 1.0
+            opt.step(params)
+    assert zeros_like.call_count == 2 * len(params)     # m and v, on the first step
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from alzdetect.chat_corpus import (
     MalformedTier,
     MissingParticipantTier,
     TranscriptRecord,
-    Utterance,
     corpus_stats,
     extract_participant_text,
     load_corpus,
@@ -149,25 +148,30 @@ def test_sample_file_tier_assembly():
     assert rec.transcript_id == "001-0"
     assert rec.participant_id == "001"
     assert rec.label is Label.AD
-    tags = [u.speaker for u in rec.utterances]
-    assert tags == ["INV", "PAR", "PAR", "PAR"]
+    # the *INV: tier is not kept; the continuation line joins its *PAR: tier
+    assert "how are you" not in rec.participant_text
+    assert "fell down and hurt himself . she was" in rec.participant_text
 
 
 def test_sample_file_clean_text():
     rec = parse_chat_file(SAMPLE, Label.AD)
-    cleans = [u.clean_text for u in rec.utterances if u.speaker == "PAR"]
-    assert cleans == [
+    assert rec.participant_text == " ".join([
         "well I'm uh fine .",
         "the boy the boy fell down and hurt himself .",
         "she was going to leave .",
-    ]
-    assert extract_participant_text(rec) == " ".join(cleans)
+    ])
+    assert extract_participant_text(rec) == rec.participant_text
 
 
 def test_continuation_line_with_spaces():
     content = "*PAR:\tthe boy\n    fell down .\n"
     rec = parse_chat_file(content, Label.CT)
-    assert rec.utterances[0].clean_text == "the boy fell down ."
+    assert rec.participant_text == "the boy fell down ."
+
+
+def test_continuation_of_another_speaker_is_not_kept():
+    content = "*PAR:\tthe boy .\n*INV:\tand\n\tthen ?\nstray\n*PAR:\tfell .\n"
+    assert extract_participant_text(parse_chat_file(content, Label.CT)) == "the boy . fell ."
 
 
 def test_demographics_from_participant_id_row_only():
@@ -225,10 +229,17 @@ def test_unknown_bracket_lands_in_record_warnings():
     assert rec.warnings == ("[?odd]",)
 
 
+def test_unknown_bracket_of_another_speaker_is_not_a_warning():
+    """Only the *PAR: tiers the model reads are normalized and warned about."""
+    rec = parse_chat_file("*INV:\twhat [?inv] is it ?\n*PAR:\tthe [?par] boy .\n", Label.AD)
+    assert rec.warnings == ("[?par]",)
+    assert rec.participant_text == "the boy ."
+
+
 def test_dependent_tiers_are_skipped():
     content = "*PAR:\tthe boy .\n%mor:\tdet|the n|boy\n%gra:\t1|2|DET\n"
     rec = parse_chat_file(content, Label.CT)
-    assert len(rec.utterances) == 1
+    assert rec.participant_text == "the boy ."
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +287,9 @@ def test_word_count_skips_punctuation_tokens():
 
 
 def _record(pid, label, words):
-    utt = Utterance("PAR", " ".join(words))
     return TranscriptRecord(
         transcript_id=f"{pid}-{len(words)}", participant_id=pid,
-        utterances=(utt,), demographics=Demographics(70, Gender.FEMALE),
+        participant_text=" ".join(words), demographics=Demographics(70, Gender.FEMALE),
         label=label)
 
 

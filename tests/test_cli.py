@@ -815,6 +815,45 @@ def test_smoke_train_logs_no_auc_for_a_one_class_validation_slice(smoke, capsys)
     assert all(row.count(",") == 3 and row.endswith(",") for row in rows[1:])
 
 
+def _smoke_config(smoke, tmp_path, seeds):
+    """The smoke config with its own ``seeds`` and output directory."""
+    _, path = smoke
+    config = {**yaml.safe_load(path.read_text()), "seeds": seeds, "output_dir": str(tmp_path)}
+    path = tmp_path / "smoke.yaml"
+    path.write_text(yaml.safe_dump(config))
+    return path
+
+
+def test_smoke_compare_reports_no_auc_for_a_one_class_test_slice(smoke, tmp_path, capsys):
+    """Seed 2's smoke test slice holds one class, so it has no AUC: its rows
+    and the mean rows leave the AUC cell empty and the table prints n/a,
+    where seed 0's rows still carry a number."""
+    assert main(["compare", str(_smoke_config(smoke, tmp_path, [0, 2]))]) == 0
+    table = capsys.readouterr().out.splitlines()
+    rows = [row.split(",") for row in (tmp_path / "compare.csv").read_text().splitlines()]
+    auc = rows[0].index("auc")
+    by_seed = {seed: [row[auc] for row in rows[1:] if row[1] == seed]
+               for seed in ("0", "2", "mean")}
+    assert all(by_seed["0"]) and len(by_seed["0"]) == len(model.VARIANTS)
+    assert by_seed["2"] == by_seed["mean"] == [""] * len(model.VARIANTS)
+    assert all(line.split()[5] == "n/a" for line in table[1:1 + len(model.VARIANTS)])
+
+
+def test_smoke_eval_of_a_one_class_test_slice_writes_no_auc_and_no_roc(smoke, tmp_path,
+                                                                       capsys):
+    """Seed 2's test slice is all AD: `eval` leaves the AUC cells empty and
+    writes no ROC curve."""
+    model_path = tmp_path / "model.bin"
+    save_edited_model(SAVED, model_path, lambda t: None)    # 8-d, as the smoke embeddings
+    assert main(["eval", str(_smoke_config(smoke, tmp_path, [2])),
+                 "--model", str(model_path)]) == 0
+    assert " n/a " in capsys.readouterr().out
+    rows = [row.split(",") for row in (tmp_path / "eval.csv").read_text().splitlines()]
+    auc = rows[0].index("auc")
+    assert [row[auc] for row in rows[1:]] == ["", ""]
+    assert not (tmp_path / "roc.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # property: no bad config value or corrupt input file ends in a traceback
 
@@ -872,6 +911,17 @@ _BAD_VALUES = {
         [-0.01, 0.92, float("nan"), _NOT_A_FLOAT])),
     ("split", "val_fraction"): st.one_of(_wrong_type(int, float), st.sampled_from(
         [-0.01, 0.2, float("nan"), _NOT_A_FLOAT])),
+    **{("synth", k): st.one_of(_wrong_type(int, float), st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), -1.0, _NOT_A_FLOAT]))
+       for k in ("mean_length_ad", "mean_length_ct", "length_sd",
+                 "mean_age_ad", "mean_age_ct", "age_sd")},
+    **{("synth", k): st.one_of(_wrong_type(int, float), st.sampled_from(
+        [-0.1, 1.5, float("nan"), _NOT_A_FLOAT]))
+       for k in ("ad_fraction", "filler_rate_ad", "filler_rate_ct")},
+    **{("synth", k): st.one_of(_wrong_type(int), st.sampled_from([-1, 0]))
+       for k in ("n_participants", "transcripts_per_participant", "embed_dim")},
+    ("synth", "seed"): st.one_of(_wrong_type(int), st.sampled_from([-1, -(10**30)])),
+    ("synth", "vocab"): st.integers(0, 64),
 }
 _CONFIG_CASES = st.sampled_from(sorted(_BAD_VALUES)).flatmap(
     lambda key: st.tuples(st.just("config"), st.just(key[0]), st.just(key[1]),
@@ -901,6 +951,11 @@ _PINNED = [
     ("config", "model", "learning_rate", _NOT_A_FLOAT),
     ("config", "split", "test_fraction", 0.1),
     ("config", "split", "unit", "transcript"),
+    ("config", "synth", "length_sd", -1.0),
+    ("config", "synth", "age_sd", -2.0),
+    ("config", "synth", "mean_length_ct", float("nan")),
+    ("config", "synth", "mean_length_ad", float("inf")),
+    ("config", "synth", "seed", -1),
     *[("file", "model", "predict", edit) for edit in _HEADER_EDITS.values()],
     *[("file", "transcript", "train", edit) for edit, _ in _TRANSCRIPT_EDITS.values()],
     ("layout", "ad"),
@@ -914,11 +969,12 @@ def _config_case_argv(tmp, workspace, section, key, value):
     written = "NOT-UTF8" if value == _NOT_UTF8 else value
     overrides = ({key: written} if section == "top" else
                  {"model": {**MODEL_SECTION, key: written}} if section == "model" else
+                 {"synth": {**SYNTH_SECTION, key: written}} if section == "synth" else
                  {"split": {key: written}})
     cfg = _bad_input_config(tmp, workspace, **overrides)
     if value == _NOT_UTF8:
         cfg.write_bytes(cfg.read_bytes().replace(b"NOT-UTF8", _NOT_UTF8))
-    return ["train", str(cfg)]
+    return ["synth" if section == "synth" else "train", str(cfg)]
 
 
 def _layout_case_argv(tmp, workspace, dropped):
@@ -970,9 +1026,10 @@ def _with_examples(cases):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(case=st.one_of(_CONFIG_CASES, _FILE_CASES, _LAYOUT_CASES))
 def test_bad_input_never_ends_in_a_traceback(workspace, case):
-    """(a) One invalid config value stops `train` before training, with exit 1
-    or 2 and one error line. (b) One corrupt input file does the same, or
-    leaves the file valid: `train` then reaches `model.fit`, `predict` exits 0.
+    """(a) One invalid config value stops `train` before training, or `synth`
+    before it writes a transcript, with exit 1 or 2 and one error line.
+    (b) One corrupt input file does the same, or leaves the file valid:
+    `train` then reaches `model.fit`, `predict` exits 0.
     (c) A corpus without its ad/ or its ct/ directory stops `train` with exit 2."""
     make_argv = {"config": _config_case_argv, "file": _file_case_argv,
                  "layout": _layout_case_argv}[case[0]]

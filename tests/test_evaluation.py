@@ -174,21 +174,20 @@ def test_metrics_hand_example():
     assert rep.precision == pytest.approx(4 / 5)
     assert rep.recall == pytest.approx(4 / 6)
     assert rep.f1 == pytest.approx(2 * (4 / 5) * (4 / 6) / (4 / 5 + 4 / 6))
-    assert rep.undefined == ("auc",)   # no scores supplied
+    assert rep.auc is None   # no scores supplied
 
 
-def test_metrics_zero_denominators_are_flagged():
+def test_metrics_zero_denominators_are_zero():
     rep = metrics(ConfusionCounts(tn=5, fp=0, fn=0, tp=0))
     assert rep.accuracy == 1.0
     assert rep.precision == 0.0 and rep.recall == 0.0 and rep.f1 == 0.0
-    assert set(rep.undefined) == {"precision", "recall", "f1", "auc"}
+    assert rep.auc is None
 
 
-def test_metrics_single_class_auc_is_flagged():
+def test_metrics_single_class_auc_is_none():
     rep = metrics(ConfusionCounts(tn=0, fp=0, fn=1, tp=1),
                   scores=[0.9, 0.8], labels=[1, 1])
-    assert rep.auc == 0.0
-    assert "auc" in rep.undefined
+    assert rep.auc is None
 
 
 def test_evaluate_scores_end_to_end():
@@ -196,7 +195,6 @@ def test_evaluate_scores_end_to_end():
     assert rep.counts == ConfusionCounts(tn=1.0, fp=1.0, fn=1.0, tp=1.0)
     assert rep.accuracy == 0.5
     assert rep.auc == pytest.approx(6 / 8)
-    assert rep.undefined == ()
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +267,19 @@ def test_mean_report_averages_everything():
     assert mean.accuracy == pytest.approx((r1.accuracy + r2.accuracy) / 2)
     assert mean.auc == pytest.approx((1.0 + 0.0) / 2)
     assert mean.counts == ConfusionCounts(tn=3.0, fp=1.0, fn=1.5, tp=4.5)
-    assert mean.undefined == ()
 
 
-def test_mean_report_unions_flags():
+def test_mean_report_of_a_missing_auc_is_none():
+    """An AUC that was never computed is not averaged in as 0.0: the mean
+    AUC is None, and every other column is still the plain mean."""
     r1 = metrics(ConfusionCounts(tn=5, fp=0, fn=0, tp=0))
     r2 = metrics(ConfusionCounts(tn=1, fp=1, fn=1, tp=1), [0.9, 0.1, 0.8, 0.2],
                  [1, 0, 1, 0])
-    assert mean_report([r1, r2]).undefined == ("auc", "f1", "precision", "recall")
+    assert r1.auc is None and r2.auc == 1.0
+    mean = mean_report([r1, r2])
+    assert mean.auc is None
+    assert mean.accuracy == (r1.accuracy + r2.accuracy) / 2
+    assert mean.precision == (0.0 + 0.5) / 2
 
 
 # ---------------------------------------------------------------------------
