@@ -7,6 +7,11 @@ into the ``grad`` field of every leaf tensor that contributed to the loss.
 Constants (data such as the inputs) take no gradient, and an op output's
 gradient is dropped as soon as its own rule has read it.
 
+Backward rules may spend what their op saved: ``lstm`` writes its gate
+gradients over its saved gate activations, so a tape can be replayed once
+only. Intermediates that are cheap to rebuild are rebuilt in backward
+instead of being kept from the forward pass (``conv1d``'s im2col matrix).
+
 The operation set is intentionally small: exactly what a conv / LSTM /
 attention / dense classifier graph needs. Broadcasting is supported only
 to the extent numpy allows it for add/mul (bias vectors, scalar factors,
@@ -28,6 +33,10 @@ class NonFiniteValue(FloatingPointError):
 
 class NotScalarLoss(ValueError):
     """backward() was asked to differentiate a non-scalar tensor."""
+
+
+class SpentTape(RuntimeError):
+    """backward() was asked to replay a tape it has already run."""
 
 
 class Tensor:
@@ -83,6 +92,7 @@ class Tape:
 
     def __init__(self):
         self.records: list[tuple[Tensor, object]] = []
+        self.spent = False           # set by backward: the rules may overwrite their saves
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -367,11 +377,29 @@ def softmax(x: Tensor, axis: int, mask: np.ndarray) -> Tensor:
 # sequence primitives
 
 
+def _im2col(x: np.ndarray, w: int) -> np.ndarray:
+    """[B, T, C] -> [B·T, w·C]: row (b, t) holds x[b, t - w//2 : t + w//2 + 1],
+    zeros past either end of the sequence, so the convolution is one matmul."""
+    b, t, c = x.shape
+    cols = np.empty((b, t, w, c))
+    for j in range(w):
+        shift = j - w // 2
+        # output steps lo..hi-1 read x[lo + shift : hi + shift]; the rest are zeros
+        lo = min(max(0, -shift), t)
+        hi = max(min(t, t - shift), lo)
+        cols[:, :lo, j] = 0.0
+        cols[:, hi:, j] = 0.0
+        cols[:, lo:hi, j] = x[:, lo + shift:hi + shift]
+    return cols.reshape(b * t, w * c)
+
+
 def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """1-D convolution over the time axis with same-zero-padding.
 
     ``x`` is [B, T, C]; ``kernels`` is [F, w, C] with odd width ``w``. The
-    output [B, T, F] has the same time length as the input.
+    output [B, T, F] has the same time length as the input. The [B·T, w·C]
+    im2col matrix is built without a padded copy of ``x``, and backward
+    rebuilds it from ``x`` rather than keeping it alive across the tape.
     """
     if kernels.data.ndim != 3:
         raise ShapeMismatch("conv1d kernels must be [F, w, C]")
@@ -383,19 +411,12 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
 
     b, t, _ = x.shape
     half = w // 2
-    pad = np.zeros((b, t + 2 * half, c))
-    pad[:, half:half + t, :] = x.data
-    # im2col: [B*T, w*C] so the convolution is one matmul
-    cols = np.empty((b, t, w * c))
-    for j in range(w):
-        cols[:, :, j * c:(j + 1) * c] = pad[:, j:j + t, :]
     kmat = kernels.data.reshape(nf, w * c).T  # [w*C, F]
-    out = cols.reshape(b * t, w * c) @ kmat
-    out = out.reshape(b, t, nf)
+    out = (_im2col(x.data, w) @ kmat).reshape(b, t, nf)
 
     def bw(g):
         gflat = g.reshape(b * t, nf)
-        _accum(kernels, (gflat.T @ cols.reshape(b * t, w * c)).reshape(nf, w, c))
+        _accum(kernels, (gflat.T @ _im2col(x.data, w)).reshape(nf, w, c))
         if isinstance(x, Constant):
             return
         dcols = (gflat @ kmat.T).reshape(b, t, w * c)
@@ -417,8 +438,10 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
     [B, T] is 0 the row keeps its previous h and cell, so the h at the last
     real timestep is the direction's final state. A timestep that is a pad
     in every row computes nothing in either pass; the state and its gradient
-    carry over it. Backward is hand-written BPTT: one reverse pass over the
-    saved gates, then one GEMM each for the weight and input gradients.
+    carry over it. The output is a [B, T, H] view of the saved states, not
+    a copy. Backward is hand-written BPTT: one reverse pass over the saved
+    gates, writing each step's four gate gradients over that step's spent
+    activations, then one GEMM each for the weight and input gradients.
     """
     if seq.data.ndim != 3 or wx.data.ndim != 2 or wh.data.ndim != 2:
         raise ShapeMismatch("lstm expects seq [B, T, C], wx [C, 4H], wh [H, 4H]")
@@ -467,12 +490,11 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
                 cell *= keep
                 cell += hold * cs[k]
     _check_finite(cs, "lstm")
-    out = hs[:0:-1] if reverse else hs[1:]
-    data = np.ascontiguousarray(out.transpose(1, 0, 2))
+    data = (hs[:0:-1] if reverse else hs[1:]).transpose(1, 0, 2)
 
     def bw(g):
         g_steps = g[:, ::-1] if reverse else g
-        dz = np.empty_like(acts)
+        dz = acts                                # step k's gate gradients replace its gates
         dh = np.zeros((nb, hidden))
         dc = np.zeros((nb, hidden))
         for k in range(nt - 1, -1, -1):
@@ -489,13 +511,14 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
                 keep, hold = keeps[:, k:k + 1], holds[:, k:k + 1]
                 dh_new, dc_new, dh, dc = keep * dh, keep * dc, hold * dh, hold * dc
             dc_new = dc_new + dh_new * o_g * (1.0 - tanh_c[k] * tanh_c[k])
-            d = dz[k]
-            d[:, :hidden] = dc_new * c_g * i_g * (1.0 - i_g)
-            d[:, hidden:h2] = dc_new * cs[k] * f_g * (1.0 - f_g)
-            d[:, h2:h3] = dc_new * i_g * (1.0 - c_g * c_g)
-            d[:, h3:] = dh_new * tanh_c[k] * o_g * (1.0 - o_g)
-            dh = dh + d @ wh.data.T
+            # every read of the gates comes before the first write over them
+            d_i = dc_new * c_g * i_g * (1.0 - i_g)
+            d_f = dc_new * cs[k] * f_g * (1.0 - f_g)
+            d_c = dc_new * i_g * (1.0 - c_g * c_g)
+            d_o = dh_new * tanh_c[k] * o_g * (1.0 - o_g)
             dc = dc + dc_new * f_g
+            a[:, :hidden], a[:, hidden:h2], a[:, h2:h3], a[:, h3:] = d_i, d_f, d_c, d_o
+            dh = dh + a @ wh.data.T
         dz_flat = dz.reshape(nt * nb, 4 * hidden)
         _accum(wh, hs[:-1].reshape(nt * nb, hidden).T @ dz_flat)
         _accum(b, dz_flat.sum(axis=0))
@@ -516,12 +539,17 @@ def backward(tape: Tape, loss: Tensor):
     Parameters and non-constant leaves keep their gradients. An op
     output's gradient is dropped (set to None) once its own rule has run:
     every consumer was recorded later, so nothing reads it again. The
-    records themselves stay on the tape. Tensors the loss never touched
-    keep whatever gradient they already had (zeros, for freshly created or
-    zeroed Parameters).
+    records themselves stay on the tape, but a tape runs backward once:
+    rules may overwrite what their op saved (``lstm`` its gates), so a
+    second pass raises ``SpentTape`` instead of giving wrong gradients.
+    Tensors the loss never touched keep whatever gradient they already had
+    (zeros, for freshly created or zeroed Parameters).
     """
     if loss.data.shape != ():
         raise NotScalarLoss(f"loss has shape {loss.data.shape}, expected scalar")
+    if tape.spent:
+        raise SpentTape("this tape has already run backward; record the forward pass again")
+    tape.spent = True
     loss.grad = np.ones(())
     for out_t, bw in reversed(tape.records):
         if out_t.grad is None:

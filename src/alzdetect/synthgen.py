@@ -26,6 +26,13 @@ from .chat_corpus import Corpus, load_corpus, write_manifest
 
 EMBED_SCALE = 0.3
 
+# Size bounds far above the paper's DementiaBank corpus (hundreds of
+# participants, transcripts of about 100 words, 300-d vectors). Past them a
+# run would not finish or would not fit in memory, so the config is refused.
+MAX_TRANSCRIPTS = 100_000
+MAX_WORDS = 10_000
+MAX_EMBED_DIM = 10_000
+
 LEXICON_RANGES = {
     "aoa": (1.0, 10.0),
     "concreteness": (1.0, 5.0),
@@ -119,6 +126,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_participants < 2 or self.transcripts_per_participant < 1:
             raise ValueError("need >= 2 participants and >= 1 transcript each")
+        if self.n_participants * self.transcripts_per_participant > MAX_TRANSCRIPTS:
+            raise ValueError(f"n_participants * transcripts_per_participant must be at most "
+                             f"{MAX_TRANSCRIPTS:,}")
         if not 0.0 < self.ad_fraction < 1.0:
             raise ValueError("ad_fraction must be in (0, 1)")
         for rate in (self.filler_rate_ad, self.filler_rate_ct):
@@ -132,10 +142,12 @@ class SynthConfig:
             raise ValueError("length_sd, age_sd and seed must be >= 0")
         if min(self.mean_length_ad, self.mean_length_ct) < 5:
             raise ValueError("mean lengths must be >= 5")
+        if max(self.mean_length_ad, self.mean_length_ct, self.length_sd) > MAX_WORDS:
+            raise ValueError(f"mean lengths and length_sd must be at most {MAX_WORDS:,} words")
         if min(self.mean_age_ad, self.mean_age_ct) <= 0:
             raise ValueError("mean ages must be > 0")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
+        if not 1 <= self.embed_dim <= MAX_EMBED_DIM:
+            raise ValueError(f"embed_dim must be in [1, {MAX_EMBED_DIM:,}]")
         if not self.vocab:
             raise ValueError("vocab must be non-empty")
 

@@ -1,6 +1,7 @@
 """Engine tests: forward values against hand-worked examples, backward
 values against the finite-difference oracle."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from alzdetect.autodiff import (
     NotScalarLoss,
     Parameter,
     ShapeMismatch,
+    SpentTape,
     Tape,
     backward,
     constant,
@@ -49,6 +51,20 @@ def test_conv1d_preserves_time_length_any_odd_width():
         x = constant(rng.standard_normal((1, 9, 2)))
         k = constant(rng.standard_normal((4, w, 2)))
         assert ad.conv1d(x, k).shape == (1, 9, 4)
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+@pytest.mark.parametrize("w", [1, 3, 5, 7, 9])
+def test_conv1d_matches_zero_padded_im2col_bitwise(t, w):
+    """Also where the kernel is wider than the sequence."""
+    rng = np.random.default_rng(t * 10 + w)
+    x = rng.standard_normal((3, t, 2))
+    k = rng.standard_normal((4, w, 2))
+    half = w // 2
+    pad = np.pad(x, ((0, 0), (half, half), (0, 0)))
+    cols = np.concatenate([pad[:, j:j + t] for j in range(w)], axis=2).reshape(3 * t, w * 2)
+    expected = (cols @ k.reshape(4, w * 2).T).reshape(3, t, 4)
+    np.testing.assert_array_equal(ad.conv1d(constant(x), constant(k)).data, expected)
 
 
 def test_conv1d_rejects_even_width():
@@ -149,6 +165,22 @@ def test_backward_keeps_gradients_only_on_parameters():
     x_param = Parameter(data, "x")
     assert step(x_param) == grads
     assert np.any(x_param.grad != 0.0)
+
+
+def test_backward_refuses_a_spent_tape():
+    rng = np.random.default_rng(23)
+    seq = constant(rng.standard_normal((3, 7, 4)))
+    wx, wh, b = _lstm_params(rng)
+    with Tape() as tape:
+        loss = ad.sum_(ad.lstm(seq, wx, wh, b, LSTM_PAD_MASK))
+        backward(tape, loss)
+        grads = [p.grad.copy() for p in (wx, wh, b)]
+        recorded = len(tape)
+        with pytest.raises(SpentTape):
+            backward(tape, loss)
+    assert len(tape) == recorded == 2
+    for p, g in zip((wx, wh, b), grads):
+        np.testing.assert_array_equal(p.grad, g)
 
 
 def test_clip_zero_gradient_outside_bounds():
@@ -387,6 +419,79 @@ def test_lstm_non_finite_preactivation_raises():
     wh.data[...] = 1e308     # h is 0 at the first step, so the overflow comes later
     with pytest.raises(NonFiniteValue, match="lstm"):
         ad.lstm(seq, wx, wh, b, LSTM_PAD_MASK)
+
+
+# ---------------------------------------------------------------------------
+# memory: what a taped op keeps for backward, and what its backward allocates
+
+F64 = 8
+
+
+def _traced_bytes(run):
+    """Bytes that ``run()`` leaves allocated, and its peak above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kept = run()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return now - start, peak - start
+
+
+def test_taped_conv1d_keeps_no_im2col_matrix():
+    b, t, c, w, nf = 4, 50, 40, 5, 2
+    rng = np.random.default_rng(24)
+    x = constant(rng.standard_normal((b, t, c)))
+    k = _param(rng, nf, w, c, name="k")
+
+    def run():
+        with Tape() as tape:
+            out = ad.conv1d(x, k)
+        return tape, out
+
+    kept, _ = _traced_bytes(run)
+    im2col = b * t * w * c * F64
+    assert kept < b * t * nf * F64 + im2col // 4, (kept, im2col)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_taped_lstm_output_is_a_view_of_its_saved_states(reverse):
+    nb, nt, c, hidden = 4, 30, 3, 32
+    rng = np.random.default_rng(25)
+    seq = constant(rng.standard_normal((nb, nt, c)))
+    params = _lstm_params(rng, c=c, hidden=hidden)
+    mask = np.ones((nb, nt))
+    mask[1, 10:14] = 0.0
+
+    def run():
+        with Tape() as tape:
+            out = ad.lstm(seq, *params, mask, reverse=reverse)
+        return tape, out
+
+    kept, _ = _traced_bytes(run)
+    # h and c for T + 1 states, four gates and tanh(c) for T steps
+    saved = (2 * (nt + 1) + 4 * nt + nt) * nb * hidden * F64
+    output = nb * nt * hidden * F64
+    assert kept < saved + output // 2, (kept, saved, output)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_backward_allocates_no_gate_gradient_array(reverse):
+    nb, nt, c, hidden = 8, 40, 2, 16
+    rng = np.random.default_rng(26)
+    seq = constant(rng.standard_normal((nb, nt, c)))
+    params = _lstm_params(rng, c=c, hidden=hidden)
+    mask = np.ones((nb, nt))
+    mask[2, 5:9] = 0.0
+    with Tape() as tape:
+        loss = ad.sum_(ad.lstm(seq, *params, mask, reverse=reverse))
+        _, peak = _traced_bytes(lambda: backward(tape, loss))
+    gates = nt * nb * 4 * hidden * F64
+    # one batch-major copy of the gate gradients feeds the wx and input
+    # GEMMs; half of one more covers the output gradient and the weights'
+    assert peak < gates + gates // 2, (peak, gates)
 
 
 # ---------------------------------------------------------------------------

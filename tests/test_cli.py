@@ -283,6 +283,21 @@ def test_output_dir_that_is_a_file_is_data_error(tmp_path, workspace, capsys, co
     _assert_data_error([command, str(cfg)], capsys, str(taken))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mean_length_ct", 1.0e300), ("length_sd", 1.0e300), ("n_participants", 10**20),
+    ("transcripts_per_participant", 10**20), ("embed_dim", 10**8)])
+def test_synth_sizes_past_their_bounds_stop_before_anything_is_written(
+        tmp_path, workspace, capsys, key, value):
+    out = tmp_path / "out"
+    cfg = _bad_input_config(tmp_path, workspace, output_dir=str(out),
+                            synth={**SYNTH_SECTION, key: value})
+    assert main(["synth", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "at most" in err or "embed_dim must be in" in err
+    assert not out.exists()
+
+
 def test_lexicons_path_that_is_a_file_names_the_lexicon_it_opened(tmp_path, workspace,
                                                                   capsys):
     taken = tmp_path / "taken"

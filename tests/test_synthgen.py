@@ -8,6 +8,9 @@ from alzdetect.lexical_features import load_embeddings, load_lexicon_dir
 from alzdetect.synthgen import (
     DEFAULT_VOCAB,
     FILLER_VOCAB,
+    MAX_EMBED_DIM,
+    MAX_TRANSCRIPTS,
+    MAX_WORDS,
     SynthConfig,
     generate,
     null_signal_config,
@@ -29,6 +32,21 @@ def test_config_validation():
         SynthConfig(mean_length_ad=2.0)
     with pytest.raises(ValueError):
         SynthConfig(vocab=())
+
+
+@pytest.mark.parametrize("sizes", [
+    dict(mean_length_ct=1.0e300), dict(length_sd=1.0e300), dict(n_participants=10**20),
+    dict(n_participants=MAX_TRANSCRIPTS // 2 + 1, transcripts_per_participant=2),
+    dict(embed_dim=10**8)])
+def test_sizes_past_their_bounds_are_refused(sizes):
+    with pytest.raises(ValueError, match="at most|embed_dim must be in"):
+        SynthConfig(**sizes)
+
+
+def test_sizes_at_their_bounds_are_accepted():
+    SynthConfig(n_participants=MAX_TRANSCRIPTS // 2, transcripts_per_participant=2,
+                mean_length_ad=MAX_WORDS, mean_length_ct=MAX_WORDS, length_sd=MAX_WORDS,
+                embed_dim=MAX_EMBED_DIM)
 
 
 def test_null_config_has_no_class_signal():
