@@ -122,23 +122,33 @@ _RE_MARKER = re.compile(r"[&\[<>(+]|\b(?:xxx|yyy)\b")   # what any pattern above
 
 
 def _strip_codes_once(text: str, warnings: list[str] | None) -> str:
-    text = _RE_EVENT.sub(" ", text)
-    text = _RE_FILLER.sub(lambda m: _FILLER_WORDS.get(m.group(1).lower(), m.group(1).lower()), text)
-    text = _RE_RETRACE.sub(" ", text)
-    text = _RE_REPLACE.sub(lambda m: m.group(2), text)
-    text = _RE_POSTCODE.sub(" ", text)
-
     def _unknown(m):
         if warnings is not None:
             warnings.append(m.group(0))
         return " "
 
-    text = _RE_BRACKET.sub(_unknown, text)
+    # a pattern runs only where its literal marker occurs (see normalize_utterance)
+    if "&=" in text:
+        text = _RE_EVENT.sub(" ", text)
+    if "&" in text:
+        text = _RE_FILLER.sub(lambda m: _FILLER_WORDS.get(m.group(1).lower(), m.group(1).lower()), text)
+    if "[" in text:
+        text = _RE_RETRACE.sub(" ", text)
+    if "[" in text:
+        text = _RE_REPLACE.sub(lambda m: m.group(2), text)
+    if "[" in text:
+        text = _RE_POSTCODE.sub(" ", text)
+    if "[" in text:
+        text = _RE_BRACKET.sub(_unknown, text)
     text = text.replace("<", " ").replace(">", " ")
-    text = _RE_PAUSE.sub(" ", text)
-    text = _RE_UNINTELLIGIBLE.sub(" ", text)
-    text = _RE_OMITTED.sub(r"\1", text)
-    text = text.replace("+...", " ").replace("+//", " ")
+    if "(" in text:
+        text = _RE_PAUSE.sub(" ", text)
+    if "xxx" in text or "yyy" in text:
+        text = _RE_UNINTELLIGIBLE.sub(" ", text)
+    if "(" in text:
+        text = _RE_OMITTED.sub(r"\1", text)
+    if "+" in text:
+        text = text.replace("+...", " ").replace("+//", " ")
     return " ".join(text.split())
 
 
@@ -155,6 +165,13 @@ def normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str
     pass repeats until the text stops changing. Every pass removes marker
     characters, which bounds the loop. Each substitution of a pass needs a
     marker (``_RE_MARKER``), so text without one is already settled.
+
+    Within a pass each pattern runs only when the text, as the patterns
+    before it left it, holds the literal it needs: ``&=`` for event codes,
+    ``&`` for fillers, ``[`` for the four bracket codes, ``(`` for pauses
+    and omitted parts, ``xxx`` or ``yyy`` for unintelligible speech and
+    ``+`` for trailing-off markers. A pattern skipped that way would have
+    matched nothing, so the result is that of running all of them.
     """
     text = " ".join(raw_text.split())
     while _RE_MARKER.search(text):

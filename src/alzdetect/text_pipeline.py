@@ -7,6 +7,13 @@ averaged-perceptron tagger, loaded from the shipped file
 hand-tagged corpus and checks that the bytes match. The tagset is frozen to
 the 36 Penn Treebank word tags plus a PAD tag at index 0, which fixes the
 one-hot width at 37.
+
+``tag`` is the one scorer. It keeps what it has worked out on the model:
+the weight rows of each feature template per word, per tag or per (tag,
+word), and the tag chosen for each tuple of rows. These caches grow with
+the distinct words and contexts tagged (one pass of 900 synthetic
+transcripts leaves about 5.5k chosen tags, under 1 MiB) and are never
+evicted, so a model must not change once it has tagged.
 """
 
 from __future__ import annotations
@@ -93,14 +100,41 @@ def pad_mask(seq: TokenSequence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # averaged perceptron tagger
 
+class _TemplateRows(dict):
+    """Key -> the model rows, in template order, of the feature strings
+    ``spell(key)`` names; a string the model lacks adds no row. Filled on
+    first use, one entry per key ever looked up."""
+
+    def __init__(self, features: dict[str, int], spell):
+        super().__init__()
+        self.features = features
+        self.spell = spell
+
+    def __missing__(self, key) -> tuple[int, ...]:
+        get = self.features.get
+        rows = self[key] = tuple(r for f in self.spell(key) if (r := get(f)) is not None)
+        return rows
+
+
 class PerceptronTaggerModel:
     """Greedy left-to-right averaged perceptron over a fixed tagset.
 
     Words that were unambiguous in training are looked up directly; all
     others are scored from ``weights``, a dense ``[features x 36]`` matrix
     whose columns follow ``PTB_TAGS`` and whose row for each feature string
-    ``features`` gives. Ties break toward the earlier tag in tagset order,
-    and a word whose every score is 0 defaults to NN.
+    ``features`` gives. A word's nine feature templates are ``bias``, its
+    form, 3-letter suffix and first letter, the two previous tags, the
+    previous tag with the form, and the words either side. The scores are
+    those templates' rows added in that order; ties break toward the
+    earlier tag in tagset order, and a word whose every score is 0 defaults
+    to NN.
+
+    ``tag`` fills caches on the model as it goes: each template's rows per
+    word, per tag or per (tag, word), bounded by the distinct words and
+    tags tagged, and the tag chosen for each joined tuple of rows, bounded
+    by the distinct contexts seen. Nothing evicts them. They assume the
+    model is read-only once it has tagged: changing ``weights``,
+    ``features`` or ``tagdict`` afterwards leaves stale entries.
     """
 
     def __init__(self, weights: np.ndarray, features: dict[str, int],
@@ -108,42 +142,27 @@ class PerceptronTaggerModel:
         self.weights = weights
         self.features = features
         self.tagdict = tagdict
+        self._word_rows = _TemplateRows(
+            features, lambda w: ("bias", "w=" + w, "suf3=" + w[-3:], "pre1=" + w[:1]))
+        self._prev_rows = _TemplateRows(features, lambda t: ("p1t=" + t,))
+        self._prev2_rows = _TemplateRows(features, lambda t: ("p2t=" + t,))
+        self._prev_word_rows = _TemplateRows(features, lambda tw: ("p1t+w=" + tw[0] + "+" + tw[1],))
+        self._before_rows = _TemplateRows(features, lambda w: ("p1w=" + w,))
+        self._after_rows = _TemplateRows(features, lambda w: ("n1w=" + w,))
+        self._decisions: dict[tuple[int, ...], str] = {}
 
-    # feature templates: keep them cheap and purely local
-    @staticmethod
-    def _features(tokens: tuple[str, ...], i: int, prev: str, prev2: str) -> list[str]:
-        word = tokens[i]
-        before = tokens[i - 1] if i > 0 else "-START-"
-        after = tokens[i + 1] if i + 1 < len(tokens) else "-END-"
-        return [
-            "bias",
-            "w=" + word,
-            "suf3=" + word[-3:],
-            "pre1=" + word[:1],
-            "p1t=" + prev,
-            "p2t=" + prev2,
-            "p1t+w=" + prev + "+" + word,
-            "p1w=" + before,
-            "n1w=" + after,
-        ]
-
-    def predict_word(self, tokens: tuple[str, ...], i: int,
-                     prev: str, prev2: str) -> str:
-        direct = self.tagdict.get(tokens[i])
-        if direct is not None:
-            return direct
-        get = self.features.get
-        rows = [r for f in self._features(tokens, i, prev, prev2)
-                if (r := get(f)) is not None]
+    def _decide(self, rows: tuple[int, ...]) -> str:
+        """The tag the summed ``rows`` score highest, memoised per tuple."""
         if not rows:
-            return "NN"
-        # rows added one after another in template order: the same float
-        # sums as one running total per tag
-        scores = np.add.reduce(self.weights.take(rows, axis=0), axis=0)
-        best = scores.argmax()      # the first maximum: ties go to the earlier tag
-        if scores[best] == 0.0 and not scores.any():
-            return "NN"
-        return PTB_TAGS[best]
+            best = "NN"
+        else:
+            # rows added one after another in template order: the same float
+            # sums as one running total per tag
+            scores = np.add.reduce(self.weights.take(rows, axis=0), axis=0)
+            i = scores.argmax()     # the first maximum: ties go to the earlier tag
+            best = "NN" if scores[i] == 0.0 and not scores.any() else PTB_TAGS[i]
+        self._decisions[rows] = best
+        return best
 
     @classmethod
     def load(cls, path: str | Path) -> "PerceptronTaggerModel":
@@ -181,13 +200,25 @@ class PerceptronTaggerModel:
 
 def tag(model: PerceptronTaggerModel, seq: TokenSequence) -> tuple[str, ...]:
     """Tag every token; pad tokens always get PAD."""
+    tokens = seq.tokens
+    context = ("-START-", *tokens, "-END-")     # the words either side of tokens[i]
+    direct = model.tagdict.get
+    decided = model._decisions.get
+    word_rows, prev_rows, prev2_rows = model._word_rows, model._prev_rows, model._prev2_rows
+    prev_word_rows, before_rows, after_rows = (
+        model._prev_word_rows, model._before_rows, model._after_rows)
     tags = []
     prev, prev2 = "-START-", "-START2-"
-    for i, word in enumerate(seq.tokens):
+    for i, word in enumerate(tokens):
         if word == PAD_TOKEN:
             tags.append(PAD_TAG)
             continue
-        t = model.predict_word(seq.tokens, i, prev, prev2)
+        t = direct(word)
+        if t is None:
+            rows = (word_rows[word] + prev_rows[prev] + prev2_rows[prev2]
+                    + prev_word_rows[prev, word] + before_rows[context[i]]
+                    + after_rows[context[i + 2]])
+            t = decided(rows) or model._decide(rows)
         tags.append(t)
         prev2, prev = prev, t
     return tuple(tags)

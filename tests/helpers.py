@@ -2,10 +2,10 @@
 per-timestep LSTM composition the fused ``lstm`` primitive must match, the
 trapezoidal AUC that checks ``evaluation.auc_pair``, the training and saving
 of the shipped tagger with its hand-tagged corpus and tagger accuracy, the
-norm lexicons of the feature tests, the dict-of-dicts tagger scorer and
-fixpoint CHAT normalizer that the dense scorer and the early-exit normalizer
-must match, and the line-by-line embedding loader that the bulk loader must
-match."""
+norm lexicons of the feature tests, the string-feature and dict-of-dicts
+tagger scorers that the cached tagger must match, the unguarded fixpoint
+CHAT normalizer that the guarded early-exit one must match, and the
+line-by-line embedding loader that the bulk loader must match."""
 
 from __future__ import annotations
 
@@ -228,6 +228,44 @@ def read_tagged_file(path) -> list[list[tuple[str, str]]]:
     return groups
 
 
+def tagger_features(tokens: tuple[str, ...], i: int, prev: str, prev2: str) -> list[str]:
+    """The nine feature strings of ``tokens[i]``, in template order."""
+    word = tokens[i]
+    before = tokens[i - 1] if i > 0 else "-START-"
+    after = tokens[i + 1] if i + 1 < len(tokens) else "-END-"
+    return [
+        "bias",
+        "w=" + word,
+        "suf3=" + word[-3:],
+        "pre1=" + word[:1],
+        "p1t=" + prev,
+        "p2t=" + prev2,
+        "p1t+w=" + prev + "+" + word,
+        "p1w=" + before,
+        "n1w=" + after,
+    ]
+
+
+def predict_word(model, tokens: tuple[str, ...], i: int, prev: str, prev2: str) -> str:
+    """The tag of ``tokens[i]`` scored from its feature strings, with no
+    cache: ``train_tagger`` scores with it while the model changes, and the
+    cached ``tag`` must agree with it."""
+    from alzdetect.text_pipeline import PTB_TAGS
+
+    direct = model.tagdict.get(tokens[i])
+    if direct is not None:
+        return direct
+    get = model.features.get
+    rows = [r for f in tagger_features(tokens, i, prev, prev2) if (r := get(f)) is not None]
+    if not rows:
+        return "NN"
+    scores = np.add.reduce(model.weights.take(rows, axis=0), axis=0)
+    best = scores.argmax()
+    if scores[best] == 0.0 and not scores.any():
+        return "NN"
+    return PTB_TAGS[best]
+
+
 def train_tagger(tagged_corpus: list[list[tuple[str, str]]], epochs: int = 5,
                  seed: int = 0):
     """Train an averaged perceptron on (token, gold tag) sentences.
@@ -268,11 +306,11 @@ def train_tagger(tagged_corpus: list[list[tuple[str, str]]], epochs: int = 5,
                 if word in model.tagdict:
                     prev2, prev = prev, model.tagdict[word]
                     continue
-                guess = model.predict_word(tokens, i, prev, prev2)
+                guess = predict_word(model, tokens, i, prev, prev2)
                 if guess != gold:
                     # the nine templates never repeat a feature, so the rows differ
                     rows = [index.setdefault(f, len(index))
-                            for f in model._features(tokens, i, prev, prev2)]
+                            for f in tagger_features(tokens, i, prev, prev2)]
                     if len(index) > len(model.weights):
                         model.weights, totals, stamps = (
                             np.concatenate([a, np.zeros_like(a)]) for a in (model.weights, totals, stamps))
@@ -342,7 +380,7 @@ def reference_tag(table: dict[str, dict[str, float]], tagdict: dict[str, str],
                   tokens: tuple[str, ...]) -> tuple[str, ...]:
     """Greedy tagging with one accumulator per tag over ``table``; a tag a
     feature does not name adds nothing, and ties go to the earlier tag."""
-    from alzdetect.text_pipeline import PAD_TAG, PAD_TOKEN, PTB_TAGS, PerceptronTaggerModel
+    from alzdetect.text_pipeline import PAD_TAG, PAD_TOKEN, PTB_TAGS
 
     tags = []
     prev, prev2 = "-START-", "-START2-"
@@ -353,7 +391,7 @@ def reference_tag(table: dict[str, dict[str, float]], tagdict: dict[str, str],
         t = tagdict.get(word)
         if t is None:
             scores: dict[str, float] = {}
-            for f in PerceptronTaggerModel._features(tokens, i, prev, prev2):
+            for f in tagger_features(tokens, i, prev, prev2):
                 for tag, w in (table.get(f) or {}).items():
                     scores[tag] = scores.get(tag, 0.0) + w
             if not scores or all(v == 0.0 for v in scores.values()):
@@ -369,12 +407,35 @@ def reference_tag(table: dict[str, dict[str, float]], tagdict: dict[str, str],
 # reference CHAT normalizer: strip passes until the text stops changing
 
 
-def reference_normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str:
-    from alzdetect.chat_corpus import _strip_codes_once
+def reference_strip_codes_once(text: str, warnings: list[str] | None) -> str:
+    """One pass of every CHAT cleanup pattern, each run whether or not its
+    marker occurs."""
+    from alzdetect import chat_corpus as cc
 
+    def _unknown(m):
+        if warnings is not None:
+            warnings.append(m.group(0))
+        return " "
+
+    text = cc._RE_EVENT.sub(" ", text)
+    text = cc._RE_FILLER.sub(
+        lambda m: cc._FILLER_WORDS.get(m.group(1).lower(), m.group(1).lower()), text)
+    text = cc._RE_RETRACE.sub(" ", text)
+    text = cc._RE_REPLACE.sub(lambda m: m.group(2), text)
+    text = cc._RE_POSTCODE.sub(" ", text)
+    text = cc._RE_BRACKET.sub(_unknown, text)
+    text = text.replace("<", " ").replace(">", " ")
+    text = cc._RE_PAUSE.sub(" ", text)
+    text = cc._RE_UNINTELLIGIBLE.sub(" ", text)
+    text = cc._RE_OMITTED.sub(r"\1", text)
+    text = text.replace("+...", " ").replace("+//", " ")
+    return " ".join(text.split())
+
+
+def reference_normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str:
     text = " ".join(raw_text.split())
     while True:
-        stripped = _strip_codes_once(text, warnings)
+        stripped = reference_strip_codes_once(text, warnings)
         if stripped == text:
             return text
         text = stripped

@@ -1,5 +1,6 @@
 """Tokenization, length fixing, and the averaged-perceptron POS tagger."""
 
+import itertools
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from alzdetect import chat_corpus, synthgen
 from alzdetect.chat_corpus import NotUtf8
 from alzdetect.text_pipeline import (
     FIXTURE_TAGGER,
@@ -28,6 +30,7 @@ from alzdetect.text_pipeline import (
 from helpers import (
     FIXTURE_TAGGED,
     dense_tagger,
+    predict_word,
     read_tagged_file,
     reference_tag,
     save_tagger,
@@ -151,7 +154,8 @@ def test_pad_tokens_always_get_pad_tag():
 def test_score_ties_break_toward_earlier_tagset_order():
     # CC precedes DT in the inventory, so an exact tie goes to CC
     model = dense_tagger({"w=foo": {"DT": 1.0, "CC": 1.0}})
-    assert model.predict_word(("foo",), 0, "-START-", "-START2-") == "CC"
+    assert predict_word(model, ("foo",), 0, "-START-", "-START2-") == "CC"
+    assert tag(model, TokenSequence(("foo",), 1)) == ("CC",)
 
 
 def test_scores_add_up_in_template_order():
@@ -159,7 +163,8 @@ def test_scores_add_up_in_template_order():
     # 0 and CC wins; summed in reverse, DT would sum to 1 and win
     table = {"suf3=foo": {"DT": -1e16}, "w=foo": {"DT": 1e16, "CC": 0.5}, "bias": {"DT": 1.0}}
     assert reference_tag(table, {}, ("foo",)) == ("CC",)
-    assert dense_tagger(table).predict_word(("foo",), 0, "-START-", "-START2-") == "CC"
+    assert predict_word(dense_tagger(table), ("foo",), 0, "-START-", "-START2-") == "CC"
+    assert tag(dense_tagger(table), TokenSequence(("foo",), 1)) == ("CC",)
 
 
 TINY_CORPUS = [
@@ -226,7 +231,7 @@ def test_load_keeps_the_last_of_repeated_lines(tmp_path):
     path = tmp_path / "tagger.txt"
     path.write_text("PTAG v1\nw=a\tDT\t2.0\nw=a\tCC\t1.0\nw=a\tDT\t0.5\n")
     model = PerceptronTaggerModel.load(path)
-    assert model.predict_word(("a",), 0, "-START-", "-START2-") == "CC"
+    assert tag(model, TokenSequence(("a",), 1)) == ("CC",)
 
 
 # Weights from a small set, so exact ties, zero sums and -0.0 are common,
@@ -239,7 +244,8 @@ _FEATURES = (["bias"]
              + ["pre1=a", "pre1=b", "p1w=-START-", "n1w=-END-"]
              + [p + t for p in ("p1t=", "p2t=") for t in _TAGS + ("-START-", "-START2-")]
              + ["p1t+w=" + t + "+" + w for t in _TAGS[:3] for w in _VOCAB[:3]])
-_WEIGHTS = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 1e-3, 3.25, 1e16, -1e16])
+_WEIGHT_VALUES = [-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 1e-3, 3.25, 1e16, -1e16]
+_WEIGHTS = st.sampled_from(_WEIGHT_VALUES)
 
 
 @given(table=st.dictionaries(st.sampled_from(_FEATURES),
@@ -251,6 +257,57 @@ def test_dense_scorer_matches_dict_reference(table, tagdict, words):
     tokens = tuple(words)
     model = dense_tagger(table, tagdict)
     assert tag(model, TokenSequence(tokens, len(tokens))) == reference_tag(table, tagdict, tokens)
+
+
+# One model and its caches for every example: the memo is hit, so a cached
+# decision must be right for each context that reaches it.
+_WARM_RNG = np.random.default_rng(0)
+_WARM_TABLE = {f: {str(t): float(_WARM_RNG.choice(_WEIGHT_VALUES))
+                   for t in _WARM_RNG.choice(_TAGS, size=_WARM_RNG.integers(1, 5), replace=False)}
+               for f in _FEATURES if _WARM_RNG.random() < 0.5}
+_WARM_TAGDICT = {"b": "DT"}
+_WARM_MODEL = dense_tagger(_WARM_TABLE, _WARM_TAGDICT)
+
+
+@given(words=st.lists(st.sampled_from(_VOCAB + ("zz", PAD_TOKEN)), min_size=1, max_size=12))
+def test_warm_cache_scorer_matches_dict_reference(words):
+    tokens = tuple(words)
+    assert (tag(_WARM_MODEL, TokenSequence(tokens, len(tokens)))
+            == reference_tag(_WARM_TABLE, _WARM_TAGDICT, tokens))
+
+
+def _cache_entries(model) -> int:
+    return sum(len(v) for v in vars(model).values() if isinstance(v, dict))
+
+
+def test_second_pass_adds_no_cache_entries():
+    model = dense_tagger(_WARM_TABLE, _WARM_TAGDICT)
+    seqs = [TokenSequence(tokens, len(tokens)) for tokens in itertools.islice(
+        itertools.product(_VOCAB + ("zz", PAD_TOKEN), repeat=3), 200)]
+    before = _cache_entries(model)
+    first = [tag(model, s) for s in seqs]
+    filled = _cache_entries(model)
+    assert filled > before
+    assert [tag(model, s) for s in seqs] == first
+    assert _cache_entries(model) == filled
+
+
+def test_shipped_tagger_matches_string_feature_scorer(tmp_path):
+    # a drift between the cached templates and the feature strings the
+    # shipped weights were trained on shows here, token by token
+    corpus = synthgen.generate(synthgen.SynthConfig(n_participants=40, embed_dim=8, seed=0),
+                               tmp_path)
+    model = default_tagger()
+    for rec in corpus.records:
+        seq = fix_length(tokenize(chat_corpus.extract_participant_text(rec)), budget=73)
+        want, prev, prev2 = [], "-START-", "-START2-"
+        for i, word in enumerate(seq.tokens):
+            if word == PAD_TOKEN:
+                want.append(PAD_TAG)
+                continue
+            want.append(predict_word(model, seq.tokens, i, prev, prev2))
+            prev2, prev = prev, want[-1]
+        assert tag(model, seq) == tuple(want), rec.transcript_id
 
 
 def test_load_rejects_wrong_header(tmp_path):
