@@ -328,9 +328,9 @@ def sum_(x: Tensor, axis: int | None = None) -> Tensor:
 
     def bw(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape).copy())
+            _accum(x, np.broadcast_to(g, x.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
 
     return _out(data, "sum", bw)
 
@@ -341,9 +341,9 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
 
     def bw(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g / n, x.shape).copy())
+            _accum(x, np.broadcast_to(g / n, x.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.shape).copy())
+            _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.shape))
 
     return _out(data, "mean", bw)
 

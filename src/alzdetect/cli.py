@@ -27,7 +27,7 @@ from .evaluation import SplitSpec
 from .lexical_features import DimensionMismatch
 from .model import Diverged, ModelConfig
 from .synthgen import SynthConfig
-from .text_pipeline import default_tagger
+from .text_pipeline import default_tagger, fix_length, tokenize
 
 OUTPUT_DIR_ENV = "ALZDETECT_OUTPUT_DIR"
 
@@ -42,7 +42,7 @@ class RunConfig:
     embeddings: str | None = None
     lexicons: str | None = None
     output_dir: str | None = None
-    variant: str | None = None
+    variant: str = "OURS-Att-w"
     seeds: tuple[int, ...] = (0, 1, 2)
     split: SplitSpec = SplitSpec()
     model: ModelConfig = ModelConfig()
@@ -52,15 +52,18 @@ class RunConfig:
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be a non-empty list of non-negative integers, "
                              f"got {list(self.seeds)}")
-        if self.variant is not None and self.variant not in model.VARIANTS:
+        if self.variant not in model.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"expected one of {', '.join(model.VARIANTS)}")
 
 
 # Config fields the YAML may not set: every run takes its split and model
 # seed from seeds, the tagset fixes the POS one-hot width, the embedding
-# file the model's width, and synth keeps its built-in vocabulary.
-_NOT_IN_YAML = ("split.seed", "model.seed", "model.pos_dim", "model.embed_dim", "synth.vocab")
+# file the model's width, variant the model's switches, and synth keeps its
+# built-in vocabulary.
+_NOT_IN_YAML = ("split.seed", "model.seed", "model.pos_dim", "model.embed_dim",
+                "model.use_attention", "model.use_class_weights", "model.feature_mask",
+                "synth.vocab")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -166,8 +169,7 @@ def _cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
     out = _output_dir(cfg)
-    mcfg = model.variant_config(cfg.variant, cfg.model) if cfg.variant else cfg.model
-    mcfg = replace(mcfg, seed=cfg.seeds[0])
+    mcfg = replace(model.variant_config(cfg.variant, cfg.model), seed=cfg.seeds[0])
     instances, mcfg = _encode(cfg, mcfg)
     [(_, train, val, _)] = evaluation.seed_splits(instances, cfg.split, cfg.seeds[:1])
     params, log = model.fit(mcfg, train, val)
@@ -228,9 +230,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.top is not None and args.top < 1:
+        raise UsageError(f"--top must be at least 1, got {args.top}")
     cfg = load_run_config(args.config)
     _require_paths(cfg, "embeddings", "lexicons")
     params, mcfg = model.load(args.model)
+    if args.top is not None and not mcfg.use_attention:
+        raise UsageError(f"--top needs attention, but {args.model} was trained without it")
     table, lexicons, tagger = _load_resources(cfg)
     _check_width(table.dim, mcfg)
     # the label on the record is a placeholder; prediction ignores it
@@ -240,6 +246,13 @@ def _cmd_predict(args) -> int:
     prob = model.predict(params, mcfg, [instance])[0]
     label = "AD" if model.classify(prob) else "CT"
     print(f"{record.transcript_id}\t{prob:.4f}\t{label}")
+    if args.top is not None:
+        tokens = fix_length(tokenize(chat_corpus.extract_participant_text(record)),
+                            mcfg.seq_len).tokens
+        alpha = model.attention_weights(params, mcfg, instance)
+        real = np.flatnonzero(instance.mask)
+        for i in real[np.argsort(-alpha[real], kind="stable")[:args.top]]:
+            print(f"  {alpha[i]:.4f}  [{i:3d}] {tokens[i]}")
     return 0
 
 
@@ -297,17 +310,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="YAML config")
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("transcript", help="CHAT transcript file")
+    p.add_argument("--top", type=int, default=None, metavar="N",
+                   help="also print the N most-attended tokens (attention models only)")
     p.set_defaults(func=_cmd_predict)
 
     return parser
 
 
-def run(command, *args) -> int:
-    """``command(*args)``, its errors printed as one ``error:`` line and
+def main(argv: list[str] | None = None) -> int:
+    """Run one command, its errors printed as one ``error:`` line and
     mapped to an exit code: 1 usage or config, 2 bad or missing data (a
     DataError or any OSError), 3 training divergence."""
+    args = _build_parser().parse_args(argv)
     try:
-        return command(*args)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -317,11 +333,6 @@ def run(command, *args) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return run(args.func, args)
 
 
 if __name__ == "__main__":

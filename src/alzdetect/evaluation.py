@@ -149,15 +149,16 @@ def confusion(labels, predictions) -> ConfusionCounts:
     )
 
 
-def auc_pair(labels, scores) -> float:
-    """AUC by brute-force pair counting; ties count half."""
+def auc_pair(labels, scores) -> float | None:
+    """AUC by brute-force pair counting; ties count half. None when the
+    labels hold one class."""
     y = np.asarray(labels)
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape:
         raise LengthMismatch(f"{y.shape} labels vs {s.shape} scores")
     pos, neg = s[y == 1], s[y == 0]
     if len(pos) == 0 or len(neg) == 0:
-        raise ValueError("AUC needs both classes present")
+        return None
     num = 0  # 2·(wins) + 1·(ties) over all positive/negative score pairs
     for p in pos:
         num += 2 * int(np.sum(p > neg)) + int(np.sum(p == neg))
@@ -200,11 +201,7 @@ def metrics(counts: ConfusionCounts, scores=None, labels=None) -> MetricsReport:
     precision = ratio(counts.tp, counts.tp + counts.fp)
     recall = ratio(counts.tp, counts.tp + counts.fn)
     f1 = ratio(2 * precision * recall, precision + recall)
-    auc = None
-    if scores is not None and labels is not None:
-        y = np.asarray(labels)
-        if 0 < np.sum(y == 1) < len(y):
-            auc = auc_pair(labels, scores)
+    auc = None if scores is None or labels is None else auc_pair(labels, scores)
     return MetricsReport(accuracy=accuracy, precision=precision, recall=recall,
                          f1=f1, auc=auc, counts=counts)
 

@@ -352,33 +352,26 @@ def fit(config: ModelConfig, train: list[EncodedInstance],
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train))
         total = 0.0
-        for chunk in _batches(len(train), config.batch_size, order):
-            batch = [train[i] for i in chunk]
-            emb, pos, feats, mask, labels = _stack_instances(config, batch)
-            try:
+        # every op output is checked as it is made, so both losses are finite
+        try:
+            for chunk in _batches(len(train), config.batch_size, order):
+                batch = [train[i] for i in chunk]
+                emb, pos, feats, mask, labels = _stack_instances(config, batch)
                 with Tape() as tape:
                     prob, _ = _forward_graph(params, config, emb, pos, feats,
                                              mask, training=True, rng=rng)
                     loss = weighted_bce(prob, labels, weights)
                     ad.backward(tape, loss)
-            except NonFiniteValue as exc:
-                raise Diverged(f"epoch {epoch}: {exc}") from exc
-            opt.step(list(params.values()))
-            for p in params.values():
-                p.zero_grad()
-            total += loss.item() * len(chunk)
-        train_loss = total / len(train)
-
-        try:
+                opt.step(list(params.values()))
+                for p in params.values():
+                    p.zero_grad()
+                total += loss.item() * len(chunk)
             val_scores = predict(params, config, val)
+            val_loss = weighted_bce(val_scores, val_labels, weights).item()
         except NonFiniteValue as exc:
             raise Diverged(f"epoch {epoch}: {exc}") from exc
-        val_loss = weighted_bce(val_scores, val_labels, weights).item()
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise Diverged(f"epoch {epoch}: non-finite loss")
-        both_classes = 0 < val_labels.sum() < len(val_labels)
-        val_auc = auc_pair(val_labels, val_scores) if both_classes else None
-        log.append(TrainLogRow(epoch, train_loss, val_loss, val_auc))
+        log.append(TrainLogRow(epoch, total / len(train), val_loss,
+                               auc_pair(val_labels, val_scores)))
 
         if val_loss < best_val:
             best_val = val_loss

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import re
 import shutil
 import struct
@@ -18,9 +19,11 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alzdetect import evaluation, model
-from alzdetect.cli import UsageError, load_run_config, main
+from alzdetect import chat_corpus, evaluation, lexical_features, model, text_pipeline
+from alzdetect.chat_corpus import Label
+from alzdetect.cli import _NOT_IN_YAML, UsageError, load_run_config, main
 from alzdetect.model import ModelConfig
+from alzdetect.text_pipeline import default_tagger
 from helpers import edit_model_config, save_edited_model
 
 REPO = Path(__file__).resolve().parent.parent
@@ -131,12 +134,16 @@ def test_mistyped_seeds_are_usage_errors(tmp_path, capsys, seeds):
 
 @pytest.mark.parametrize("section, key, value", [
     ("variant", None, "[a]"),
+    ("variant", None, "null"),
     ("tagger", None, "tagger.txt"),
     ("model", None, "[1]"),
     ("model", "seq_len", "20.5"),
     ("model", "batch_size", "true"),
     ("model", "learning_rate", "1e-3"),      # YAML 1.1 reads this as a string
     ("model", "feature_mask", "sent"),
+    ("model", "feature_mask", "[sent]"),
+    ("model", "use_attention", "false"),
+    ("model", "use_class_weights", "false"),
     ("model", "bidirectional", "true"),
     ("model", "use_targeted_features", "true"),
     ("model", "optimizer", "adam"),
@@ -185,6 +192,8 @@ def test_empty_config_uses_defaults(tmp_path):
     cfg = load_run_config(path)
     assert cfg.seeds == (0, 1, 2)
     assert cfg.model.seq_len == 73
+    assert cfg.variant == "OURS-Att-w"
+    assert model.variant_config(cfg.variant, cfg.model) == cfg.model
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +485,7 @@ def test_yaml_and_model_file_decode_model_values_alike(tmp_path, workspace):
                 file_cfg = model.load(path)[1]
             except model.CorruptFile as exc:     # the config, or the tensors it implies
                 file_ok = "bad config block" not in str(exc)
-            if key in ("seed", "pos_dim", "embed_dim"):
+            if f"model.{key}" in _NOT_IN_YAML:
                 assert yaml_cfg is None, (key, value)
                 continue
             assert (yaml_cfg is not None) == file_ok, (key, value)
@@ -596,55 +605,65 @@ def test_predict_with_narrower_embeddings_is_data_error(tmp_path, workspace,
                         str(transcript)], capsys, "dimensional")
 
 
-def _run_inspect_attention(*args):
-    return subprocess.run([sys.executable, str(REPO / "scripts" / "inspect_attention.py"),
-                           *map(str, args)], capture_output=True, text=True)
-
-
-def _assert_one_line_data_error(proc, needle):
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("error:") == 1
-    assert needle in proc.stderr
-
-
-def test_inspect_attention_missing_model_is_data_error(tmp_path, workspace):
-    root, cfg_path = workspace
-    transcript = sorted((root / "ct").glob("*.cha"))[0]
-    missing = tmp_path / "no-such-model.bin"
-    _assert_one_line_data_error(_run_inspect_attention(cfg_path, missing, transcript),
-                                "no-such-model.bin")
-
-
-def test_inspect_attention_non_utf8_transcript_is_data_error(tmp_path, workspace):
-    root, cfg_path = workspace
-    path = tmp_path / "model.bin"
-    save_edited_model(SAVED, path, lambda tensors: None)
-    bad = _not_utf8(tmp_path / "p1-1.cha", sorted((root / "ct").glob("*.cha"))[0])
-    _assert_one_line_data_error(_run_inspect_attention(cfg_path, path, bad),
-                                f"{bad}: not UTF-8 text")
-
-
-def test_inspect_attention_narrower_embeddings_is_data_error(tmp_path, workspace,
-                                                             narrow_embeddings_config):
+def _predict_argv(cfg, model_path, workspace, *extra):
     root, _ = workspace
+    transcript = sorted((root / "ct").glob("*.cha"))[0]
+    return ["predict", str(cfg), "--model", str(model_path), str(transcript), *extra]
+
+
+def test_predict_top_prints_the_most_attended_real_tokens(tmp_path, workspace, capsys):
+    """`predict --top 3` prints its usual line, then the three real tokens
+    that `model.attention_weights` weighs most, largest first."""
+    root, cfg_path = workspace
     path = tmp_path / "model.bin"
     save_edited_model(SAVED, path, lambda tensors: None)
-    transcript = sorted((root / "ct").glob("*.cha"))[0]
-    _assert_one_line_data_error(
-        _run_inspect_attention(narrow_embeddings_config, path, transcript), "dimensional")
+    assert main(_predict_argv(cfg_path, path, workspace)) == 0
+    plain = capsys.readouterr().out
+    assert main(_predict_argv(cfg_path, path, workspace, "--top", "3")) == 0
+    first, *top = capsys.readouterr().out.splitlines()
+    assert first + "\n" == plain
+
+    params, mcfg = model.load(path)
+    record = chat_corpus.read_transcript(_predict_argv(cfg_path, path, workspace)[-1],
+                                         Label.CT)
+    instance = lexical_features.encode_record(
+        record, lexical_features.load_embeddings(root / "embeddings.txt"),
+        lexical_features.load_lexicon_dir(root / "lexicons"), default_tagger(),
+        budget=mcfg.seq_len)
+    alpha = model.attention_weights(params, mcfg, instance)
+    tokens = text_pipeline.fix_length(text_pipeline.tokenize(record.participant_text),
+                                      mcfg.seq_len).tokens
+    real = [i for i in range(mcfg.seq_len) if instance.mask[i]]
+    assert len(real) > 3
+    expected = sorted(real, key=lambda i: -alpha[i])[:3]
+    assert top == [f"  {alpha[i]:.4f}  [{i:3d}] {tokens[i]}" for i in expected]
 
 
 @pytest.mark.parametrize("top", ["0", "-3"])
-def test_inspect_attention_top_below_one_is_usage_error(tmp_path, workspace, top):
-    root, cfg_path = workspace
+def test_predict_top_below_one_is_usage_error(tmp_path, workspace, capsys, top):
+    _, cfg_path = workspace
     path = tmp_path / "model.bin"
     save_edited_model(SAVED, path, lambda tensors: None)
-    transcript = sorted((root / "ct").glob("*.cha"))[0]
-    proc = _run_inspect_attention(cfg_path, path, transcript, "--top", top)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert f"--top must be at least 1, got {top}" in proc.stderr
+    assert main(_predict_argv(cfg_path, path, workspace, "--top", top)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --top must be at least 1, got {top}\n"
+
+
+def test_predict_of_a_missing_model_is_data_error(tmp_path, workspace, capsys):
+    _, cfg_path = workspace
+    argv = _predict_argv(cfg_path, tmp_path / "no-such-model.bin", workspace, "--top", "3")
+    _assert_data_error(argv, capsys, "no-such-model.bin")
+
+
+def test_predict_top_of_a_model_without_attention_is_usage_error(tmp_path, workspace,
+                                                                 capsys):
+    _, cfg_path = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(replace(SAVED, **model.VARIANTS["C-LSTM"]), path, lambda t: None)
+    assert main(_predict_argv(cfg_path, path, workspace, "--top", "3")) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --top needs attention") and err.count("\n") == 1
 
 
 def _one_class_corpus(tmp, workspace, dropped):
@@ -839,6 +858,22 @@ def _smoke_config(smoke, tmp_path, seeds):
     return path
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_smoke_reports_match_golden_files_at_each_blas_thread_count(smoke, tmp_path, threads):
+    """The smoke reports are the same bytes under one and two OpenBLAS
+    threads. Each command runs in a fresh process, because OpenBLAS reads
+    its thread count when numpy loads."""
+    path = _smoke_config(smoke, tmp_path, [0])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    for report in ("compare", "ablate"):
+        proc = subprocess.run([sys.executable, "-m", "alzdetect.cli", report, str(path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        golden = REPO / "tests" / "golden" / f"smoke_{report}.csv"
+        assert (tmp_path / f"{report}.csv").read_bytes() == golden.read_bytes(), report
+
+
 def test_smoke_compare_reports_no_auc_for_a_one_class_test_slice(smoke, tmp_path, capsys):
     """Seed 2's smoke test slice holds one class, so it has no AUC: its rows
     and the mean rows leave the AUC cell empty and the table prints n/a,
@@ -914,14 +949,11 @@ _BAD_VALUES = {
         [-0.01, 1.0, float("nan"), _NOT_A_FLOAT])),
     ("model", "learning_rate"): st.one_of(_wrong_type(int, float), st.sampled_from(
         [0.0, -0.001, float("nan"), _NOT_A_FLOAT])),
-    **{("model", k): _wrong_type(bool) for k in ("use_attention", "use_class_weights")},
-    ("model", "feature_mask"): st.one_of(
-        st.text(max_size=5), st.integers(), st.lists(st.integers(), min_size=1, max_size=2),
-        st.sampled_from([["psy"], ["sent", "demos"]])),
     **{(section, k): st.integers(0, 64)          # keys the config does not take
        for section, k in (("top", "tagger"), ("model", "seed"), ("model", "pos_dim"),
-                          ("model", "embed_dim"), ("split", "seed"), ("split", "test_fraction"),
-                          ("split", "unit"))},
+                          ("model", "embed_dim"), ("model", "use_attention"),
+                          ("model", "use_class_weights"), ("model", "feature_mask"),
+                          ("split", "seed"), ("split", "test_fraction"), ("split", "unit"))},
     ("split", "train_fraction"): st.one_of(_wrong_type(int, float), st.sampled_from(
         [-0.01, 0.92, float("nan"), _NOT_A_FLOAT])),
     ("split", "val_fraction"): st.one_of(_wrong_type(int, float), st.sampled_from(

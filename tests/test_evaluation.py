@@ -217,8 +217,8 @@ def test_auc_ties_count_half():
 
 
 def test_auc_requires_both_classes():
-    with pytest.raises(ValueError):
-        auc_pair([1, 1], [0.5, 0.6])
+    assert auc_pair([1, 1], [0.5, 0.6]) is None
+    assert auc_pair([0, 0, 0], [0.5, 0.6, 0.7]) is None
     with pytest.raises(LengthMismatch):
         auc_pair([1, 0], [0.5])
 
