@@ -24,7 +24,7 @@ import yaml
 from . import chat_corpus, evaluation, lexical_features, model, synthgen
 from .chat_corpus import DataError, Label, StatsReport, reading_utf8
 from .evaluation import SplitSpec
-from .lexical_features import DimensionMismatch
+from .lexical_features import OOV_ROW, DimensionMismatch
 from .model import Diverged, ModelConfig
 from .synthgen import SynthConfig
 from .text_pipeline import default_tagger, fix_length, tokenize
@@ -93,9 +93,14 @@ def _require_paths(cfg: RunConfig, *names: str):
 
 
 def _load_resources(cfg: RunConfig):
-    """Embedding table, lexicons and the shipped tagger."""
+    """Embedding table, lexicons and the shipped tagger. A lexicon with no
+    entries is allowed, but gets a warning: its feature is 0 everywhere."""
     table = lexical_features.load_embeddings(cfg.embeddings)
     lexicons = lexical_features.load_lexicon_dir(cfg.lexicons)
+    for slot, entries in lexicons.items():
+        if not entries:
+            print(f"warning: {Path(cfg.lexicons) / f'{slot}.tsv'}: no entries, so the "
+                  f"{slot} feature is 0 for every transcript", file=sys.stderr)
     return table, lexicons, default_tagger()
 
 
@@ -114,9 +119,13 @@ def _encode(cfg: RunConfig, mcfg: ModelConfig):
     instances = lexical_features.encode_corpus(corpus, table, lexicons, tagger,
                                                budget=mcfg.seq_len)
     try:
-        return instances, replace(mcfg, embed_dim=table.dim)
+        mcfg = replace(mcfg, embed_dim=table.dim)
     except ValueError as exc:          # a table too wide for model.MAX_PARAMS
         raise DimensionMismatch(f"embedding file is {table.dim}-dimensional: {exc}") from None
+    if all((i.embeddings.ids[i.mask == 1.0] == OOV_ROW).all() for i in instances):
+        print(f"warning: {cfg.embeddings}: no word of the corpus has a vector, so "
+              f"every token embeds as zeros", file=sys.stderr)
+    return instances, mcfg
 
 
 def _stats_table(report: StatsReport) -> str:

@@ -5,6 +5,12 @@ embeddings and POS one-hots) plus one participant-level vector of seven
 scalars in a fixed order: five lexicon means (age of acquisition,
 concreteness, familiarity, imageability, sentiment valence), age / 100,
 and gender coded Female=1.0, Male=0.0, Unknown=0.5.
+
+An encoded instance copies no vector: its embeddings are ``TableRows``,
+the row ids of the table's one shared matrix, and its POS one-hots are
+``bool``. The model gathers each batch's embeddings with one fancy index
+over that matrix and casts both to float64, so it sees the same floats
+a dense copy would hold.
 """
 
 from __future__ import annotations
@@ -74,9 +80,13 @@ class NonFiniteFeature(DataError):
 # ---------------------------------------------------------------------------
 # embeddings
 
+# the row id of OOV words and ``<pad>``: the matrix's last row, all zeros
+OOV_ROW = -1
+
+
 class EmbeddingTable:
     """Word -> row of one ``[V + 1, dim]`` matrix whose last row is zeros;
-    OOV words and ``<pad>`` map to that zero row."""
+    OOV words and ``<pad>`` map to that zero row (``OOV_ROW``)."""
 
     def __init__(self, vectors: np.ndarray, rows: dict[str, int]):
         self.vectors = vectors
@@ -188,9 +198,36 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     return builder.table()
 
 
-def embed(seq: TokenSequence, table: EmbeddingTable) -> np.ndarray:
-    """Per-token vectors as the rows of a [len(seq) x dim] matrix."""
-    return table.vectors[[table.rows.get(tok, -1) for tok in seq.tokens]]
+class TableRows:
+    """Rows ``ids`` of ``matrix``, holding the matrix itself, not a copy.
+
+    numpy reads it as the ``[len(ids) x dim]`` array ``matrix[ids]``
+    (``np.asarray``, ``np.stack``); ``model`` gathers a batch whose
+    instances share one matrix with one fancy index instead.
+    """
+
+    __slots__ = ("matrix", "ids")
+
+    def __init__(self, matrix: np.ndarray, ids: np.ndarray):
+        self.matrix = matrix
+        self.ids = ids
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.ids), self.matrix.shape[1]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("table rows are gathered into a new array, never viewed")
+        return np.asarray(self.matrix[self.ids], dtype=dtype)
+
+
+def embed(seq: TokenSequence, table: EmbeddingTable) -> TableRows:
+    """Per-token rows of the table's matrix; read as an array, a
+    [len(seq) x dim] matrix."""
+    rows = table.rows
+    ids = np.array([rows.get(tok, OOV_ROW) for tok in seq.tokens], dtype=np.intp)
+    return TableRows(table.vectors, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +312,8 @@ class EncodedInstance:
 
     transcript_id: str
     participant_id: str
-    embeddings: np.ndarray   # [budget x dim]
-    pos_onehot: np.ndarray   # [budget x |tagset|]
+    embeddings: TableRows | np.ndarray   # [budget x dim]
+    pos_onehot: np.ndarray   # [budget x |tagset|], bool
     features: np.ndarray     # [7]
     mask: np.ndarray         # [budget], 1.0 real / 0.0 pad
     label: int               # 1 = positive (dementia), 0 = control

@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteValue, Parameter, ShapeMismatch, Tape, Tensor, constant
 from .chat_corpus import DataError
-from .lexical_features import FEATURE_GROUPS, FEATURE_NAMES, EncodedInstance
+from .lexical_features import FEATURE_GROUPS, FEATURE_NAMES, EncodedInstance, TableRows
 
 EPS = 1e-7
 
@@ -190,8 +190,18 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Para
 # ---------------------------------------------------------------------------
 # forward graph
 
+def _gather(rows: list) -> np.ndarray:
+    """The instances' ``[T, dim]`` embeddings as one float64 ``[B, T, dim]``
+    array. Rows of one shared table matrix, as every encoded corpus has,
+    are gathered with one fancy index; anything else is stacked."""
+    matrix = getattr(rows[0], "matrix", None)
+    if all(type(r) is TableRows and r.matrix is matrix for r in rows):
+        return np.asarray(matrix[np.stack([r.ids for r in rows])], dtype=np.float64)
+    return np.stack(rows, dtype=np.float64)
+
+
 def _stack_instances(config: ModelConfig, instances) -> tuple[np.ndarray, ...]:
-    emb = np.stack([i.embeddings for i in instances], dtype=np.float64)
+    emb = _gather([i.embeddings for i in instances])
     pos = np.stack([i.pos_onehot for i in instances], dtype=np.float64)
     feats = np.stack([i.features for i in instances], dtype=np.float64)
     mask = np.stack([i.mask for i in instances], dtype=np.float64)

@@ -225,10 +225,10 @@ def tag(model: PerceptronTaggerModel, seq: TokenSequence) -> tuple[str, ...]:
 
 
 def one_hot(tags: tuple[str, ...]) -> np.ndarray:
-    """[len(tags) x len(TAGSET)] matrix, one 1.0 per row."""
+    """[len(tags) x len(TAGSET)] bool matrix, one True per row."""
     n = len(tags)
-    mat = np.zeros((n, len(TAGSET)))
-    mat[np.arange(n), [_TAG_INDEX[t] for t in tags]] = 1.0
+    mat = np.zeros((n, len(TAGSET)), dtype=bool)
+    mat[np.arange(n), [_TAG_INDEX[t] for t in tags]] = True
     return mat
 
 

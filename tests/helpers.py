@@ -77,16 +77,21 @@ def make_instances(cfg, n, rng, separation=0.0):
     mean-shifted by label and feature slot 0 carries the label outright,
     which makes the set linearly separable.
     """
-    from alzdetect.lexical_features import EncodedInstance
+    from alzdetect.lexical_features import OOV_ROW, EncodedInstance, TableRows
 
+    # the embeddings are rows of one matrix, as an encoded corpus's are:
+    # instance i owns rows i*T .. i*T + T-1, and its pads read the zero row
+    matrix = np.zeros((n * cfg.seq_len + 1, cfg.embed_dim))
     out = []
     for i in range(n):
         label = i % 2
         length = int(rng.integers(2, cfg.seq_len + 1))
-        emb = rng.normal(size=(cfg.seq_len, cfg.embed_dim))
+        emb = matrix[i * cfg.seq_len:(i + 1) * cfg.seq_len]
+        emb[...] = rng.normal(size=(cfg.seq_len, cfg.embed_dim))
         if separation:
             emb += separation * (1.0 if label else -1.0)
-        emb[length:] = 0.0
+        ids = np.arange(i * cfg.seq_len, (i + 1) * cfg.seq_len)
+        ids[length:] = OOV_ROW
         pos = np.zeros((cfg.seq_len, cfg.pos_dim))
         pos[np.arange(cfg.seq_len),
             rng.integers(1, cfg.pos_dim, size=cfg.seq_len)] = 1.0
@@ -97,7 +102,7 @@ def make_instances(cfg, n, rng, separation=0.0):
             feats[0] = float(label)
         mask = np.zeros(cfg.seq_len)
         mask[:length] = 1.0
-        out.append(EncodedInstance(f"t{i}", f"p{i}", emb, pos, feats,
+        out.append(EncodedInstance(f"t{i}", f"p{i}", TableRows(matrix, ids), pos, feats,
                                    mask, label))
     return out
 

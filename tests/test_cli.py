@@ -527,6 +527,32 @@ def test_non_finite_lexicon_is_data_error(tmp_path, workspace, capsys):
     _assert_data_error(["train", str(cfg)], capsys, f"{bad}:1:")
 
 
+def test_embeddings_that_miss_every_word_warn_once(tmp_path, workspace, capsys):
+    pad_only = tmp_path / "embeddings.txt"
+    pad_only.write_text("<pad>" + " 0.5" * 8 + "\n")
+    cfg = _bad_input_config(tmp_path, workspace, embeddings=str(pad_only))
+    assert main(["train", str(cfg)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == [f"warning: {pad_only}: no word of the corpus has a vector, "
+                        f"so every token embeds as zeros"]
+
+
+def test_each_lexicon_without_entries_warns(tmp_path, workspace, capsys):
+    root, _ = workspace
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(root / "lexicons", lexicons)
+    for slot in ("aoa", "sentiment"):
+        path = lexicons / f"{slot}.tsv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")    # the range header alone
+    cfg = _bad_input_config(tmp_path, workspace, lexicons=str(lexicons))
+    assert main(["train", str(cfg)]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"warning: {lexicons / slot}.tsv: no entries, so the {slot} feature is 0 "
+        f"for every transcript" for slot in ("aoa", "sentiment")]
+
+
 def _not_utf8(path, source=None):
     """``path`` holding ``source``'s bytes (or nothing) plus a byte UTF-8 never uses."""
     path.write_bytes((source.read_bytes() if source else b"") + b"caf\xff\n")

@@ -2,6 +2,8 @@
 
 import re
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alzdetect.chat_corpus import Demographics, Gender, Label, parse_chat_file
+from alzdetect import synthgen
+from alzdetect.chat_corpus import Demographics, Gender, Label, load_corpus, parse_chat_file
+from alzdetect.cli import load_run_config
 from alzdetect.lexical_features import (
     FEATURE_GROUPS,
     FEATURE_NAMES,
@@ -31,10 +35,13 @@ from alzdetect.lexical_features import (
 from alzdetect.text_pipeline import (
     PAD_TOKEN,
     TokenSequence,
+    default_tagger,
     fix_length,
     tokenize,
 )
 from helpers import dense_tagger, embedding_table, fixture_lexicons, reference_load_embeddings
+
+REPO = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # embeddings
@@ -181,22 +188,35 @@ def test_load_embeddings_matches_reference_on_random_tables(dim, hostile, data):
 
 def test_lookup_oov_and_pad_are_zero_vectors():
     table = embedding_table(3, {"a": np.ones(3)})
-    assert embed(TokenSequence(("zzz", "<pad>"), 1), table).tolist() == [[0.0] * 3] * 2
+    rows = embed(TokenSequence(("zzz", "<pad>"), 1), table)
+    assert np.asarray(rows).tolist() == [[0.0] * 3] * 2
 
 
 def test_pads_embed_as_zeros_whatever_the_file_says(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("the 1 2\n<pad> 5 6\ncat 3 4\n")
     seq = fix_length(tokenize("the cat"), budget=4)
-    assert embed(seq, load_embeddings(path)).tolist() == [[1, 2], [3, 4], [0, 0], [0, 0]]
+    rows = embed(seq, load_embeddings(path))
+    assert np.asarray(rows).tolist() == [[1, 2], [3, 4], [0, 0], [0, 0]]
 
 
 def test_embed_stacks_rows():
     table = embedding_table(2, {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])})
     seq = fix_length(TokenSequence(("a", "b"), 2), budget=3)
-    mat = embed(seq, table)
+    mat = np.asarray(embed(seq, table))
     assert mat.shape == (3, 2)
     assert mat.tolist() == [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]
+
+
+def test_table_rows_read_as_a_copy_never_a_view():
+    table = embedding_table(2, {"a": np.array([1.0, 2.0])})
+    rows = embed(TokenSequence(("a", "zzz"), 2), table)
+    assert rows.shape == (2, 2)
+    mat = np.asarray(rows, dtype=np.float32)
+    assert mat.dtype == np.float32 and mat.tolist() == [[1.0, 2.0], [0.0, 0.0]]
+    assert not np.shares_memory(np.asarray(rows), table.vectors)
+    with pytest.raises(ValueError, match="never viewed"):
+        np.asarray(rows, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +428,7 @@ def test_encode_record_control_label_is_zero():
 def test_encode_record_pad_rows():
     inst = encode_record(_record(), _table(), fixture_lexicons(),
                          dense_tagger({}), budget=10)
-    assert np.all(inst.embeddings[3:] == 0.0)          # pad embeddings are zero
+    assert np.all(np.asarray(inst.embeddings)[3:] == 0.0)   # pad embeddings are zero
     assert np.all(inst.pos_onehot[3:, 0] == 1.0)       # pad tag is column 0
 
 
@@ -427,3 +447,25 @@ def test_encode_record_rejects_an_overflowing_lexicon_mean():
     lexicons["aoa"] = {w: 1e308 for w in ("the", "boy", "fell")}
     with pytest.raises(NonFiniteFeature, match="transcript t-0: the aoa feature"):
         encode_record(_record(), _table(), lexicons, dense_tagger({}), budget=10)
+
+
+def test_encoded_instances_hold_row_ids_not_vectors(tmp_path):
+    """The smoke corpus at the default 300-d width and 73 tokens: a dense
+    copy of one instance's embeddings and one-hots would be about 197 KB."""
+    synth = replace(load_run_config(REPO / "configs" / "smoke.yaml").synth, embed_dim=300)
+    synthgen.generate(synth, tmp_path)
+    corpus = load_corpus(tmp_path)
+    table = load_embeddings(tmp_path / "embeddings.txt")
+    lexicons, tagger = load_lexicon_dir(tmp_path / "lexicons"), default_tagger()
+    encode_corpus(corpus, table, lexicons, tagger, budget=73)    # fills the tagger's caches
+    tracemalloc.start()
+    try:
+        instances = encode_corpus(corpus, table, lexicons, tagger, budget=73)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(instances) < 8 * 1024
+    for inst in instances:
+        assert np.shares_memory(inst.embeddings.matrix, table.vectors)
+        assert inst.embeddings.shape == (73, 300)
+        assert inst.pos_onehot.dtype == bool

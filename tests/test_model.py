@@ -8,7 +8,7 @@ import pytest
 
 from alzdetect import model
 from alzdetect.autodiff import Parameter, ShapeMismatch, Tape, backward
-from alzdetect.lexical_features import EncodedInstance
+from alzdetect.lexical_features import OOV_ROW, EncodedInstance, TableRows
 from alzdetect.model import (
     UNIT_WEIGHTS,
     VARIANTS,
@@ -286,15 +286,16 @@ def test_full_graph_gradients_plain_variant():
     assert worst < 1e-4
 
 
-def _step_gradients(cfg, batch, training):
-    """Parameter gradients of one class-weighted step, as bytes."""
+def _step_bytes(cfg, batch, training):
+    """Probabilities and parameter gradients of one class-weighted step, as bytes."""
     params = init_params(cfg, np.random.default_rng(21))
     emb, pos, feats, mask, labels = model._stack_instances(cfg, batch)
     with Tape() as tape:
         prob, _ = model._forward_graph(params, cfg, emb, pos, feats, mask,
                                        training=training, rng=np.random.default_rng(3))
         backward(tape, weighted_bce(prob, labels, ClassWeights(0.7, 1.9)))
-    return {p.name: p.grad.tobytes() for p in params.values()}
+    return {"probabilities": prob.data.tobytes(),
+            **{p.name: p.grad.tobytes() for p in params.values()}}
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -305,11 +306,38 @@ def test_constants_taking_no_gradient_change_no_parameter_gradient_bit(variant, 
     gap[3:6] = 0.0                                   # pads in mid-sequence
     batch[2] = replace(batch[2], mask=gap)
     cases = [(batch, True), (batch, False), (batch[:1], True), (batch[:1], False)]
-    plain = [_step_gradients(cfg, b, training) for b, training in cases]
+    plain = [_step_bytes(cfg, b, training) for b, training in cases]
     # every constant of the graph differentiated as if it were trained
     monkeypatch.setattr(model, "constant",
                         lambda data, name=None: Parameter(data, name or "constant"))
-    assert [_step_gradients(cfg, b, training) for b, training in cases] == plain
+    assert [_step_bytes(cfg, b, training) for b, training in cases] == plain
+
+
+def _dense(batch):
+    return [replace(i, embeddings=np.asarray(i.embeddings)) for i in batch]
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("size", [1, 8, 32])
+def test_table_rows_give_the_bytes_of_dense_copies(size, training):
+    cfg = replace(TINY, seq_len=9, dropout_rate=0.5)
+    batch = make_instances(cfg, size, np.random.default_rng(23))
+    first = batch[0]
+    ids = first.embeddings.ids.copy()
+    ids[4:] = OOV_ROW                                # padding from mid-sequence on
+    mask = np.where(np.arange(cfg.seq_len) < 4, 1.0, 0.0)
+    batch[0] = replace(first, embeddings=TableRows(first.embeddings.matrix, ids), mask=mask)
+    assert len({id(i.embeddings.matrix) for i in batch}) == 1     # the one-gather path
+    assert _step_bytes(cfg, batch, training) == _step_bytes(cfg, _dense(batch), training)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_rows_of_two_tables_give_the_bytes_of_dense_copies(training):
+    cfg = replace(TINY, seq_len=9, dropout_rate=0.5)
+    batch = (make_instances(cfg, 4, np.random.default_rng(24))
+             + make_instances(cfg, 4, np.random.default_rng(25)))
+    assert len({id(i.embeddings.matrix) for i in batch}) == 2     # the stacking path
+    assert _step_bytes(cfg, batch, training) == _step_bytes(cfg, _dense(batch), training)
 
 
 def test_attention_gradient_is_exactly_zero_when_disabled():
