@@ -263,10 +263,21 @@ def extract_participant_text(record: TranscriptRecord) -> str:
     return record.participant_text
 
 
+def words(text: str) -> list[str]:
+    """The words of clean text as the model reads them: whitespace pieces,
+    lowercased, with trailing ``. ? ! , ; :`` dropped. A piece of
+    punctuation alone is no word; apostrophized forms stay whole."""
+    out = []
+    for piece in text.split():
+        word = piece.lower().rstrip(".?!,;:")
+        if word:
+            out.append(word)
+    return out
+
+
 def participant_word_count(record: TranscriptRecord) -> int:
-    """Words spoken by the participant; punctuation tokens do not count."""
-    tokens = extract_participant_text(record).split()
-    return sum(1 for t in tokens if t.strip(".?!"))
+    """Words spoken by the participant, counted as the model reads them."""
+    return len(words(extract_participant_text(record)))
 
 
 # ---------------------------------------------------------------------------

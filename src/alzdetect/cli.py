@@ -71,7 +71,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     try:
         raw = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:    # ValueError: an int of over 4300 digits
+    # ValueError: an int of over 4300 digits; RecursionError: lists nested too deep
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot parse config {path}: {exc}") from exc
     try:
         return model.typed_value(raw, RunConfig, skip=_NOT_IN_YAML)

@@ -37,7 +37,7 @@ from .lexical_features import FEATURE_GROUPS, FEATURE_NAMES, EncodedInstance, Ta
 EPS = 1e-7
 
 MAGIC = b"ADNM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # Sanity bounds on a config's sizes, far above the paper's (73 tokens,
 # about 0.5M parameters): past them a run would overflow or fail to
@@ -457,20 +457,17 @@ def typed_value(value, kind, key: str = "", skip: tuple[str, ...] = ()):
 
 
 def save(params: dict[str, Parameter], config: ModelConfig, path: str | Path):
+    """Format 3: magic, version, the config as JSON, then each parameter's
+    UTF-8 name and its ``<f8`` values. The config fixes every shape and the
+    order (``param_shapes``), so nothing else is stored."""
     cfg = json.dumps(dataclasses.asdict(config), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(cfg)))
         fh.write(cfg)
-        fh.write(struct.pack("<I", len(params)))
         for name, p in params.items():
-            data = p.data
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}q", *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+            fh.write(name.encode("utf-8"))
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -493,37 +490,21 @@ def load(path: str | Path) -> tuple[dict[str, Parameter], ModelConfig]:
             config = typed_value(json.loads(_read_exact(fh, cfg_len)), ModelConfig)
         except DataError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise CorruptFile(f"{path}: bad config block: {exc}") from exc
-        # the graph reads parameters by name with raw numpy ops, so the file's
-        # tensors must be exactly the set its own config would create; each
-        # header is checked before its data is read
-        expected = param_shapes(config)
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
+        # the config is the file's only schema: the graph reads exactly the
+        # parameters it would create, so they follow in that order, each its
+        # name (which catches a reordered or renamed parameter) and then as
+        # many values as its shape holds
         tensors: dict[str, Parameter] = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            try:
-                name = _read_exact(fh, name_len).decode("utf-8")
-            except UnicodeDecodeError:
-                raise CorruptFile(f"{path}: tensor name is not UTF-8") from None
-            if name not in expected:
-                raise CorruptFile(f"{path}: unexpected tensor {name!r}")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-            if ndim != len(expected[name]):
-                raise CorruptFile(f"{path}: tensor {name!r} has {ndim} dimensions, "
-                                  f"expected {len(expected[name])}")
-            shape = struct.unpack(f"<{ndim}q", _read_exact(fh, 8 * ndim))
-            if shape != expected[name]:
-                raise CorruptFile(f"{path}: tensor {name!r} has shape {shape}, "
-                                  f"expected {expected[name]}")
+        for name, shape in param_shapes(config).items():
+            at, stored = fh.tell(), name.encode("utf-8")
+            if fh.read(len(stored)) != stored:
+                raise CorruptFile(f"{path}: expected tensor {name!r} at byte {at}")
             data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
             if not np.all(np.isfinite(data)):
                 raise CorruptFile(f"{path}: tensor {name!r} holds non-finite values")
             tensors[name] = Parameter(data.reshape(shape).copy(), name)
         if fh.read(1):
             raise CorruptFile(f"{path}: trailing bytes after last tensor")
-    missing = sorted(set(expected) - set(tensors))
-    if missing:
-        raise CorruptFile(f"{path}: tensors missing from the file: {missing}")
     return tensors, config

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chat_corpus import DataError, reading_utf8
+from .chat_corpus import DataError, reading_utf8, words
 
 PAD_TOKEN = "<pad>"
 PAD_TAG = "PAD"
@@ -64,19 +64,11 @@ _TAG_COLUMN = {t: j for j, t in enumerate(PTB_TAGS)}
 
 
 def tokenize(text: str) -> TokenSequence:
-    """Whitespace tokenization, lowercased, sentence punctuation dropped.
-
-    Apostrophized forms stay single tokens. Terminal ``.`` ``?`` ``!``
-    (standalone or stuck to a word) do not count as words.
-    """
-    tokens = []
-    for piece in text.split():
-        word = piece.lower().rstrip(".?!,;:")
-        if word:
-            tokens.append(word)
+    """The text's words (``chat_corpus.words``) as a token sequence."""
+    tokens = tuple(words(text))
     if not tokens:
         raise EmptyText("no word tokens in input text")
-    return TokenSequence(tokens=tuple(tokens), original_length=len(tokens))
+    return TokenSequence(tokens=tokens, original_length=len(tokens))
 
 
 def fix_length(seq: TokenSequence, budget: int) -> TokenSequence:

@@ -25,6 +25,7 @@ from alzdetect.chat_corpus import (
     participant_word_count,
     write_manifest,
 )
+from alzdetect.text_pipeline import tokenize
 from helpers import reference_normalize_utterance
 
 SAMPLE = "\n".join([
@@ -284,6 +285,13 @@ def test_duplicate_transcript_id_raises(tmp_path):
 def test_word_count_skips_punctuation_tokens():
     rec = parse_chat_file("*PAR:\tthe boy fell . did he ?\n", Label.AD)
     assert participant_word_count(rec) == 5
+
+
+@pytest.mark.parametrize("text", ["well , the boy is here .", "yes ; no : maybe !"])
+def test_word_count_is_the_models_token_count(text):
+    """`stats` and the manifest count the tokens the model reads."""
+    rec = parse_chat_file(f"*PAR:\t{text}\n", Label.AD)
+    assert participant_word_count(rec) == len(tokenize(rec.participant_text).tokens)
 
 
 def _record(pid, label, words):

@@ -235,6 +235,25 @@ def test_integer_too_long_to_parse_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot parse config") and err.count("\n") == 1
 
 
+# lists nested past the YAML and JSON decoders' recursion limits; each once
+# ended in a RecursionError traceback
+_NESTED_YAML = "model: " + "[" * 5000 + "]" * 5000 + "\n"
+_NESTED_JSON = b"[" * 100_000
+
+
+def _write_nested_model_file(path):
+    path.write_bytes(model.MAGIC + struct.pack("<II", model.FORMAT_VERSION, len(_NESTED_JSON))
+                     + _NESTED_JSON)
+
+
+def test_nested_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text(_NESTED_YAML)
+    assert main(["train", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse config") and err.count("\n") == 1
+
+
 def test_missing_corpus_is_data_error(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "nowhere")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -338,20 +357,17 @@ def _corrupt(data: bytes, edit) -> bytes:
     return data[:at] + new + data[at + len(new) * (kind == "overwrite"):]
 
 
-# edits of the first tensor header (ndim u32, then one i64 per dimension)
-# of a saved model; each once ended `predict` in a traceback
+# edits of the first tensor of a saved model, which is its name (the only
+# header a tensor has) and then its float64 values
 _FIRST_TENSOR = b"conv_embed_kernels"
-_HEADER_EDITS = {
-    "dim-2^40": ("overwrite", _FIRST_TENSOR, struct.pack("<Iq", 3, 2**40)),
-    "ndim-2^31": ("overwrite", _FIRST_TENSOR, struct.pack("<I", 2**31)),
-    "dim-2^61": ("overwrite", _FIRST_TENSOR, struct.pack("<Iq", 3, 2**61)),
-    "ndim-130": ("overwrite", _FIRST_TENSOR, struct.pack("<I", 130)),
-    "dim-minus-1": ("overwrite", _FIRST_TENSOR, struct.pack("<Iq", 3, -1)),
-    "inserted-byte": ("insert", _FIRST_TENSOR + struct.pack("<II", 3, 2), b"\xff"),
+_TENSOR_EDITS = {
+    "renamed": ("overwrite", _FIRST_TENSOR[:-1], b"z"),
+    "inserted-byte": ("insert", _FIRST_TENSOR, b"\xff"),
+    "truncated-name": ("truncate", _FIRST_TENSOR[:-4]),
 }
 
 
-@pytest.mark.parametrize("edit", _HEADER_EDITS.values(), ids=_HEADER_EDITS.keys())
+@pytest.mark.parametrize("edit", _TENSOR_EDITS.values(), ids=_TENSOR_EDITS.keys())
 def test_corrupt_tensor_header_is_data_error(tmp_path, workspace, capsys, edit):
     root, _ = workspace
     path = tmp_path / "model.bin"
@@ -388,7 +404,8 @@ def test_bad_transcript_error_names_it(tmp_path, workspace, capsys, edit, messag
 
 @pytest.mark.parametrize("change, needle", [
     (lambda t: t.pop("out_b"), "out_b"),
-    (lambda t: t.update(lstm_fwd_wh=np.zeros((2, 12))), "lstm_fwd_wh"),
+    # too few values: the file stops matching at the next tensor's name
+    (lambda t: t.update(lstm_fwd_wh=np.zeros((2, 12))), "expected tensor 'lstm_fwd_b'"),
 ], ids=["missing-tensor", "wrong-shape"])
 def test_model_file_not_matching_its_config_is_data_error(tmp_path, workspace, capsys,
                                                           change, needle):
@@ -399,6 +416,14 @@ def test_model_file_not_matching_its_config_is_data_error(tmp_path, workspace, c
     cfg = _bad_input_config(tmp_path, workspace)
     _assert_data_error(["predict", str(cfg), "--model", str(path), str(transcript)],
                        capsys, needle)
+
+
+def test_nested_model_file_config_is_data_error(tmp_path, workspace, capsys):
+    path = tmp_path / "deep.bin"
+    _write_nested_model_file(path)
+    cfg = _bad_input_config(tmp_path, workspace)
+    _assert_data_error(["eval", str(cfg), "--model", str(path)], capsys,
+                       f"{path}: bad config block")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -1029,10 +1054,12 @@ _PINNED = [
     ("config", "synth", "mean_length_ct", float("nan")),
     ("config", "synth", "mean_length_ad", float("inf")),
     ("config", "synth", "seed", -1),
-    *[("file", "model", "predict", edit) for edit in _HEADER_EDITS.values()],
+    *[("file", "model", "predict", edit) for edit in _TENSOR_EDITS.values()],
     *[("file", "transcript", "train", edit) for edit, _ in _TRANSCRIPT_EDITS.values()],
     ("layout", "ad"),
     ("layout", "ct"),
+    ("nested", "config"),
+    ("nested", "model"),
 ]
 
 
@@ -1048,6 +1075,15 @@ def _config_case_argv(tmp, workspace, section, key, value):
     if value == _NOT_UTF8:
         cfg.write_bytes(cfg.read_bytes().replace(b"NOT-UTF8", _NOT_UTF8))
     return ["synth" if section == "synth" else "train", str(cfg)]
+
+
+def _nested_case_argv(tmp, workspace, target):
+    cfg = _bad_input_config(tmp, workspace)
+    if target == "config":
+        cfg.write_text(_NESTED_YAML)
+        return ["train", str(cfg)]
+    _write_nested_model_file(tmp / "model.bin")
+    return ["eval", str(cfg), "--model", str(tmp / "model.bin")]
 
 
 def _layout_case_argv(tmp, workspace, dropped):
@@ -1103,9 +1139,11 @@ def test_bad_input_never_ends_in_a_traceback(workspace, case):
     before it writes a transcript, with exit 1 or 2 and one error line.
     (b) One corrupt input file does the same, or leaves the file valid:
     `train` then reaches `model.fit`, `predict` exits 0.
-    (c) A corpus without its ad/ or its ct/ directory stops `train` with exit 2."""
+    (c) A corpus without its ad/ or its ct/ directory stops `train` with exit 2.
+    (d) Lists nested past the decoder's recursion limit, in the YAML config
+    or in a model file's config block, stop `train` or `eval` the same way."""
     make_argv = {"config": _config_case_argv, "file": _file_case_argv,
-                 "layout": _layout_case_argv}[case[0]]
+                 "layout": _layout_case_argv, "nested": _nested_case_argv}[case[0]]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         argv = make_argv(tmp, workspace, *case[1:])

@@ -545,6 +545,17 @@ def test_save_load_round_trip(tmp_path):
     assert predict(loaded_params, loaded_cfg, [inst])[0] == predict(params, TINY, [inst])[0]
 
 
+def test_model_file_holds_only_config_names_and_values(tmp_path):
+    """Format 3 stores no count, rank or shape: its size is the header, the
+    config block and each parameter's name and float64 values."""
+    params = init_params(TINY, np.random.default_rng(23))
+    path = tmp_path / "model.bin"
+    save(params, TINY, path)
+    cfg_len = int.from_bytes(path.read_bytes()[8:12], "little")
+    assert path.stat().st_size == 4 + 8 + cfg_len + sum(
+        len(name) + 8 * p.data.size for name, p in params.items())
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\0" * 40)
@@ -576,14 +587,16 @@ def test_load_rejects_truncation_and_trailing_bytes(tmp_path):
         load(path)
 
 
-def test_load_rejects_format_1_file(tmp_path):
-    # format 1 files carry the config schema from before the variant switches merged
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_rejects_older_format(tmp_path, version):
+    # format 1 files carry the config schema from before the variant switches
+    # merged; format 2 files a tensor count and each tensor's rank and shape
     path = tmp_path / "model.bin"
     save(init_params(TINY, np.random.default_rng(0)), TINY, path)
     blob = bytearray(path.read_bytes())
-    blob[4] = 1
+    blob[4] = version
     path.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatch, match="format version 1, expected 2"):
+    with pytest.raises(VersionMismatch, match=f"format version {version}, expected 3"):
         load(path)
 
 
@@ -593,19 +606,24 @@ def test_load_rejects_unknown_config_keys(tmp_path):
 
     cfg = json.dumps({"bogus": 1}).encode()
     path = tmp_path / "model.bin"
-    path.write_bytes(model.MAGIC + struct.pack("<II", model.FORMAT_VERSION, len(cfg))
-                     + cfg + struct.pack("<I", 0))
+    path.write_bytes(model.MAGIC + struct.pack("<II", model.FORMAT_VERSION, len(cfg)) + cfg)
     with pytest.raises(CorruptFile):
         load(path)
 
 
-def test_load_rejects_non_utf8_tensor_name(tmp_path):
+_FIRST = b"conv_embed_kernels"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw.replace(_FIRST, b"\xff" + _FIRST[1:], 1),
+    lambda raw: raw.replace(_FIRST, b"conv_embed_kernelz", 1),
+    lambda raw: raw[:raw.index(_FIRST) + 5],
+], ids=["not-utf8", "renamed", "truncated"])
+def test_load_rejects_wrong_tensor_name(tmp_path, edit):
     path = tmp_path / "model.bin"
     save(init_params(TINY, np.random.default_rng(0)), TINY, path)
-    raw = path.read_bytes()
-    name = b"conv_embed_kernels"
-    path.write_bytes(raw.replace(name, b"\xff" + name[1:], 1))
-    with pytest.raises(CorruptFile, match="not UTF-8"):
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CorruptFile, match="expected tensor 'conv_embed_kernels'"):
         load(path)
 
 
@@ -614,7 +632,9 @@ def test_load_rejects_non_utf8_tensor_name(tmp_path):
     lambda t: t.update(lstm_fwd_wh=np.zeros((2, 12))),
     lambda t: t.update(extra=np.zeros(3)),
     lambda t: t["dense_b"].__setitem__(0, np.nan),
-], ids=["missing", "wrong-shape", "unexpected", "non-finite"])
+    # every tensor with its own size, but out of config order: only names tell
+    lambda t: t.update(attn_b=t.pop("attn_b")),
+], ids=["missing", "wrong-shape", "unexpected", "non-finite", "reordered"])
 def test_load_checks_tensors_against_config(tmp_path, change):
     path = tmp_path / "model.bin"
     save_edited_model(TINY, path, change)
