@@ -23,20 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 
-class ShapeMismatch(ValueError):
-    """Operands cannot be combined under the primitive's shape rules."""
-
-
 class NonFiniteValue(FloatingPointError):
     """An operation produced NaN or Inf."""
-
-
-class NotScalarLoss(ValueError):
-    """backward() was asked to differentiate a non-scalar tensor."""
-
-
-class SpentTape(RuntimeError):
-    """backward() was asked to replay a tape it has already run."""
 
 
 class Tensor:
@@ -153,10 +141,7 @@ def constant(data, name: str | None = None) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError as e:
-        raise ShapeMismatch(f"add: {a.shape} vs {b.shape}") from e
+    data = a.data + b.data
 
     def bw(g):
         _accum(a, _unbroadcast(g, a.shape))
@@ -166,10 +151,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError as e:
-        raise ShapeMismatch(f"sub: {a.shape} vs {b.shape}") from e
+    data = a.data - b.data
 
     def bw(g):
         _accum(a, _unbroadcast(g, a.shape))
@@ -179,10 +161,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError as e:
-        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}") from e
+    data = a.data * b.data
 
     def bw(g):
         _accum(a, _unbroadcast(g * b.data, a.shape))
@@ -193,9 +172,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch("matmul expects rank-2 operands")
+        raise ValueError("matmul expects rank-2 operands")
     if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
+        raise ValueError(f"matmul: {a.shape} @ {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         data = a.data @ b.data
 
@@ -270,10 +249,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    try:
-        data = x.data.reshape(shape)
-    except ValueError as e:
-        raise ShapeMismatch(f"reshape {x.shape} -> {shape}") from e
+    data = x.data.reshape(shape)
 
     def bw(g):
         _accum(x, g.reshape(x.shape))
@@ -282,12 +258,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ShapeMismatch("concat of zero tensors")
-    try:
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as e:
-        raise ShapeMismatch("concat: incompatible shapes") from e
+    data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -303,7 +274,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous slice along one axis, rank preserved."""
     if not (0 <= start < stop <= x.shape[axis]):
-        raise ShapeMismatch(f"slice [{start}:{stop}] out of range on axis {axis} of {x.shape}")
+        raise ValueError(f"slice [{start}:{stop}] out of range on axis {axis} of {x.shape}")
     idx = [slice(None)] * x.data.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
@@ -358,7 +329,7 @@ def softmax(x: Tensor, axis: int, mask: np.ndarray) -> Tensor:
     """
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != x.shape:
-        raise ShapeMismatch(f"softmax mask {mask.shape} vs input {x.shape}")
+        raise ValueError(f"softmax mask {mask.shape} vs input {x.shape}")
     neg = np.where(mask > 0, x.data, -np.inf)
     shift = np.max(neg, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
@@ -402,12 +373,12 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     rebuilds it from ``x`` rather than keeping it alive across the tape.
     """
     if kernels.data.ndim != 3:
-        raise ShapeMismatch("conv1d kernels must be [F, w, C]")
+        raise ValueError("conv1d kernels must be [F, w, C]")
     nf, w, c = kernels.shape
     if w % 2 == 0:
-        raise ShapeMismatch("conv1d kernel width must be odd")
+        raise ValueError("conv1d kernel width must be odd")
     if x.data.ndim != 3 or x.shape[-1] != c:
-        raise ShapeMismatch(f"conv1d input {x.shape} vs kernels {kernels.shape}")
+        raise ValueError(f"conv1d input {x.shape} vs kernels {kernels.shape}")
 
     b, t, _ = x.shape
     half = w // 2
@@ -444,13 +415,13 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
     activations, then one GEMM each for the weight and input gradients.
     """
     if seq.data.ndim != 3 or wx.data.ndim != 2 or wh.data.ndim != 2:
-        raise ShapeMismatch("lstm expects seq [B, T, C], wx [C, 4H], wh [H, 4H]")
+        raise ValueError("lstm expects seq [B, T, C], wx [C, 4H], wh [H, 4H]")
     nb, nt, c = seq.shape
     hidden = wh.shape[0]
     if (wx.shape != (c, 4 * hidden) or wh.shape != (hidden, 4 * hidden)
             or b.shape != (4 * hidden,) or np.shape(mask) != (nb, nt)):
-        raise ShapeMismatch(f"lstm: seq {seq.shape}, wx {wx.shape}, wh {wh.shape}, "
-                            f"b {b.shape}, mask {np.shape(mask)}")
+        raise ValueError(f"lstm: seq {seq.shape}, wx {wx.shape}, wh {wh.shape}, "
+                         f"b {b.shape}, mask {np.shape(mask)}")
     h2, h3 = 2 * hidden, 3 * hidden
     steps = range(nt - 1, -1, -1) if reverse else range(nt)
     keeps = mask[:, ::-1] if reverse else mask   # [B, T] in processing order
@@ -541,14 +512,14 @@ def backward(tape: Tape, loss: Tensor):
     every consumer was recorded later, so nothing reads it again. The
     records themselves stay on the tape, but a tape runs backward once:
     rules may overwrite what their op saved (``lstm`` its gates), so a
-    second pass raises ``SpentTape`` instead of giving wrong gradients.
+    second pass raises ``RuntimeError`` instead of giving wrong gradients.
     Tensors the loss never touched keep whatever gradient they already had
     (zeros, for freshly created or zeroed Parameters).
     """
     if loss.data.shape != ():
-        raise NotScalarLoss(f"loss has shape {loss.data.shape}, expected scalar")
+        raise ValueError(f"loss has shape {loss.data.shape}, expected scalar")
     if tape.spent:
-        raise SpentTape("this tape has already run backward; record the forward pass again")
+        raise RuntimeError("this tape has already run backward; record the forward pass again")
     tape.spent = True
     loss.grad = np.ones(())
     for out_t, bw in reversed(tape.records):

@@ -20,41 +20,18 @@ from pathlib import Path
 
 
 class DataError(ValueError):
-    """An input file (transcript, embeddings, lexicon, tagger or model) is
-    bad. The CLI exits 2 on any of these, as on any OSError."""
-
-
-class ChatParseError(DataError):
-    """Base class for transcript parsing failures."""
-
-
-class MissingParticipantTier(ChatParseError):
-    pass
-
-
-class MalformedTier(ChatParseError):
-    pass
-
-
-class BadDemographics(ChatParseError):
-    pass
-
-
-class EmptyCorpus(DataError):
-    pass
-
-
-class NotUtf8(DataError):
-    """An input file is not UTF-8 text."""
+    """The one exception type for bad input data (a transcript, corpus,
+    embeddings, lexicon, tagger or model file); its message names the file.
+    The CLI exits 2 on it, as on any OSError."""
 
 
 @contextmanager
 def reading_utf8(path):
-    """Turn a UTF-8 decode failure while reading ``path`` into NotUtf8 naming it."""
+    """Turn a UTF-8 decode failure while reading ``path`` into a DataError naming it."""
     try:
         yield
     except UnicodeDecodeError as exc:
-        raise NotUtf8(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class Gender(Enum):
@@ -78,7 +55,7 @@ class Demographics:
 
     def __post_init__(self):
         if self.age is not None and not (0 < self.age <= 130):
-            raise BadDemographics(f"age {self.age} out of range")
+            raise DataError(f"age {self.age} out of range")
 
 
 @dataclass(frozen=True)
@@ -199,7 +176,7 @@ def _parse_id_header(value: str) -> Demographics | None:
     if age_field and age_field != ";":
         m = re.match(r"^(\d+)", age_field)
         if not m:
-            raise BadDemographics(f"unparseable age field {age_field!r}")
+            raise DataError(f"unparseable age field {age_field!r}")
         age = int(m.group(1))
     gender_field = parts[4].strip().lower()
     if gender_field.startswith("f"):
@@ -234,7 +211,7 @@ def parse_chat_file(content: str, label: Label, transcript_id: str = "",
         if line[0] == "*":
             m = _RE_TIER.match(line)
             if not m:
-                raise MalformedTier(f"bad tier line: {line.strip()!r}")
+                raise DataError(f"bad tier line: {line.strip()!r}")
             if m.group(1) == PARTICIPANT:
                 body = [line[m.end():].strip()]
                 bodies.append(body)
@@ -244,7 +221,7 @@ def parse_chat_file(content: str, label: Label, transcript_id: str = "",
                 demographics = _parse_id_header(value.strip()) or demographics
 
     if not bodies:
-        raise MissingParticipantTier("no *PAR: tier in file")
+        raise DataError("no *PAR: tier in file")
     warnings: list[str] = []
     texts = [normalize_utterance(" ".join(lines), warnings) for lines in bodies]
 
@@ -294,8 +271,8 @@ def read_transcript(path: str | Path, label: Label) -> TranscriptRecord:
     try:
         return parse_chat_file(text, label, transcript_id=stem,
                                participant_id=stem.split("-")[0])
-    except ChatParseError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_corpus(root: str | Path) -> Corpus:
@@ -309,11 +286,11 @@ def load_corpus(root: str | Path) -> Corpus:
             continue
         records.extend(read_transcript(path, label) for path in sorted(d.glob("*.cha")))
     if not records:
-        raise EmptyCorpus(f"no transcripts under {root}/ad or {root}/ct")
+        raise DataError(f"no transcripts under {root}/ad or {root}/ct")
     seen = set()
     for r in records:
         if r.transcript_id in seen:
-            raise ChatParseError(f"duplicate transcript id {r.transcript_id!r}")
+            raise DataError(f"duplicate transcript id {r.transcript_id!r}")
         seen.add(r.transcript_id)
     return Corpus(records=tuple(records))
 
@@ -327,7 +304,7 @@ def _lower_median(values: list[int]) -> int:
 
 def corpus_stats(corpus: Corpus) -> StatsReport:
     if not corpus.records:
-        raise EmptyCorpus("cannot compute statistics of an empty corpus")
+        raise DataError("cannot compute statistics of an empty corpus")
     by_label = {Label.AD: [], Label.CT: []}
     participants = {Label.AD: set(), Label.CT: set()}
     for rec in corpus.records:

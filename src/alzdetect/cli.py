@@ -6,8 +6,10 @@ subcommand reads the sections it needs. Unknown config keys are errors.
 Every run is deterministic given the config, down to byte-identical CSV
 artifacts.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 training
-divergence.
+Exit codes: 0 success, and one exception type for each failure: 1 for a
+``UsageError`` (bad arguments or config), 2 for a ``DataError`` or an
+``OSError`` (bad or missing input data), 3 for ``Diverged`` (training
+produced a non-finite value). Any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import numpy as np
 import yaml
 
 from . import chat_corpus, evaluation, lexical_features, model, synthgen
+from .autodiff import NonFiniteValue
 from .chat_corpus import DataError, Label, StatsReport, reading_utf8
 from .evaluation import SplitSpec
-from .lexical_features import OOV_ROW, DimensionMismatch
+from .lexical_features import OOV_ROW
 from .model import Diverged, ModelConfig
 from .synthgen import SynthConfig
 from .text_pipeline import default_tagger, fix_length, tokenize
@@ -51,7 +54,7 @@ class RunConfig:
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be a non-empty list of non-negative integers, "
-                             f"got {list(self.seeds)}")
+                             f"got {model.ECHO.repr(list(self.seeds))}")
         if self.variant not in model.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"expected one of {', '.join(model.VARIANTS)}")
@@ -108,8 +111,18 @@ def _load_resources(cfg: RunConfig):
 def _check_width(dim: int, mcfg: ModelConfig):
     """A saved model reads vectors exactly as wide as the embedding table."""
     if dim != mcfg.embed_dim:
-        raise DimensionMismatch(
-            f"embedding file is {dim}-dimensional but the model expects {mcfg.embed_dim}")
+        raise DataError(f"embedding file is {dim}-dimensional but the model expects "
+                        f"{mcfg.embed_dim}")
+
+
+def _predict(params, mcfg: ModelConfig, instances, model_path) -> np.ndarray:
+    """``model.predict``, an overflow being bad data in the model file; numpy's
+    overflow warnings are muted, since every op checks its own output."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return model.predict(params, mcfg, instances)
+    except NonFiniteValue as exc:
+        raise DataError(f"{model_path}: the forward pass overflows: {exc}") from None
 
 
 def _encode(cfg: RunConfig, mcfg: ModelConfig):
@@ -122,7 +135,7 @@ def _encode(cfg: RunConfig, mcfg: ModelConfig):
     try:
         mcfg = replace(mcfg, embed_dim=table.dim)
     except ValueError as exc:          # a table too wide for model.MAX_PARAMS
-        raise DimensionMismatch(f"embedding file is {table.dim}-dimensional: {exc}") from None
+        raise DataError(f"embedding file is {table.dim}-dimensional: {exc}") from None
     if all((i.embeddings.ids[i.mask == 1.0] == OOV_ROW).all() for i in instances):
         print(f"warning: {cfg.embeddings}: no word of the corpus has a vector, so "
               f"every token embeds as zeros", file=sys.stderr)
@@ -202,7 +215,7 @@ def _cmd_eval(args) -> int:
     instances, wide = _encode(cfg, mcfg)
     _check_width(wide.embed_dim, mcfg)
     [(_, _, _, test)] = evaluation.seed_splits(instances, cfg.split, cfg.seeds[:1])
-    scores = model.predict(params, mcfg, test)
+    scores = _predict(params, mcfg, test, args.model)
     labels = np.array([i.label for i in test])
     report = evaluation.evaluate_scores(labels, scores)
     # the row is named after the model file's switches, not the YAML variant
@@ -253,7 +266,7 @@ def _cmd_predict(args) -> int:
     record = chat_corpus.read_transcript(args.transcript, Label.CT)
     instance = lexical_features.encode_record(record, table, lexicons, tagger,
                                               budget=mcfg.seq_len)
-    prob = model.predict(params, mcfg, [instance])[0]
+    prob = _predict(params, mcfg, [instance], args.model)[0]
     label = "AD" if model.classify(prob) else "CT"
     print(f"{record.transcript_id}\t{prob:.4f}\t{label}")
     if args.top is not None:

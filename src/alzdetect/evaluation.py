@@ -24,7 +24,6 @@ from .lexical_features import FEATURE_GROUPS, EncodedInstance
 from .model import (
     ModelConfig,
     VARIANTS,
-    ZeroClass,
     active_feature_indices,
     classify,
     fit,
@@ -34,14 +33,6 @@ from .model import (
 
 # the ablation row of each feature group: "No Psych.", "No Sent.", "No Demo."
 ABLATION_LABELS = {group: f"No {group.capitalize()}." for group in FEATURE_GROUPS}
-
-
-class TooSmall(DataError):
-    pass
-
-
-class LengthMismatch(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +61,7 @@ def split(items: list, spec: SplitSpec) -> tuple[list, list, list]:
     slice, so no speaker is on both sides of the split.
     """
     if not items:
-        raise TooSmall("nothing to split")
+        raise DataError("nothing to split")
     units: dict = {}
     try:
         for item in items:
@@ -82,7 +73,7 @@ def split(items: list, spec: SplitSpec) -> tuple[list, list, list]:
     n_train = math.floor(spec.train_fraction * n)
     n_val = math.floor(spec.val_fraction * n)
     if min(n_train, n_val, n - n_train - n_val) < 1:
-        raise TooSmall(f"{n} participants leave an empty slice")
+        raise DataError(f"{n} participants leave an empty slice")
     shuffled = [groups[k] for k in np.random.default_rng(spec.seed).permutation(n)]
     return tuple([x for group in part for x in group]
                  for part in (shuffled[:n_train], shuffled[n_train:n_train + n_val],
@@ -101,7 +92,7 @@ def seed_splits(instances: list[EncodedInstance], spec: SplitSpec,
         train, val, test = split(instances, replace(spec, seed=seed))
         n_ad = sum(i.label for i in train)
         if n_ad in (0, len(train)):
-            raise ZeroClass(f"seed {seed}: the train slice needs both classes, "
+            raise DataError(f"seed {seed}: the train slice needs both classes, "
                             f"got ad={n_ad} ct={len(train) - n_ad}")
         splits.append((seed, train, val, test))
     return splits
@@ -140,7 +131,7 @@ def confusion(labels, predictions) -> ConfusionCounts:
     y = np.asarray(labels)
     p = np.asarray(predictions)
     if y.shape != p.shape:
-        raise LengthMismatch(f"{y.shape} labels vs {p.shape} predictions")
+        raise ValueError(f"{y.shape} labels vs {p.shape} predictions")
     return ConfusionCounts(
         tn=float(np.sum((y == 0) & (p == 0))),
         fp=float(np.sum((y == 0) & (p == 1))),
@@ -155,7 +146,7 @@ def auc_pair(labels, scores) -> float | None:
     y = np.asarray(labels)
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape:
-        raise LengthMismatch(f"{y.shape} labels vs {s.shape} scores")
+        raise ValueError(f"{y.shape} labels vs {s.shape} scores")
     pos, neg = s[y == 1], s[y == 0]
     if len(pos) == 0 or len(neg) == 0:
         return None

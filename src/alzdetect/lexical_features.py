@@ -33,7 +33,6 @@ from .chat_corpus import (
 )
 from .text_pipeline import (
     PAD_TOKEN,
-    EmptyText,
     PerceptronTaggerModel,
     TokenSequence,
     fix_length,
@@ -55,26 +54,6 @@ FEATURE_GROUPS = {
     "sent": (4,),
     "demo": (5, 6),
 }
-
-
-class DimensionMismatch(DataError):
-    pass
-
-
-class EmptyFile(DataError):
-    pass
-
-
-class BadLexiconFile(DataError):
-    pass
-
-
-class BadEmbeddingFile(DataError):
-    """An embedding line holds a non-numeric or non-finite value."""
-
-
-class NonFiniteFeature(DataError):
-    """A transcript's lexicon scores overflow their float64 mean."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +81,28 @@ _CHUNK_BYTES = 1 << 20
 
 
 class _TableBuilder:
-    """The rows of an embedding table as its lines arrive, chunk by chunk."""
+    """The rows of an embedding table as its lines arrive, chunk by chunk:
+    each chunk's new rows are copied into ``vectors``, which grows in place
+    and always ends in the zero row, so the values are never held twice."""
 
     def __init__(self, path):
         self.path = path
         self.dim: int | None = None
         self.rows: dict[str, int] = {}
-        self.blocks: list[np.ndarray] = []
+        self.vectors = np.zeros((1, 0))
 
     def _append(self, words: list[str], block: np.ndarray):
-        """The rows of ``block`` whose word is new; the first occurrence wins."""
+        """Copy the rows of ``block`` whose word is new; the first occurrence wins."""
+        at = len(self.rows)
         keep = []
         for i, word in enumerate(words):
             if word not in self.rows:
                 self.rows[word] = len(self.rows)
                 keep.append(i)
-        self.blocks.append(block if len(keep) == len(words) else block[keep])
+        # no view of vectors outlives a call, so it may grow in place; resize
+        # zero-fills what it adds, so the last row stays the zero row
+        self.vectors.resize((len(self.rows) + 1, self.dim), refcheck=False)
+        self.vectors[at:-1] = block if len(keep) == len(words) else block[keep]
 
     def add_bulk(self, lines: list[str]) -> bool:
         """Parse ``lines`` with numpy's C text reader. Returns False, having
@@ -156,29 +141,26 @@ class _TableBuilder:
             word, values = parts[0], parts[1:]
             if self.dim is None:
                 if not values:
-                    raise DimensionMismatch(f"{self.path}:{lineno}: no vector values")
+                    raise DataError(f"{self.path}:{lineno}: no vector values")
                 self.dim = len(values)
             elif len(values) != self.dim:
-                raise DimensionMismatch(
-                    f"{self.path}:{lineno}: expected {self.dim} values, got {len(values)}"
-                )
+                raise DataError(f"{self.path}:{lineno}: expected {self.dim} values, "
+                                f"got {len(values)}")
             if word not in self.rows:
                 try:
                     vec = np.array(values, dtype=np.float64)
                 except ValueError:
-                    raise BadEmbeddingFile(
-                        f"{self.path}:{lineno}: non-numeric vector value") from None
+                    raise DataError(f"{self.path}:{lineno}: non-numeric vector value") from None
                 if not np.isfinite(vec).all():
-                    raise BadEmbeddingFile(f"{self.path}:{lineno}: non-finite vector value")
+                    raise DataError(f"{self.path}:{lineno}: non-finite vector value")
                 self._append([word], vec[None])
 
     def table(self) -> EmbeddingTable:
         if self.dim is None:
-            raise EmptyFile(f"{self.path}: no embedding lines")
+            raise DataError(f"{self.path}: no embedding lines")
         # pads embed as zeros whatever the file says; a <pad> line's row is never read
         self.rows.pop(PAD_TOKEN, None)
-        return EmbeddingTable(np.concatenate(self.blocks + [np.zeros((1, self.dim))]),
-                              self.rows)
+        return EmbeddingTable(self.vectors, self.rows)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
@@ -239,32 +221,32 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
     with open(path, encoding="utf-8") as fh, reading_utf8(path):
         lines = fh.read().splitlines()
     if not lines:
-        raise EmptyFile(f"{path}: empty lexicon file")
+        raise DataError(f"{path}: empty lexicon file")
     header = lines[0].split()
     if len(header) != 4 or header[0] != "#" or header[1] != "range":
-        raise BadLexiconFile(f"{path}: first line must be '# range lo hi'")
+        raise DataError(f"{path}: first line must be '# range lo hi'")
     try:
         lo, hi = float(header[2]), float(header[3])
     except ValueError as exc:
-        raise BadLexiconFile(f"{path}: bad range bounds") from exc
+        raise DataError(f"{path}: bad range bounds") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise BadLexiconFile(f"{path}:1: non-finite range bound")
+        raise DataError(f"{path}:1: non-finite range bound")
     if not lo < hi:
-        raise BadLexiconFile(f"{path}:1: range {lo} .. {hi} is empty")
+        raise DataError(f"{path}:1: range {lo} .. {hi} is empty")
     entries: dict[str, float] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise BadLexiconFile(f"{path}:{lineno}: expected word<TAB>score")
+            raise DataError(f"{path}:{lineno}: expected word<TAB>score")
         try:
             score = float(parts[1])
         except ValueError as exc:
-            raise BadLexiconFile(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
+            raise DataError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
         if not lo <= score <= hi:        # also catches nan and an overflow to inf
-            raise BadLexiconFile(f"{path}:{lineno}: score {parts[1]!r} for {parts[0]!r} "
-                                 f"outside [{lo}, {hi}]")
+            raise DataError(f"{path}:{lineno}: score {parts[1]!r} for {parts[0]!r} "
+                            f"outside [{lo}, {hi}]")
         entries[parts[0]] = score
     return entries
 
@@ -328,14 +310,14 @@ def encode_record(
 ) -> EncodedInstance:
     try:
         seq = fix_length(tokenize(extract_participant_text(record)), budget)
-    except EmptyText:
-        raise EmptyText(f"transcript {record.transcript_id}: no word tokens") from None
+    except DataError:
+        raise DataError(f"transcript {record.transcript_id}: no word tokens") from None
     tags = tag(tagger, seq)
     features = build_feature_vector(seq, lexicons, record.demographics)
     if not np.isfinite(features).all():
         slot = FEATURE_NAMES[int(np.argmin(np.isfinite(features)))]
-        raise NonFiniteFeature(f"transcript {record.transcript_id}: the {slot} feature "
-                               f"is not finite (its lexicon scores overflow their mean)")
+        raise DataError(f"transcript {record.transcript_id}: the {slot} feature "
+                        f"is not finite (its lexicon scores overflow their mean)")
     return EncodedInstance(
         transcript_id=record.transcript_id,
         participant_id=record.participant_id,

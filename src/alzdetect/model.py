@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import reprlib
 import struct
 import typing
 from dataclasses import dataclass, replace
@@ -30,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NonFiniteValue, Parameter, ShapeMismatch, Tape, Tensor, constant
+from .autodiff import NonFiniteValue, Parameter, Tape, Tensor, constant
 from .chat_corpus import DataError
 from .lexical_features import FEATURE_GROUPS, FEATURE_NAMES, EncodedInstance, TableRows
+from .text_pipeline import TAGSET
 
 EPS = 1e-7
 
@@ -49,19 +51,7 @@ _SIZES = ("embed_dim", "pos_dim", "conv_filters", "conv_kernel", "lstm_hidden",
           "attention_dim", "dense_units")
 
 
-class ZeroClass(DataError):
-    pass
-
-
 class Diverged(FloatingPointError):
-    pass
-
-
-class VersionMismatch(DataError):
-    pass
-
-
-class CorruptFile(DataError):
     pass
 
 
@@ -69,7 +59,7 @@ class CorruptFile(DataError):
 class ModelConfig:
     seq_len: int = 73
     embed_dim: int = 300
-    pos_dim: int = 37
+    pos_dim: int = len(TAGSET)
     conv_filters: int = 100
     conv_kernel: int = 3
     lstm_hidden: int = 128
@@ -207,13 +197,13 @@ def _stack_instances(config: ModelConfig, instances) -> tuple[np.ndarray, ...]:
     mask = np.stack([i.mask for i in instances], dtype=np.float64)
     labels = np.array([i.label for i in instances], dtype=np.float64)
     if emb.shape[1:] != (config.seq_len, config.embed_dim):
-        raise ShapeMismatch(f"embeddings {emb.shape[1:]} vs config "
-                            f"({config.seq_len}, {config.embed_dim})")
+        raise ValueError(f"embeddings {emb.shape[1:]} vs config "
+                         f"({config.seq_len}, {config.embed_dim})")
     if pos.shape[1:] != (config.seq_len, config.pos_dim):
-        raise ShapeMismatch(f"pos one-hots {pos.shape[1:]} vs config "
-                            f"({config.seq_len}, {config.pos_dim})")
+        raise ValueError(f"pos one-hots {pos.shape[1:]} vs config "
+                         f"({config.seq_len}, {config.pos_dim})")
     if feats.shape[1] != len(FEATURE_NAMES):
-        raise ShapeMismatch(f"feature vectors must have {len(FEATURE_NAMES)} slots")
+        raise ValueError(f"feature vectors must have {len(FEATURE_NAMES)} slots")
     return emb, pos, feats, mask, labels
 
 
@@ -296,7 +286,7 @@ UNIT_WEIGHTS = ClassWeights(1.0, 1.0)
 def compute_class_weights(n_ad: int, n_ct: int) -> ClassWeights:
     """Balanced inverse-frequency weights w_c = (n_ad + n_ct) / (2 n_c)."""
     if n_ad < 1 or n_ct < 1:
-        raise ZeroClass(f"need both classes present, got ad={n_ad} ct={n_ct}")
+        raise DataError(f"need both classes present, got ad={n_ad} ct={n_ct}")
     total = n_ad + n_ct
     return ClassWeights(w_ad=total / (2 * n_ad), w_ct=total / (2 * n_ct))
 
@@ -309,7 +299,7 @@ def weighted_bce(p, y, weights: ClassWeights = UNIT_WEIGHTS) -> Tensor:
     pt = p if isinstance(p, Tensor) else constant(np.asarray(p, dtype=np.float64))
     ya = np.asarray(y, dtype=np.float64)
     if ya.shape != pt.shape:
-        raise ShapeMismatch(f"labels {ya.shape} vs probabilities {pt.shape}")
+        raise ValueError(f"labels {ya.shape} vs probabilities {pt.shape}")
     pc = ad.clip(pt, EPS, 1.0 - EPS)
     pos_coef = constant(-weights.w_ad * ya)
     neg_coef = constant(-weights.w_ct * (1.0 - ya))
@@ -415,6 +405,10 @@ def classify(probabilities: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
+# echoes a bad config value two levels deep, a few items and characters each
+ECHO = reprlib.Repr()
+ECHO.maxlevel = 2
+
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", str | None: "a string", tuple[str, ...]: "a list of strings",
                tuple[int, ...]: "a list of integers"}
@@ -428,7 +422,7 @@ def typed_value(value, kind, key: str = "", skip: tuple[str, ...] = ()):
     if dataclasses.is_dataclass(kind):
         name, value = key or "config", {} if value is None else value
         if type(value) is not dict:
-            raise TypeError(f"{name} must be a mapping, got {value!r}")
+            raise TypeError(f"{name} must be a mapping, got {ECHO.repr(value)}")
         kinds = {k: t for k, t in typing.get_type_hints(kind).items()
                  if f"{key}.{k}".lstrip(".") not in skip}
         unknown = set(map(str, value)) - set(kinds)
@@ -453,7 +447,7 @@ def typed_value(value, kind, key: str = "", skip: tuple[str, ...] = ()):
             and all(type(v) is kind.__args__[0] for v in value)):
         return tuple(value)
     raise TypeError(f"{key} must be {_TYPE_NAMES[kind]}, "
-                    f"got {value!r} ({type(value).__name__})")
+                    f"got {ECHO.repr(value)} ({type(value).__name__})")
 
 
 def save(params: dict[str, Parameter], config: ModelConfig, path: str | Path):
@@ -475,23 +469,23 @@ def _read_exact(fh, n: int) -> bytes:
     file is rejected before anything is read."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if not 0 <= n <= left:
-        raise CorruptFile(f"{fh.name}: unexpected end of file (wanted {n} bytes, {left} left)")
+        raise DataError(f"{fh.name}: unexpected end of file (wanted {n} bytes, {left} left)")
     return fh.read(n)
 
 
 def load(path: str | Path) -> tuple[dict[str, Parameter], ModelConfig]:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != MAGIC:
-            raise CorruptFile(f"{path}: not a model file (bad magic)")
+            raise DataError(f"{path}: not a model file (bad magic)")
         version, cfg_len = struct.unpack("<II", _read_exact(fh, 8))
         if version != FORMAT_VERSION:
-            raise VersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+            raise DataError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
         try:
             config = typed_value(json.loads(_read_exact(fh, cfg_len)), ModelConfig)
         except DataError:
             raise
         except (TypeError, ValueError, RecursionError) as exc:
-            raise CorruptFile(f"{path}: bad config block: {exc}") from exc
+            raise DataError(f"{path}: bad config block: {exc}") from exc
         # the config is the file's only schema: the graph reads exactly the
         # parameters it would create, so they follow in that order, each its
         # name (which catches a reordered or renamed parameter) and then as
@@ -500,11 +494,11 @@ def load(path: str | Path) -> tuple[dict[str, Parameter], ModelConfig]:
         for name, shape in param_shapes(config).items():
             at, stored = fh.tell(), name.encode("utf-8")
             if fh.read(len(stored)) != stored:
-                raise CorruptFile(f"{path}: expected tensor {name!r} at byte {at}")
+                raise DataError(f"{path}: expected tensor {name!r} at byte {at}")
             data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
             if not np.all(np.isfinite(data)):
-                raise CorruptFile(f"{path}: tensor {name!r} holds non-finite values")
+                raise DataError(f"{path}: tensor {name!r} holds non-finite values")
             tensors[name] = Parameter(data.reshape(shape).copy(), name)
         if fh.read(1):
-            raise CorruptFile(f"{path}: trailing bytes after last tensor")
+            raise DataError(f"{path}: trailing bytes after last tensor")
     return tensors, config

@@ -42,14 +42,6 @@ PTB_TAGS = [
 FIXTURE_TAGGER = Path(__file__).parent / "fixtures" / "default_tagger.txt"
 
 
-class EmptyText(DataError):
-    pass
-
-
-class BadTaggerFile(DataError):
-    """A saved tagger file has a bad header or a malformed line."""
-
-
 @dataclass(frozen=True)
 class TokenSequence:
     tokens: tuple[str, ...]
@@ -67,7 +59,7 @@ def tokenize(text: str) -> TokenSequence:
     """The text's words (``chat_corpus.words``) as a token sequence."""
     tokens = tuple(words(text))
     if not tokens:
-        raise EmptyText("no word tokens in input text")
+        raise DataError("no word tokens in input text")
     return TokenSequence(tokens=tokens, original_length=len(tokens))
 
 
@@ -163,7 +155,7 @@ class PerceptronTaggerModel:
         with open(path, encoding="utf-8") as fh, reading_utf8(path):
             header = fh.readline().rstrip("\n")
             if header != "PTAG v1":
-                raise BadTaggerFile(f"{path}:1: unsupported tagger file header {header!r}")
+                raise DataError(f"{path}:1: unsupported tagger file header {header!r}")
             features: dict[str, int] = {}
             cells: dict[tuple[int, int], float] = {}   # a repeated line overrides
             tagdict: dict[str, str] = {}
@@ -175,10 +167,10 @@ class PerceptronTaggerModel:
                     feat, tag, w = line.split("\t")
                     weight = float(w)
                 except ValueError:
-                    raise BadTaggerFile(f"{path}:{lineno}: expected feature<TAB>tag<TAB>weight, "
-                                        f"got {line!r}") from None
+                    raise DataError(f"{path}:{lineno}: expected feature<TAB>tag<TAB>weight, "
+                                    f"got {line!r}") from None
                 if tag not in _TAG_COLUMN or not math.isfinite(weight):
-                    raise BadTaggerFile(f"{path}:{lineno}: bad tag or weight in {line!r}")
+                    raise DataError(f"{path}:{lineno}: bad tag or weight in {line!r}")
                 if feat.startswith("!tagdict "):
                     tagdict[feat[len("!tagdict "):]] = tag
                 else:

@@ -174,12 +174,10 @@ def auc_trapezoid(labels, scores) -> float:
     The area accumulates as an integer numerator over 2·P·N, the same
     denominator the pair count uses, so both routes agree bit-for-bit.
     """
-    from alzdetect.evaluation import LengthMismatch
-
     y = np.asarray(labels)
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape:
-        raise LengthMismatch(f"{y.shape} labels vs {s.shape} scores")
+        raise ValueError(f"{y.shape} labels vs {s.shape} scores")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
@@ -462,8 +460,7 @@ def reference_load_embeddings(path) -> tuple[int, dict[str, np.ndarray]]:
     """(dim, word -> vector) read one line at a time with ``float``'s rules;
     the width is set by the first line, the first occurrence of a word wins,
     and a duplicate word's values are not read."""
-    from alzdetect.chat_corpus import reading_utf8
-    from alzdetect.lexical_features import BadEmbeddingFile, DimensionMismatch, EmptyFile
+    from alzdetect.chat_corpus import DataError, reading_utf8
 
     entries: dict[str, np.ndarray] = {}
     dim = None
@@ -476,19 +473,19 @@ def reference_load_embeddings(path) -> tuple[int, dict[str, np.ndarray]]:
             if dim is None:
                 dim = len(values)
                 if dim == 0:
-                    raise DimensionMismatch(f"{path}:{lineno}: no vector values")
+                    raise DataError(f"{path}:{lineno}: no vector values")
             elif len(values) != dim:
-                raise DimensionMismatch(
+                raise DataError(
                     f"{path}:{lineno}: expected {dim} values, got {len(values)}"
                 )
             if word not in entries:
                 try:
                     vec = np.array(values, dtype=np.float64)
                 except ValueError:
-                    raise BadEmbeddingFile(f"{path}:{lineno}: non-numeric vector value") from None
+                    raise DataError(f"{path}:{lineno}: non-numeric vector value") from None
                 if not np.isfinite(vec).all():
-                    raise BadEmbeddingFile(f"{path}:{lineno}: non-finite vector value")
+                    raise DataError(f"{path}:{lineno}: non-finite vector value")
                 entries[word] = vec
     if dim is None:
-        raise EmptyFile(f"{path}: no embedding lines")
+        raise DataError(f"{path}: no embedding lines")
     return dim, entries

@@ -1,6 +1,7 @@
 """Engine tests: forward values against hand-worked examples, backward
 values against the finite-difference oracle."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -13,10 +14,7 @@ from alzdetect import autodiff as ad
 from alzdetect.autodiff import (
     Adam,
     NonFiniteValue,
-    NotScalarLoss,
     Parameter,
-    ShapeMismatch,
-    SpentTape,
     Tape,
     backward,
     constant,
@@ -68,12 +66,12 @@ def test_conv1d_matches_zero_padded_im2col_bitwise(t, w):
 
 
 def test_conv1d_rejects_even_width():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="conv1d kernel width must be odd"):
         ad.conv1d(constant(np.zeros((1, 4, 1))), constant(np.zeros((1, 2, 1))))
 
 
 def test_conv1d_rejects_unbatched_input():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=re.escape("conv1d input (4, 1) vs kernels (1, 3, 1)")):
         ad.conv1d(constant(np.zeros((4, 1))), constant(np.zeros((1, 3, 1))))
 
 
@@ -176,7 +174,7 @@ def test_backward_refuses_a_spent_tape():
         backward(tape, loss)
         grads = [p.grad.copy() for p in (wx, wh, b)]
         recorded = len(tape)
-        with pytest.raises(SpentTape):
+        with pytest.raises(RuntimeError, match="this tape has already run backward"):
             backward(tape, loss)
     assert len(tape) == recorded == 2
     for p, g in zip((wx, wh, b), grads):
@@ -197,13 +195,13 @@ def test_non_finite_forward_raises():
 
 def test_backward_requires_scalar_loss():
     p = Parameter(np.ones(3), "p")
-    with pytest.raises(NotScalarLoss):
+    with pytest.raises(ValueError, match=re.escape("loss has shape (3,), expected scalar")):
         with Tape() as tape:
             backward(tape, ad.mul(p, p))
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=re.escape("matmul: (2, 3) @ (2, 3)")):
         ad.matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 3))))
 
 
@@ -406,9 +404,9 @@ def test_lstm_rejects_mismatched_shapes():
     rng = np.random.default_rng(16)
     seq = constant(rng.standard_normal((3, 7, 4)))
     wx, wh, b = _lstm_params(rng)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=re.escape("mask (3, 5)")):
         ad.lstm(seq, wx, wh, b, LSTM_PAD_MASK[:, :5])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=re.escape("lstm: seq (3, 7, 4), wx (3, 12), wh (3, 12)")):
         ad.lstm(seq, wh, wh, b, LSTM_PAD_MASK)
 
 

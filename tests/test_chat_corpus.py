@@ -1,21 +1,18 @@
 """Transcript parsing: tier assembly, annotation stripping, demographics."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alzdetect.chat_corpus import (
-    BadDemographics,
-    ChatParseError,
     Corpus,
+    DataError,
     Demographics,
-    EmptyCorpus,
     Gender,
     Label,
-    MalformedTier,
-    MissingParticipantTier,
     TranscriptRecord,
     corpus_stats,
     extract_participant_text,
@@ -200,12 +197,12 @@ def test_missing_gender_is_unknown():
 
 def test_unparseable_age_raises():
     content = "@ID:\teng|X|PAR|old;|female|||P|||\n*PAR:\thi .\n"
-    with pytest.raises(BadDemographics):
+    with pytest.raises(DataError, match="unparseable age field 'old;'"):
         parse_chat_file(content, Label.CT)
 
 
 def test_out_of_range_age_raises():
-    with pytest.raises(BadDemographics):
+    with pytest.raises(DataError, match="age 500 out of range"):
         Demographics(age=500, gender=Gender.FEMALE)
 
 
@@ -216,12 +213,12 @@ def test_no_id_header_defaults_to_unknown():
 
 
 def test_malformed_tier_raises():
-    with pytest.raises(MalformedTier):
+    with pytest.raises(DataError, match=r"bad tier line: '\*P:\\thi \.'"):
         parse_chat_file("*P:\thi .\n*PAR:\tok .\n", Label.CT)
 
 
 def test_missing_participant_tier_raises():
-    with pytest.raises(MissingParticipantTier):
+    with pytest.raises(DataError, match=r"no \*PAR: tier in file"):
         parse_chat_file("*INV:\thow are you ?\n", Label.CT)
 
 
@@ -269,7 +266,8 @@ def test_load_corpus_layout(tmp_path):
 
 
 def test_load_corpus_empty_raises(tmp_path):
-    with pytest.raises(EmptyCorpus):
+    message = f"no transcripts under {tmp_path}/ad or {tmp_path}/ct"
+    with pytest.raises(DataError, match=re.escape(message)):
         load_corpus(tmp_path)
 
 
@@ -278,7 +276,7 @@ def test_duplicate_transcript_id_raises(tmp_path):
     (tmp_path / "ct").mkdir()
     _write_cha(tmp_path / "ad" / "007-0.cha", ["a"])
     _write_cha(tmp_path / "ct" / "007-0.cha", ["b"])
-    with pytest.raises(ChatParseError):
+    with pytest.raises(DataError, match="duplicate transcript id '007-0'"):
         load_corpus(tmp_path)
 
 

@@ -441,6 +441,46 @@ def test_mistyped_model_file_config_is_data_error(tmp_path, workspace, capsys, k
                        capsys, f"{key} must be")
 
 
+@pytest.mark.filterwarnings("error")       # numpy's overflow warnings are stray lines too
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_model_whose_forward_pass_overflows_is_data_error(tmp_path, workspace, capsys,
+                                                          command):
+    """Finite weights so large that the forward pass overflows are bad data
+    in the model file, not a bug: one error line names the file, exit 2."""
+    path = tmp_path / "model.bin"
+    save_edited_model(SAVED, path, lambda t: [t[name].fill(1e308) for name in
+                                              ("conv_embed_kernels", "lstm_fwd_wx")])
+    cfg = _bad_input_config(tmp_path, workspace)
+    argv = (["eval", str(cfg), "--model", str(path)] if command == "eval"
+            else _predict_argv(cfg, path, workspace))
+    _assert_data_error(argv, capsys, f"error: {path}: the forward pass overflows: "
+                                     f"conv1d produced a non-finite value")
+    assert not (tmp_path / "eval.csv").exists()
+
+
+_LONG = 10_000       # items in a bad config value: echoed whole, its error line is 50 KB
+
+
+@pytest.mark.parametrize("seeds", [["x"] * _LONG, [-1] * _LONG], ids=["strings", "negative"])
+def test_long_bad_config_value_is_echoed_short(tmp_path, workspace, capsys, seeds):
+    cfg = _bad_input_config(tmp_path, workspace, seeds=seeds)
+    assert main(["train", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seeds must be ") and err.count("\n") == 1
+    assert len(err) < 200, len(err)
+
+
+def test_long_bad_model_file_config_value_is_echoed_short(tmp_path, workspace, capsys):
+    path = tmp_path / "model.bin"
+    save_edited_model(SAVED, path, lambda t: None)
+    edit_model_config(path, lambda c: c.update(seq_len=["x"] * _LONG))
+    cfg = _bad_input_config(tmp_path, workspace)
+    assert main(["eval", str(cfg), "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: bad config block: seq_len must be an integer, "
+                   f"got ['x', 'x', 'x', 'x', 'x', 'x', ...] (list)\n")
+
+
 @pytest.mark.parametrize("switches, name, feature_dim", [
     (model.VARIANTS["C-LSTM"], "C-LSTM", 0),
     (dict(model.VARIANTS["OURS"], feature_mask=("sent",)), "OURS", 1),
@@ -508,7 +548,7 @@ def test_yaml_and_model_file_decode_model_values_alike(tmp_path, workspace):
             file_cfg, file_ok = None, True
             try:
                 file_cfg = model.load(path)[1]
-            except model.CorruptFile as exc:     # the config, or the tensors it implies
+            except chat_corpus.DataError as exc:     # the config, or the tensors it implies
                 file_ok = "bad config block" not in str(exc)
             if f"model.{key}" in _NOT_IN_YAML:
                 assert yaml_cfg is None, (key, value)

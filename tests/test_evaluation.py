@@ -1,5 +1,6 @@
 """Splitting, metrics, AUC agreement, and the experiment protocol."""
 
+import re
 from dataclasses import dataclass, replace
 from unittest import mock
 
@@ -12,10 +13,8 @@ from alzdetect import evaluation, synthgen
 from alzdetect.evaluation import (
     ABLATION_LABELS,
     ConfusionCounts,
-    LengthMismatch,
     MetricsReport,
     SplitSpec,
-    TooSmall,
     ablate,
     auc_pair,
     compare_variants,
@@ -30,7 +29,8 @@ from alzdetect.evaluation import (
     run_experiment,
     split,
 )
-from alzdetect.model import VARIANTS, ModelConfig, ZeroClass
+from alzdetect.chat_corpus import DataError
+from alzdetect.model import VARIANTS, ModelConfig
 from helpers import auc_trapezoid, make_instances
 
 # ---------------------------------------------------------------------------
@@ -71,9 +71,9 @@ def test_split_reshuffles_across_seeds():
 
 
 def test_split_too_small_raises():
-    with pytest.raises(TooSmall):
+    with pytest.raises(DataError, match="11 participants leave an empty slice"):
         split(_speakers(11), SplitSpec())   # floor(0.09 * 11) = 0
-    with pytest.raises(TooSmall):
+    with pytest.raises(DataError, match="nothing to split"):
         split([], SplitSpec())
 
 
@@ -119,14 +119,14 @@ def test_default_split_never_shares_a_participant(repeat_visit_corpus, seed):
 
 def test_participant_split_too_few_participants():
     rows = [_Row(f"p{i}", v) for i in range(4) for v in range(10)]
-    with pytest.raises(TooSmall):
+    with pytest.raises(DataError, match="4 participants leave an empty slice"):
         split(rows, SplitSpec())
 
 
 def test_participant_split_of_items_without_participant_id_names_the_fix():
     with pytest.raises(ValueError, match="int items have no participant_id") as exc:
         split(list(range(100)), SplitSpec())
-    assert not isinstance(exc.value, TooSmall)
+    assert not isinstance(exc.value, DataError)
 
 
 @settings(max_examples=30)
@@ -159,7 +159,7 @@ def test_confusion_counts():
 
 
 def test_confusion_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match=re.escape("(2,) labels vs (1,) predictions")):
         confusion([1, 0], [1])
 
 
@@ -219,7 +219,7 @@ def test_auc_ties_count_half():
 def test_auc_requires_both_classes():
     assert auc_pair([1, 1], [0.5, 0.6]) is None
     assert auc_pair([0, 0, 0], [0.5, 0.6, 0.7]) is None
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match=re.escape("(2,) labels vs (1,) scores")):
         auc_pair([1, 0], [0.5])
 
 
@@ -338,7 +338,7 @@ def test_run_experiment_checks_every_seed_before_any_fit():
     good, bad = train_has_ad.index(True), train_has_ad.index(False)
     spy = mock.Mock(wraps=evaluation.fit)
     with mock.patch.object(evaluation, "fit", spy), \
-            pytest.raises(ZeroClass, match=f"seed {bad}: the train slice needs both classes, "
+            pytest.raises(DataError, match=f"seed {bad}: the train slice needs both classes, "
                                            f"got ad=0 ct=9"):
         run_experiment(data, replace(TINY, **VARIANTS["C-LSTM"]), seeds=[good, bad])
     assert spy.call_count == 0

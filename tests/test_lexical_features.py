@@ -12,17 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alzdetect import synthgen
-from alzdetect.chat_corpus import Demographics, Gender, Label, load_corpus, parse_chat_file
+from alzdetect.chat_corpus import (
+    DataError,
+    Demographics,
+    Gender,
+    Label,
+    load_corpus,
+    parse_chat_file,
+)
 from alzdetect.cli import load_run_config
 from alzdetect.lexical_features import (
     FEATURE_GROUPS,
     FEATURE_NAMES,
     LEXICON_SLOTS,
-    BadEmbeddingFile,
-    BadLexiconFile,
-    DimensionMismatch,
-    EmptyFile,
-    NonFiniteFeature,
     build_feature_vector,
     embed,
     encode_corpus,
@@ -61,21 +63,21 @@ def test_load_embeddings_basic(tmp_path):
 def test_load_embeddings_ragged_line_raises(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("the 0.1 0.2\nboy 0.3\n")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=f"{path}:2: expected 2 values, got 1"):
         load_embeddings(path)
 
 
 def test_load_embeddings_no_values_raises(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("the\n")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=f"{path}:1: no vector values"):
         load_embeddings(path)
 
 
 def test_load_embeddings_empty_file_raises(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("")
-    with pytest.raises(EmptyFile):
+    with pytest.raises(DataError, match=f"{path}: no embedding lines"):
         load_embeddings(path)
 
 
@@ -111,6 +113,23 @@ def _second_chunk_bad_line(value):
     lines = [f"w{i} {row}" for i in range(500)]
     lines[449] = f"w449 {value} " + " ".join(["0.5"] * 299)
     return "\n".join(lines) + "\n"
+
+
+def test_load_embeddings_holds_the_table_once(tmp_path):
+    """Each chunk's rows are copied into the one matrix as it is parsed, so
+    the load never holds the file's values twice (a list of every chunk's
+    block joined at the end peaks at over twice the matrix)."""
+    path = tmp_path / "vec.txt"
+    row = " ".join(["0.123456"] * 200)
+    path.write_text("".join(f"w{i} {row}\n" for i in range(6000)))    # 9 MiB of vectors
+    tracemalloc.start()
+    try:
+        table = load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.vectors.shape == (6001, 200)
+    assert peak < 1.6 * table.vectors.nbytes, peak / table.vectors.nbytes
 
 
 def _narrower_after_first_chunk():
@@ -154,7 +173,7 @@ def test_bad_line_in_second_chunk_names_its_line(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text(_second_chunk_bad_line("abc"))
     assert path.read_text().index("w449 abc") > 1 << 20
-    with pytest.raises(BadEmbeddingFile, match=f"{path}:450: non-numeric"):
+    with pytest.raises(DataError, match=f"{path}:450: non-numeric"):
         load_embeddings(path)
 
 
@@ -232,21 +251,22 @@ def test_load_lexicon_parses_header_and_entries(tmp_path):
 def test_load_lexicon_requires_range_header(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_text("the\t2.0\n")
-    with pytest.raises(BadLexiconFile):
+    with pytest.raises(DataError, match=f"{path}: first line must be '# range lo hi'"):
         load_lexicon(path)
 
 
 def test_load_lexicon_rejects_bad_score(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_text("# range 1 5\nthe\tabc\n")
-    with pytest.raises(BadLexiconFile):
+    with pytest.raises(DataError, match=f"{path}:2: bad score 'abc'"):
         load_lexicon(path)
 
 
 def test_load_lexicon_rejects_out_of_range_score(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_text("# range 1 5\nthe\t7.0\n")
-    with pytest.raises(BadLexiconFile):
+    message = f"{path}:2: score '7.0' for 'the' outside [1.0, 5.0]"
+    with pytest.raises(DataError, match=re.escape(message)):
         load_lexicon(path)
 
 
@@ -262,7 +282,7 @@ def test_load_lexicon_rejects_out_of_range_score(tmp_path):
 def test_load_lexicon_rejects_non_finite_values(tmp_path, text, needle):
     path = tmp_path / "x.tsv"
     path.write_text(text)
-    with pytest.raises(BadLexiconFile, match=f"{path}{needle}"):
+    with pytest.raises(DataError, match=f"{path}{needle}"):
         load_lexicon(path)
 
 
@@ -445,7 +465,7 @@ def test_encode_corpus_preserves_order():
 def test_encode_record_rejects_an_overflowing_lexicon_mean():
     lexicons = dict(fixture_lexicons())
     lexicons["aoa"] = {w: 1e308 for w in ("the", "boy", "fell")}
-    with pytest.raises(NonFiniteFeature, match="transcript t-0: the aoa feature"):
+    with pytest.raises(DataError, match="transcript t-0: the aoa feature"):
         encode_record(_record(), _table(), lexicons, dense_tagger({}), budget=10)
 
 

@@ -1,23 +1,22 @@
 """Classifier graph: structure, gradients, training loop, serialization."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alzdetect import model
-from alzdetect.autodiff import Parameter, ShapeMismatch, Tape, backward
+from alzdetect.autodiff import Parameter, Tape, backward
+from alzdetect.chat_corpus import DataError
 from alzdetect.lexical_features import OOV_ROW, EncodedInstance, TableRows
 from alzdetect.model import (
     UNIT_WEIGHTS,
     VARIANTS,
     ClassWeights,
-    CorruptFile,
     Diverged,
     ModelConfig,
-    VersionMismatch,
-    ZeroClass,
     active_feature_indices,
     classify,
     compute_class_weights,
@@ -29,6 +28,7 @@ from alzdetect.model import (
     variant_config,
     weighted_bce,
 )
+from alzdetect.text_pipeline import TAGSET
 from helpers import gradcheck, make_instances, save_edited_model
 
 TINY = ModelConfig(seq_len=5, embed_dim=4, pos_dim=3, conv_filters=2,
@@ -39,6 +39,10 @@ TINY = ModelConfig(seq_len=5, embed_dim=4, pos_dim=3, conv_filters=2,
 
 # ---------------------------------------------------------------------------
 # config and variants
+
+
+def test_default_pos_width_is_the_tagset():
+    assert ModelConfig().pos_dim == len(TAGSET) == 37
 
 
 def test_config_rejects_even_kernel():
@@ -140,9 +144,9 @@ def test_imbalanced_weights_match_formula():
 
 
 def test_zero_class_raises():
-    with pytest.raises(ZeroClass):
+    with pytest.raises(DataError, match="need both classes present, got ad=0 ct=5"):
         compute_class_weights(0, 5)
-    with pytest.raises(ZeroClass):
+    with pytest.raises(DataError, match="need both classes present, got ad=5 ct=0"):
         compute_class_weights(5, 0)
 
 
@@ -172,7 +176,7 @@ def test_bce_grows_with_control_weight():
 
 
 def test_bce_shape_mismatch_raises():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=re.escape("labels (1,) vs probabilities (2,)")):
         weighted_bce([0.5, 0.5], [1.0])
 
 
@@ -212,7 +216,7 @@ def test_stacking_rejects_wrong_shapes():
                           np.zeros((TINY.seq_len, TINY.embed_dim + 1)),
                           np.zeros((TINY.seq_len, TINY.pos_dim)),
                           np.zeros(7), np.ones(TINY.seq_len), 0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=re.escape("embeddings (5, 5) vs config (5, 4)")):
         predict(params, TINY, [bad])
 
 
@@ -559,7 +563,7 @@ def test_model_file_holds_only_config_names_and_values(tmp_path):
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\0" * 40)
-    with pytest.raises(CorruptFile):
+    with pytest.raises(DataError, match=re.escape(f"{path}: not a model file (bad magic)")):
         load(path)
 
 
@@ -570,7 +574,7 @@ def test_load_rejects_future_version(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[4] = 99   # bump the little-endian version field
     path.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(DataError, match=f"{path}: format version 99, expected 3"):
         load(path)
 
 
@@ -579,11 +583,15 @@ def test_load_rejects_truncation_and_trailing_bytes(tmp_path):
     path = tmp_path / "model.bin"
     save(init_params(TINY, rng), TINY, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-10])
-    with pytest.raises(CorruptFile):
+    path.write_bytes(blob[:-10])       # into the last tensor's name
+    with pytest.raises(DataError, match=f"{path}: expected tensor 'out_b' at byte"):
+        load(path)
+    path.write_bytes(blob[:-4])        # into the last tensor's values
+    with pytest.raises(DataError, match=re.escape(f"{path}: unexpected end of file "
+                                                  f"(wanted 8 bytes, 4 left)")):
         load(path)
     path.write_bytes(blob + b"extra")
-    with pytest.raises(CorruptFile):
+    with pytest.raises(DataError, match=f"{path}: trailing bytes after last tensor"):
         load(path)
 
 
@@ -596,7 +604,7 @@ def test_load_rejects_older_format(tmp_path, version):
     blob = bytearray(path.read_bytes())
     blob[4] = version
     path.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatch, match=f"format version {version}, expected 3"):
+    with pytest.raises(DataError, match=f"format version {version}, expected 3"):
         load(path)
 
 
@@ -607,7 +615,7 @@ def test_load_rejects_unknown_config_keys(tmp_path):
     cfg = json.dumps({"bogus": 1}).encode()
     path = tmp_path / "model.bin"
     path.write_bytes(model.MAGIC + struct.pack("<II", model.FORMAT_VERSION, len(cfg)) + cfg)
-    with pytest.raises(CorruptFile):
+    with pytest.raises(DataError, match=f"{path}: bad config block: unknown config keys: bogus"):
         load(path)
 
 
@@ -623,20 +631,20 @@ def test_load_rejects_wrong_tensor_name(tmp_path, edit):
     path = tmp_path / "model.bin"
     save(init_params(TINY, np.random.default_rng(0)), TINY, path)
     path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(CorruptFile, match="expected tensor 'conv_embed_kernels'"):
+    with pytest.raises(DataError, match="expected tensor 'conv_embed_kernels'"):
         load(path)
 
 
-@pytest.mark.parametrize("change", [
-    lambda t: t.pop("out_b"),
-    lambda t: t.update(lstm_fwd_wh=np.zeros((2, 12))),
-    lambda t: t.update(extra=np.zeros(3)),
-    lambda t: t["dense_b"].__setitem__(0, np.nan),
+@pytest.mark.parametrize("change, message", [
+    (lambda t: t.pop("out_b"), "expected tensor 'out_b'"),
+    (lambda t: t.update(lstm_fwd_wh=np.zeros((2, 12))), "expected tensor 'lstm_fwd_b'"),
+    (lambda t: t.update(extra=np.zeros(3)), "trailing bytes after last tensor"),
+    (lambda t: t["dense_b"].__setitem__(0, np.nan), "tensor 'dense_b' holds non-finite values"),
     # every tensor with its own size, but out of config order: only names tell
-    lambda t: t.update(attn_b=t.pop("attn_b")),
+    (lambda t: t.update(attn_b=t.pop("attn_b")), "expected tensor 'attn_b'"),
 ], ids=["missing", "wrong-shape", "unexpected", "non-finite", "reordered"])
-def test_load_checks_tensors_against_config(tmp_path, change):
+def test_load_checks_tensors_against_config(tmp_path, change, message):
     path = tmp_path / "model.bin"
     save_edited_model(TINY, path, change)
-    with pytest.raises(CorruptFile):
+    with pytest.raises(DataError, match=f"{path}: {message}"):
         load(path)

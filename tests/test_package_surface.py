@@ -1,10 +1,16 @@
 """The package ships only what a run reaches: every function, class and
 method defined in ``src/alzdetect`` is named somewhere in ``src/`` or
 ``perfbench/`` besides its own definition, so a helper that only the tests
-call lives in ``tests/helpers.py`` instead."""
+call lives in ``tests/helpers.py`` instead. Likewise every exception class
+it defines is caught somewhere in ``src/``: an error no handler tells apart
+is raised as the type its exit code already has."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import alzdetect
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "alzdetect"
@@ -56,3 +62,29 @@ def test_every_package_definition_has_a_caller_outside_the_tests():
     unused = sorted(candidates - used - EXCEPTIONS)
     assert not unused, f"defined in {PACKAGE} but named nowhere outside the tests: {unused}"
     assert EXCEPTIONS <= defined, "an exception names a definition that is gone"
+
+
+def _caught(tree: ast.AST):
+    """The last dotted part of every type an ``except`` clause names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for kind in kinds:
+                yield kind.attr if isinstance(kind, ast.Attribute) else kind.id
+
+
+def _exception_classes():
+    for info in pkgutil.iter_modules(alzdetect.__path__):
+        module = importlib.import_module(f"alzdetect.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                yield name
+
+
+def test_every_package_exception_is_caught_in_the_package():
+    defined = set(_exception_classes())
+    caught = {name for _, tree in _trees("src") for name in _caught(tree)}
+    assert defined, "no exception class found in the package"
+    uncaught = sorted(defined - caught)
+    assert not uncaught, f"exception classes no except clause in src/ names: {uncaught}"

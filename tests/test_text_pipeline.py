@@ -9,15 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alzdetect import chat_corpus, synthgen
-from alzdetect.chat_corpus import NotUtf8
+from alzdetect.chat_corpus import DataError
 from alzdetect.text_pipeline import (
     FIXTURE_TAGGER,
     PAD_TAG,
     PAD_TOKEN,
     PTB_TAGS,
     TAGSET,
-    BadTaggerFile,
-    EmptyText,
     PerceptronTaggerModel,
     TokenSequence,
     default_tagger,
@@ -53,9 +51,9 @@ def test_tokenize_keeps_apostrophes():
 
 
 def test_tokenize_empty_raises():
-    with pytest.raises(EmptyText):
+    with pytest.raises(DataError, match="no word tokens in input text"):
         tokenize("")
-    with pytest.raises(EmptyText):
+    with pytest.raises(DataError, match="no word tokens in input text"):
         tokenize(" . ?! ")
 
 
@@ -63,7 +61,7 @@ def test_tokenize_empty_raises():
 def test_tokenize_tokens_are_clean_words(text):
     try:
         seq = tokenize(text)
-    except EmptyText:
+    except DataError:
         return
     for tok in seq.tokens:
         assert tok
@@ -313,7 +311,8 @@ def test_shipped_tagger_matches_string_feature_scorer(tmp_path):
 def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("PTAG v9\nw=a\tNN\t1.0\n")
-    with pytest.raises(BadTaggerFile, match=re.escape(f"{path}:1:")):
+    with pytest.raises(DataError, match=re.escape(f"{path}:1: unsupported tagger file header "
+                                                  f"'PTAG v9'")):
         PerceptronTaggerModel.load(path)
 
 
@@ -322,14 +321,14 @@ def test_load_rejects_wrong_header(tmp_path):
 def test_load_rejects_malformed_line(tmp_path, line):
     path = tmp_path / "bad.txt"
     path.write_text(f"PTAG v1\n{line}\n")
-    with pytest.raises(BadTaggerFile, match=re.escape(f"{path}:2:")):
+    with pytest.raises(DataError, match=re.escape(f"{path}:2:")):
         PerceptronTaggerModel.load(path)
 
 
 def test_load_rejects_non_utf8_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"PTAG v1\nbias\tNN\t0.5\ncaf\xff\n")
-    with pytest.raises(NotUtf8, match=re.escape(f"{path}: not UTF-8 text")):
+    with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
         PerceptronTaggerModel.load(path)
 
 
