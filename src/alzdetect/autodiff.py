@@ -1,11 +1,17 @@
 """Dense float64 tensor engine with reverse-mode automatic differentiation.
 
-Every primitive computes its forward value with numpy, checks the result
-for NaN/Inf, and (when a Tape is active) records a backward rule. Calling
-``backward`` replays the records in reverse order, accumulating gradients
-into the ``grad`` field of every leaf tensor that contributed to the loss.
-Constants (data such as the inputs) take no gradient, and an op output's
-gradient is dropped as soon as its own rule has read it.
+Every primitive computes its forward value with numpy and checks the result
+for NaN/Inf. While a Tape is open it also records a backward rule. A
+tensor's value and its gradient live apart: the gradient sits in a small
+``GradSlot`` (the gradient and the shape), and a rule holds its inputs'
+slots plus only the arrays that it reads (``tanh`` its own output, ``matmul``
+its operands, ``add`` nothing but shapes). So an op output that no rule
+reads is freed as soon as the forward code drops it. Calling ``backward``
+replays the records in reverse order, accumulating gradients into the slot
+of every leaf tensor that contributed to the loss. Constants (data such as
+the inputs) have no slot and take no gradient; neither does an op output
+made with no tape open. An op output's gradient is dropped as soon as its
+own rule has read it.
 
 Backward rules may spend what their op saved: ``lstm`` writes its gate
 gradients over its saved gate activations, so a tape can be replayed once
@@ -27,19 +33,34 @@ class NonFiniteValue(FloatingPointError):
     """An operation produced NaN or Inf."""
 
 
-class Tensor:
-    """Dense n-dimensional float64 array plus an accumulated gradient.
+class GradSlot:
+    """Where backward accumulates one tensor's gradient; a rule that only
+    routes a gradient to an input needs nothing else of it."""
 
-    ``grad`` is lazily allocated the first time a backward rule touches
-    the tensor; it always matches ``data`` in shape.
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+
+
+class Tensor:
+    """Dense n-dimensional float64 array plus the slot its gradient goes to.
+
+    ``grad`` is allocated the first time a backward rule touches the
+    tensor; it always matches ``data`` in shape.
     """
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "slot", "name")
 
     def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.slot = GradSlot(self.data.shape)
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.slot is None else self.slot.grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,28 +79,36 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str):
         super().__init__(data, name)
-        self.grad = np.zeros_like(self.data)
+        self.slot.grad = np.zeros_like(self.data)
 
     def zero_grad(self):
         self.grad[...] = 0.0
 
 
 class Constant(Tensor):
-    """A tensor that is data, not a function of anything trained: backward
-    computes and stores no gradient for it."""
+    """A tensor that is data, not a function of anything trained: it has no
+    gradient slot, so backward computes and stores no gradient for it."""
 
     __slots__ = ()
+
+    def __init__(self, data, name: str | None = None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.slot = None
+        self.name = name
 
 
 class Tape:
     """Ordered record of primitive applications.
 
-    Recording order is a topological order of the computation DAG, so
-    backward simply walks the records in reverse.
+    Each record is the output's gradient slot, the backward rule and the
+    inputs' slots; the rule holds whatever arrays it reads, and nothing on
+    the tape holds an output's value. Recording order is a topological
+    order of the computation DAG, so backward simply walks the records in
+    reverse.
     """
 
     def __init__(self):
-        self.records: list[tuple[Tensor, object]] = []
+        self.records: list[tuple[GradSlot, object, tuple]] = []
         self.spent = False           # set by backward: the rules may overwrite their saves
 
     def __enter__(self):
@@ -103,21 +132,25 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _out(arr: np.ndarray, op: str, backward) -> Tensor:
-    t = Tensor(_check_finite(arr, op))
-    if _TAPE_STACK:
-        _TAPE_STACK[-1].records.append((t, backward))
+def _out(arr: np.ndarray, op: str, backward, *inputs: Tensor) -> Tensor:
+    """The op's output. With a tape open it gets a slot, and the tape records
+    ``backward(g, *input_slots)``; with none it is data, like a constant."""
+    _check_finite(arr, op)
+    if not _TAPE_STACK:
+        return Constant(arr)
+    t = Tensor(arr)
+    _TAPE_STACK[-1].records.append((t.slot, backward, tuple(x.slot for x in inputs)))
     return t
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if isinstance(t, Constant):
+def _accum(slot: GradSlot | None, g: np.ndarray):
+    if slot is None:
         return
-    if t.grad is None:
-        # one pass; adding 0.0 turns -0.0 into 0.0 exactly as zeros + g did
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    if slot.grad is None:
+        # one pass, in C order; adding 0.0 turns -0.0 into 0.0 exactly as zeros + g did
+        slot.grad = np.add(g, 0.0, out=np.empty(slot.shape))
     else:
-        t.grad += g
+        slot.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -141,33 +174,37 @@ def constant(data, name: str | None = None) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+    return _out(a.data + b.data, "add", _add_bw, a, b)
 
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
 
-    return _out(data, "add", bw)
+def _add_bw(g, sa, sb):
+    if sa is not None:
+        _accum(sa, _unbroadcast(g, sa.shape))
+    if sb is not None:
+        _accum(sb, _unbroadcast(g, sb.shape))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
+    return _out(a.data - b.data, "sub", _sub_bw, a, b)
 
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
 
-    return _out(data, "sub", bw)
+def _sub_bw(g, sa, sb):
+    if sa is not None:
+        _accum(sa, _unbroadcast(g, sa.shape))
+    if sb is not None:
+        _accum(sb, _unbroadcast(-g, sb.shape))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    x, y = a.data, b.data
 
-    def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+    def bw(g, sa, sb):
+        if sa is not None:
+            _accum(sa, _unbroadcast(g * y, sa.shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(g * x, sb.shape))
 
-    return _out(data, "mul", bw)
+    return _out(x * y, "mul", bw, a, b)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -175,23 +212,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul expects rank-2 operands")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: {a.shape} @ {b.shape}")
+    x, y = a.data, b.data
     with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data @ b.data
+        data = x @ y
 
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+    def bw(g, sa, sb):
+        if sa is not None:
+            _accum(sa, g @ y.T)
+        if sb is not None:
+            _accum(sb, x.T @ g)
 
-    return _out(data, "matmul", bw)
+    return _out(data, "matmul", bw, a, b)
 
 
 def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
 
-    def bw(g):
-        _accum(x, g * (1.0 - data * data))
+    def bw(g, sx):
+        _accum(sx, g * (1.0 - data * data))
 
-    return _out(data, "tanh", bw)
+    return _out(data, "tanh", bw, x)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -208,29 +248,30 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     data = _sigmoid(x.data)
 
-    def bw(g):
-        _accum(x, g * data * (1.0 - data))
+    def bw(g, sx):
+        _accum(sx, g * data * (1.0 - data))
 
-    return _out(data, "sigmoid", bw)
+    return _out(data, "sigmoid", bw, x)
 
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
 
-    def bw(g):
-        _accum(x, g * (x.data > 0))
+    def bw(g, sx):
+        _accum(sx, g * (data > 0))             # the mask of x > 0, read off the output
 
-    return _out(data, "relu", bw)
+    return _out(data, "relu", bw, x)
 
 
 def log(x: Tensor) -> Tensor:
+    xd = x.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(x.data)
+        data = np.log(xd)
 
-    def bw(g):
-        _accum(x, g / x.data)
+    def bw(g, sx):
+        _accum(sx, g / xd)
 
-    return _out(data, "log", bw)
+    return _out(data, "log", bw, x)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -238,10 +279,10 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(x.data, lo, hi)
     inside = (x.data >= lo) & (x.data <= hi)
 
-    def bw(g):
-        _accum(x, g * inside)
+    def bw(g, sx):
+        _accum(sx, g * inside)
 
-    return _out(data, "clip", bw)
+    return _out(data, "clip", bw, x)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +290,12 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = x.data.reshape(shape)
+    return _out(x.data.reshape(shape), "reshape", _reshape_bw, x)
 
-    def bw(g):
-        _accum(x, g.reshape(x.shape))
 
-    return _out(data, "reshape", bw)
+def _reshape_bw(g, sx):
+    if sx is not None:
+        _accum(sx, g.reshape(sx.shape))
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -262,13 +303,13 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+    def bw(g, *slots):
+        for s, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
+            _accum(s, g[tuple(idx)])
 
-    return _out(data, "concat", bw)
+    return _out(data, "concat", bw, *tensors)
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -278,16 +319,15 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = [slice(None)] * x.data.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
-    data = x.data[idx]
 
-    def bw(g):
-        if isinstance(x, Constant):
+    def bw(g, sx):
+        if sx is None:
             return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[idx] += g
+        if sx.grad is None:
+            sx.grad = np.zeros(sx.shape)
+        sx.grad[idx] += g
 
-    return _out(data, "slice", bw)
+    return _out(x.data[idx], "slice", bw, x)
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +335,29 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def sum_(x: Tensor, axis: int | None = None) -> Tensor:
-    data = x.data.sum(axis=axis)
-
-    def bw(g):
+    def bw(g, sx):
+        if sx is None:
+            return
         if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape))
+            _accum(sx, np.broadcast_to(g, sx.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
+            _accum(sx, np.broadcast_to(np.expand_dims(g, axis), sx.shape))
 
-    return _out(data, "sum", bw)
+    return _out(x.data.sum(axis=axis), "sum", bw, x)
 
 
 def mean(x: Tensor, axis: int | None = None) -> Tensor:
     n = x.data.size if axis is None else x.shape[axis]
-    data = x.data.mean(axis=axis)
 
-    def bw(g):
+    def bw(g, sx):
+        if sx is None:
+            return
         if axis is None:
-            _accum(x, np.broadcast_to(g / n, x.shape))
+            _accum(sx, np.broadcast_to(g / n, sx.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.shape))
+            _accum(sx, np.broadcast_to(np.expand_dims(g / n, axis), sx.shape))
 
-    return _out(data, "mean", bw)
+    return _out(x.data.mean(axis=axis), "mean", bw, x)
 
 
 def softmax(x: Tensor, axis: int, mask: np.ndarray) -> Tensor:
@@ -337,11 +378,11 @@ def softmax(x: Tensor, axis: int, mask: np.ndarray) -> Tensor:
     denom = e.sum(axis=axis, keepdims=True)
     data = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
 
-    def bw(g):
+    def bw(g, sx):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        _accum(x, data * (g - dot))
+        _accum(sx, data * (g - dot))
 
-    return _out(data, "softmax", bw)
+    return _out(data, "softmax", bw, x)
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +423,22 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
 
     b, t, _ = x.shape
     half = w // 2
+    xd = x.data
     kmat = kernels.data.reshape(nf, w * c).T  # [w*C, F]
-    out = (_im2col(x.data, w) @ kmat).reshape(b, t, nf)
+    out = (_im2col(xd, w) @ kmat).reshape(b, t, nf)
 
-    def bw(g):
+    def bw(g, sx, sk):
         gflat = g.reshape(b * t, nf)
-        _accum(kernels, (gflat.T @ _im2col(x.data, w)).reshape(nf, w, c))
-        if isinstance(x, Constant):
+        _accum(sk, (gflat.T @ _im2col(xd, w)).reshape(nf, w, c))
+        if sx is None:
             return
         dcols = (gflat @ kmat.T).reshape(b, t, w * c)
         dpad = np.zeros((b, t + 2 * half, c))
         for j in range(w):
             dpad[:, j:j + t, :] += dcols[:, :, j * c:(j + 1) * c]
-        _accum(x, dpad[:, half:half + t, :])
+        _accum(sx, dpad[:, half:half + t, :])
 
-    return _out(out, "conv1d", bw)
+    return _out(out, "conv1d", bw, x, kernels)
 
 
 def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
@@ -423,6 +465,7 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
         raise ValueError(f"lstm: seq {seq.shape}, wx {wx.shape}, wh {wh.shape}, "
                          f"b {b.shape}, mask {np.shape(mask)}")
     h2, h3 = 2 * hidden, 3 * hidden
+    xs, wxd, whd = seq.data, wx.data, wh.data
     steps = range(nt - 1, -1, -1) if reverse else range(nt)
     keeps = mask[:, ::-1] if reverse else mask   # [B, T] in processing order
     holds = 1.0 - keeps
@@ -436,14 +479,14 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
     tanh_c = np.empty((nt, nb, hidden))
     z = np.empty((nb, 4 * hidden))
     with np.errstate(over="ignore", invalid="ignore"):
-        xw = (seq.data.reshape(nb * nt, c) @ wx.data).reshape(nb, nt, 4 * hidden)
+        xw = (xs.reshape(nb * nt, c) @ wxd).reshape(nb, nt, 4 * hidden)
         for k, ti in enumerate(steps):
             h, cell = hs[k + 1], cs[k + 1]
             if empty[k]:                         # nothing to compute: the state carries over
                 h[...] = hs[k]
                 cell[...] = cs[k]
                 continue
-            np.matmul(hs[k], wh.data, out=z)
+            np.matmul(hs[k], whd, out=z)
             z += xw[:, ti]
             z += b.data
             _check_finite(z, "lstm")
@@ -463,7 +506,7 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
     _check_finite(cs, "lstm")
     data = (hs[:0:-1] if reverse else hs[1:]).transpose(1, 0, 2)
 
-    def bw(g):
+    def bw(g, s_seq, s_wx, s_wh, s_b):
         g_steps = g[:, ::-1] if reverse else g
         dz = acts                                # step k's gate gradients replace its gates
         dh = np.zeros((nb, hidden))
@@ -489,15 +532,15 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
             d_o = dh_new * tanh_c[k] * o_g * (1.0 - o_g)
             dc = dc + dc_new * f_g
             a[:, :hidden], a[:, hidden:h2], a[:, h2:h3], a[:, h3:] = d_i, d_f, d_c, d_o
-            dh = dh + a @ wh.data.T
+            dh = dh + a @ whd.T
         dz_flat = dz.reshape(nt * nb, 4 * hidden)
-        _accum(wh, hs[:-1].reshape(nt * nb, hidden).T @ dz_flat)
-        _accum(b, dz_flat.sum(axis=0))
+        _accum(s_wh, hs[:-1].reshape(nt * nb, hidden).T @ dz_flat)
+        _accum(s_b, dz_flat.sum(axis=0))
         dz_time = (dz[::-1] if reverse else dz).transpose(1, 0, 2).reshape(nb * nt, 4 * hidden)
-        _accum(wx, seq.data.reshape(nb * nt, c).T @ dz_time)
-        _accum(seq, (dz_time @ wx.data.T).reshape(nb, nt, c))
+        _accum(s_wx, xs.reshape(nb * nt, c).T @ dz_time)
+        _accum(s_seq, (dz_time @ wxd.T).reshape(nb, nt, c))
 
-    return _out(data, "lstm", bw)
+    return _out(data, "lstm", bw, seq, wx, wh, b)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +550,8 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
 def backward(tape: Tape, loss: Tensor):
     """Accumulate the gradient of ``loss`` into every tensor that feeds it.
 
+    Each record's rule gets its output slot's gradient and its inputs'
+    slots, and reads only the arrays it kept from the forward pass.
     Parameters and non-constant leaves keep their gradients. An op
     output's gradient is dropped (set to None) once its own rule has run:
     every consumer was recorded later, so nothing reads it again. The
@@ -521,12 +566,12 @@ def backward(tape: Tape, loss: Tensor):
     if tape.spent:
         raise RuntimeError("this tape has already run backward; record the forward pass again")
     tape.spent = True
-    loss.grad = np.ones(())
-    for out_t, bw in reversed(tape.records):
-        if out_t.grad is None:
+    loss.slot.grad = np.ones(())
+    for slot, bw, inputs in reversed(tape.records):
+        if slot.grad is None:
             continue
-        bw(out_t.grad)
-        out_t.grad = None            # op outputs are plain Tensors, never Parameters
+        bw(slot.grad, *inputs)
+        slot.grad = None             # an op output's slot, never a Parameter's
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

@@ -345,7 +345,7 @@ def fit(config: ModelConfig, train: list[EncodedInstance],
 
     val_labels = np.array([i.label for i in val], dtype=np.float64)
     best_val = np.inf
-    best_params = params       # replaced at epoch 1: a finite val loss beats inf
+    best_values = {}           # set at epoch 1: a finite val loss beats inf
     wait = 0
     log: list[TrainLogRow] = []
 
@@ -375,13 +375,13 @@ def fit(config: ModelConfig, train: list[EncodedInstance],
 
         if val_loss < best_val:
             best_val = val_loss
-            best_params = {n: Parameter(p.data.copy(), n) for n, p in params.items()}
+            best_values = {n: p.data.copy() for n, p in params.items()}
             wait = 0
         else:
             wait += 1
             if wait > config.patience:
                 break
-    return best_params, log
+    return {n: Parameter(v, n) for n, v in best_values.items()}, log
 
 
 def predict(params: dict[str, Parameter], config: ModelConfig,
@@ -408,6 +408,7 @@ def classify(probabilities: np.ndarray) -> np.ndarray:
 # echoes a bad config value two levels deep, a few items and characters each
 ECHO = reprlib.Repr()
 ECHO.maxlevel = 2
+UNKNOWN_KEYS_SHOWN = 5     # unknown keys an error names; the rest it counts
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", str | None: "a string", tuple[str, ...]: "a list of strings",
@@ -425,9 +426,12 @@ def typed_value(value, kind, key: str = "", skip: tuple[str, ...] = ()):
             raise TypeError(f"{name} must be a mapping, got {ECHO.repr(value)}")
         kinds = {k: t for k, t in typing.get_type_hints(kind).items()
                  if f"{key}.{k}".lstrip(".") not in skip}
-        unknown = set(map(str, value)) - set(kinds)
+        unknown = sorted(set(map(str, value)) - set(kinds))
         if unknown:
-            raise TypeError(f"unknown {name} keys: {', '.join(sorted(unknown))}")
+            more = (f", ... ({len(unknown):,} in all)"
+                    if len(unknown) > UNKNOWN_KEYS_SHOWN else "")
+            raise TypeError(f"unknown {name} keys: "
+                            f"{', '.join(unknown[:UNKNOWN_KEYS_SHOWN])}{more}")
         fields = {k: typed_value(v, kinds[k], f"{key}.{k}".lstrip("."), skip)
                   for k, v in value.items()}
         try:

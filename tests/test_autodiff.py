@@ -3,6 +3,7 @@ values against the finite-difference oracle."""
 
 import re
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from alzdetect.autodiff import (
     NonFiniteValue,
     Parameter,
     Tape,
+    Tensor,
     backward,
     constant,
 )
@@ -490,6 +492,59 @@ def test_lstm_backward_allocates_no_gate_gradient_array(reverse):
     # one batch-major copy of the gate gradients feeds the wx and input
     # GEMMs; half of one more covers the output gradient and the weights'
     assert peak < gates + gates // 2, (peak, gates)
+
+
+def _lstm_op(seq, wx, wh, b):
+    return ad.lstm(seq, wx, wh, b, LSTM_PAD_MASK[:2, :5])
+
+
+# each op, its input shapes, and the arrays its rule keeps: input positions, "out" its output
+@pytest.mark.parametrize("op, shapes, kept", [
+    (ad.add, [(3, 4), (4,)], set()),
+    (ad.sub, [(3, 4), (3, 4)], set()),
+    (ad.mul, [(3, 4), (3, 1)], {0, 1}),
+    (ad.matmul, [(3, 4), (4, 2)], {0, 1}),
+    (ad.tanh, [(3, 4)], {"out"}),
+    (ad.sigmoid, [(3, 4)], {"out"}),
+    (ad.relu, [(3, 4)], {"out"}),
+    (ad.log, [(3, 4)], {0}),
+    (lambda x: ad.clip(x, 1.2, 1.8), [(3, 4)], set()),
+    (lambda x: ad.reshape(x, (12,)), [(3, 4)], set()),
+    (lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)], set()),
+    (lambda x: ad.slice_axis(x, 1, 1, 3), [(3, 4)], set()),
+    (lambda x: ad.sum_(x, axis=0), [(3, 4)], set()),
+    (ad.mean, [(3, 4)], set()),
+    (lambda x: ad.softmax(x, axis=1, mask=np.ones((3, 4))), [(3, 4)], {"out"}),
+    (ad.conv1d, [(2, 5, 3), (4, 3, 3)], {0, 1}),
+    (_lstm_op, [(2, 5, 4), (4, 12), (3, 12), (12,)], {0, 1, 2}),    # out: a view of its saves
+], ids=["add", "sub", "mul", "matmul", "tanh", "sigmoid", "relu", "log", "clip", "reshape",
+        "concat", "slice", "sum", "mean", "softmax", "conv1d", "lstm"])
+def test_taped_op_keeps_only_the_arrays_its_rule_reads(op, shapes, kept):
+    rng = np.random.default_rng(27)
+    with Tape() as tape:
+        # op outputs in [1, 2) that only this test holds: ``add`` keeps nothing of its output
+        inputs = [ad.add(Parameter(rng.uniform(0.0, 1.0, shape), f"p{i}"), constant(1.0))
+                  for i, shape in enumerate(shapes)]
+        out = op(*inputs)
+        refs = {i: weakref.ref(t.data) for i, t in enumerate(inputs)}
+        refs["out"] = weakref.ref(out.data)
+        del inputs, out
+        alive = {name for name, ref in refs.items() if ref() is not None}
+    assert alive == kept
+    assert len(tape) == len(shapes) + 1
+
+
+def test_op_output_made_with_no_tape_open_takes_no_gradient():
+    rng = np.random.default_rng(28)
+    p = _param(rng, 3, name="p")
+    leaf = Tensor(rng.standard_normal(3))
+    early = ad.tanh(p)                 # as in predict: no tape, so data like a constant
+    assert early.slot is None and early.grad is None
+    with Tape() as tape:
+        backward(tape, ad.sum_(ad.mul(early, leaf)))
+    assert len(tape) == 2 and early.grad is None
+    np.testing.assert_array_equal(leaf.grad, early.data)
+    np.testing.assert_array_equal(p.grad, 0.0)
 
 
 # ---------------------------------------------------------------------------

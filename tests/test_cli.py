@@ -481,6 +481,32 @@ def test_long_bad_model_file_config_value_is_echoed_short(tmp_path, workspace, c
                    f"got ['x', 'x', 'x', 'x', 'x', 'x', ...] (list)\n")
 
 
+_MANY_KEYS = {f"k{i}": 1 for i in range(2_000)}    # named whole, the error line is 13 KB
+_FIRST_KEYS = "k0, k1, k10, k100, k1000, ... (2,000 in all)"
+
+
+@pytest.mark.parametrize("section, overrides", [
+    ("config", _MANY_KEYS),
+    ("model", {"model": {**MODEL_SECTION, **_MANY_KEYS}}),
+    ("synth", {"synth": {**SYNTH_SECTION, **_MANY_KEYS}}),
+], ids=["top", "model", "synth"])
+def test_many_unknown_config_keys_are_named_short(tmp_path, workspace, capsys,
+                                                  section, overrides):
+    cfg = _bad_input_config(tmp_path, workspace, **overrides)
+    assert main(["train", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: unknown {section} keys: {_FIRST_KEYS}\n"
+
+
+def test_many_unknown_model_file_config_keys_are_named_short(tmp_path, workspace, capsys):
+    path = tmp_path / "model.bin"
+    save_edited_model(SAVED, path, lambda t: None)
+    edit_model_config(path, lambda c: c.update(_MANY_KEYS))
+    cfg = _bad_input_config(tmp_path, workspace)
+    assert main(["eval", str(cfg), "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: bad config block: unknown config keys: {_FIRST_KEYS}\n"
+
+
 @pytest.mark.parametrize("switches, name, feature_dim", [
     (model.VARIANTS["C-LSTM"], "C-LSTM", 0),
     (dict(model.VARIANTS["OURS"], feature_mask=("sent",)), "OURS", 1),

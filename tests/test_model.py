@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +320,30 @@ def test_constants_taking_no_gradient_change_no_parameter_gradient_bit(variant, 
 
 def _dense(batch):
     return [replace(i, embeddings=np.asarray(i.embeddings)) for i in batch]
+
+
+def test_taped_default_dims_step_holds_only_what_backward_reads():
+    """A B=32 OURS-Att-w forward pass and its loss, taped, at the default
+    dims. Holding every forward array until backward took 73.2 MiB; the
+    conv outputs, the attention projection and the alpha-h product that no
+    rule reads take 16.4 MiB of that."""
+    cfg = variant_config("OURS-Att-w", ModelConfig())
+    params = init_params(cfg, np.random.default_rng(29))
+    batch = make_instances(cfg, 32, np.random.default_rng(30))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        emb, pos, feats, mask, labels = model._stack_instances(cfg, batch)
+        with Tape() as tape:
+            prob, _ = model._forward_graph(params, cfg, emb, pos, feats, mask,
+                                           training=True, rng=np.random.default_rng(31))
+            loss = weighted_bce(prob, labels)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 62 * 2**20, held / 2**20
+    backward(tape, loss)
+    assert all(np.isfinite(p.grad).all() for p in params.values())
 
 
 @pytest.mark.parametrize("training", [True, False])
