@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +24,12 @@ class DataError(ValueError):
     """The one exception type for bad input data (a transcript, corpus,
     embeddings, lexicon, tagger or model file); its message names the file.
     The CLI exits 2 on it, as on any OSError."""
+
+
+# echoes a piece of bad input in an error message: two levels deep, a few
+# items and characters each
+ECHO = reprlib.Repr()
+ECHO.maxlevel = 2
 
 
 @contextmanager
@@ -176,7 +183,11 @@ def _parse_id_header(value: str) -> Demographics | None:
     if age_field and age_field != ";":
         m = re.match(r"^(\d+)", age_field)
         if not m:
-            raise DataError(f"unparseable age field {age_field!r}")
+            raise DataError(f"unparseable age field {ECHO.repr(age_field)}")
+        # past three digits after the leading zeros no age is in range, and
+        # past 4,300 int() refuses to parse
+        if len(m.group(1).lstrip("0")) > 3:
+            raise DataError(f"age {ECHO.repr(m.group(1))} out of range")
         age = int(m.group(1))
     gender_field = parts[4].strip().lower()
     if gender_field.startswith("f"):

@@ -56,7 +56,7 @@ class RunConfig:
             raise ValueError(f"seeds must be a non-empty list of non-negative integers, "
                              f"got {model.ECHO.repr(list(self.seeds))}")
         if self.variant not in model.VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; "
+            raise ValueError(f"unknown variant {model.ECHO.repr(self.variant)}; "
                              f"expected one of {', '.join(model.VARIANTS)}")
 
 

@@ -6,16 +6,24 @@ scalars in a fixed order: five lexicon means (age of acquisition,
 concreteness, familiarity, imageability, sentiment valence), age / 100,
 and gender coded Female=1.0, Male=0.0, Unknown=0.5.
 
+Loading an embedding file checks every line but keeps only where each
+word's line lies; a word's values are read from the file again the first
+time a transcript uses it. So the table's matrix holds the rows of the
+words a run uses, not the file's, and a file changed or removed between
+the load and that first use is a ``DataError``.
+
 An encoded instance copies no vector: its embeddings are ``TableRows``,
-the row ids of the table's one shared matrix, and its POS one-hots are
-``bool``. The model gathers each batch's embeddings with one fancy index
-over that matrix and casts both to float64, so it sees the same floats
-a dense copy would hold.
+its table and the row ids of the table's one shared matrix, and its POS
+one-hots are ``bool``. The model gathers each batch's embeddings with one
+fancy index over that matrix and casts both to float64, so it sees the
+same floats a dense copy would hold.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,16 +72,110 @@ OOV_ROW = -1
 
 
 class EmbeddingTable:
-    """Word -> row of one ``[V + 1, dim]`` matrix whose last row is zeros;
-    OOV words and ``<pad>`` map to that zero row (``OOV_ROW``)."""
+    """Word -> row id of ``vectors``, a float64 ``[capacity, dim]`` matrix
+    whose last row is zeros; OOV words and ``<pad>`` map to that zero row
+    (``OOV_ROW``).
 
-    def __init__(self, vectors: np.ndarray, rows: dict[str, int]):
-        self.vectors = vectors
-        self.rows = rows
-        self.dim = vectors.shape[1]
+    A word's values are read from ``source`` (an object with ``in`` and
+    ``read(words) -> [len(words), dim]``; an embedding file's lines in a
+    run) the first time ``ids`` meets the word, so ``vectors`` holds only
+    the rows that were used, numbered in first-use order. Words with no
+    row are remembered too, so after its first use a word costs one dict
+    lookup. The matrix grows by copying into one twice its size; a row id,
+    once given, names the same values in every later matrix.
+    """
+
+    def __init__(self, dim: int, source):
+        self.dim = dim
+        self.source = source
+        self.rows: dict[str, int] = {PAD_TOKEN: OOV_ROW}
+        self.vectors = np.zeros((1, dim))
+        self._used = 0                 # rows of vectors holding a word's values
 
     def __contains__(self, word: str):
-        return word in self.rows
+        """Whether the source has a row for ``word``, used yet or not."""
+        return word in self.source
+
+    def ids(self, tokens) -> np.ndarray:
+        """The row id of each token, first reading the rows of new words."""
+        rows = self.rows
+        try:
+            return np.array([rows[tok] for tok in tokens], dtype=np.intp)
+        except KeyError:
+            self._add(tokens)
+            return np.array([rows[tok] for tok in tokens], dtype=np.intp)
+
+    def _add(self, tokens):
+        new = [w for w in dict.fromkeys(tokens) if w not in self.rows]
+        found = [w for w in new if w in self.source]
+        if found:
+            block = self.source.read(found)
+            end = self._used + len(found)
+            if end >= len(self.vectors):         # the last row stays the zero row
+                grown = np.zeros((max(2 * len(self.vectors), end + 1), self.dim))
+                grown[:self._used] = self.vectors[:self._used]
+                self.vectors = grown
+            # rows past _used are named by no id yet, so a caller holding
+            # this matrix sees no given row change
+            self.vectors[self._used:end] = block
+            self.rows.update(zip(found, range(self._used, end)))
+            self._used = end
+        for word in new:
+            self.rows.setdefault(word, OOV_ROW)
+
+
+class _EmbeddingFile:
+    """Where the first line of each word lies in an embedding file whose
+    lines were all checked: ``lines[word]`` is a line index and line ``i``
+    spans bytes ``starts[i]:starts[i + 1]``. ``read`` parses those lines
+    again, after checking that the file's size and mtime are still those
+    seen when it was loaded."""
+
+    def __init__(self, path, dim: int, lines: dict[str, int], starts: np.ndarray, stamp):
+        self.path = path
+        self.dim = dim
+        self.lines = lines
+        self.starts = starts
+        self.stamp = stamp
+
+    def __contains__(self, word: str):
+        return word in self.lines
+
+    def read(self, words: list[str]) -> np.ndarray:
+        block = np.empty((len(words), self.dim))
+        try:
+            with open(self.path, "rb") as fh:
+                if _stamp(fh) != self.stamp:
+                    raise self._changed()
+                for k, word in enumerate(words):
+                    i = self.lines[word]
+                    fh.seek(self.starts[i])
+                    block[k] = self._parse(fh.read(self.starts[i + 1] - self.starts[i]), word)
+        except OSError as exc:
+            raise DataError(f"{self.path}: cannot be read again: {exc.strerror}") from None
+        return block
+
+    def _parse(self, raw: bytes, word: str) -> np.ndarray:
+        """The values of ``word``'s line, parsed as ``_TableBuilder.add_exact``
+        parses them; any mismatch means the file changed."""
+        try:
+            parts = raw.decode("utf-8").split()
+            if parts[:1] != [word] or len(parts) != self.dim + 1:
+                raise ValueError
+            vec = np.array(parts[1:], dtype=np.float64)
+        except ValueError:             # UnicodeDecodeError is a ValueError
+            raise self._changed() from None
+        if not np.isfinite(vec).all():
+            raise self._changed()
+        return vec
+
+    def _changed(self) -> DataError:
+        return DataError(f"{self.path}: changed since it was loaded")
+
+
+def _stamp(fh) -> tuple[int, int]:
+    st = os.fstat(fh.fileno())
+    return st.st_size, st.st_mtime_ns
 
 
 # lines read per bulk parse: about 350 lines of a 300-d GloVe table
@@ -81,40 +183,26 @@ _CHUNK_BYTES = 1 << 20
 
 
 class _TableBuilder:
-    """The rows of an embedding table as its lines arrive, chunk by chunk:
-    each chunk's new rows are copied into ``vectors``, which grows in place
-    and always ends in the zero row, so the values are never held twice."""
+    """Checks an embedding file's lines as they arrive, chunk by chunk, and
+    keeps the index of each word's first line; no value is kept."""
 
     def __init__(self, path):
         self.path = path
         self.dim: int | None = None
-        self.rows: dict[str, int] = {}
-        self.vectors = np.zeros((1, 0))
+        self.lines: dict[str, int] = {}
 
-    def _append(self, words: list[str], block: np.ndarray):
-        """Copy the rows of ``block`` whose word is new; the first occurrence wins."""
-        at = len(self.rows)
-        keep = []
-        for i, word in enumerate(words):
-            if word not in self.rows:
-                self.rows[word] = len(self.rows)
-                keep.append(i)
-        # no view of vectors outlives a call, so it may grow in place; resize
-        # zero-fills what it adds, so the last row stays the zero row
-        self.vectors.resize((len(self.rows) + 1, self.dim), refcheck=False)
-        self.vectors[at:-1] = block if len(keep) == len(words) else block[keep]
-
-    def add_bulk(self, lines: list[str]) -> bool:
+    def add_bulk(self, lines: list[str], first: int) -> bool:
         """Parse ``lines`` with numpy's C text reader. Returns False, having
         added nothing, on any chunk where that reader could differ from
         ``add_exact``: a value it rejects (it takes no ``1_0`` or non-ASCII
         digits, which ``float`` takes), a width other than the table's, a
         non-finite value or a word with no values."""
-        words, rests = [], []
-        for line in lines:
+        words, at, rests = [], [], []
+        for i, line in enumerate(lines, start=first):
             parts = line.split(maxsplit=1)
             if len(parts) == 2:
                 words.append(parts[0])
+                at.append(i)
                 rests.append(parts[1])
             elif parts:
                 return False
@@ -127,89 +215,93 @@ class _TableBuilder:
         if self.dim not in (None, block.shape[1]) or not np.isfinite(block).all():
             return False
         self.dim = block.shape[1]
-        self._append(words, block)
+        for word, i in zip(words, at):
+            self.lines.setdefault(word, i)
         return True
 
-    def add_exact(self, lines: list[str], first_lineno: int):
+    def add_exact(self, lines: list[str], first: int):
         """Parse ``lines`` one at a time with Python's float rules, and raise
         the first error with its ``file:line``. A duplicate word's values
         are not read."""
-        for lineno, line in enumerate(lines, start=first_lineno):
+        for i, line in enumerate(lines, start=first):
             parts = line.split()
             if not parts:
                 continue
             word, values = parts[0], parts[1:]
             if self.dim is None:
                 if not values:
-                    raise DataError(f"{self.path}:{lineno}: no vector values")
+                    raise DataError(f"{self.path}:{i + 1}: no vector values")
                 self.dim = len(values)
             elif len(values) != self.dim:
-                raise DataError(f"{self.path}:{lineno}: expected {self.dim} values, "
+                raise DataError(f"{self.path}:{i + 1}: expected {self.dim} values, "
                                 f"got {len(values)}")
-            if word not in self.rows:
+            if word not in self.lines:
                 try:
                     vec = np.array(values, dtype=np.float64)
                 except ValueError:
-                    raise DataError(f"{self.path}:{lineno}: non-numeric vector value") from None
+                    raise DataError(f"{self.path}:{i + 1}: non-numeric vector value") from None
                 if not np.isfinite(vec).all():
-                    raise DataError(f"{self.path}:{lineno}: non-finite vector value")
-                self._append([word], vec[None])
-
-    def table(self) -> EmbeddingTable:
-        if self.dim is None:
-            raise DataError(f"{self.path}: no embedding lines")
-        # pads embed as zeros whatever the file says; a <pad> line's row is never read
-        self.rows.pop(PAD_TOKEN, None)
-        return EmbeddingTable(self.vectors, self.rows)
+                    raise DataError(f"{self.path}:{i + 1}: non-finite vector value")
+                self.lines[word] = i
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read ``word v1 v2 ... vD`` lines; width is set by the first line.
+    """Check every ``word v1 v2 ... vD`` line; width is set by the first line.
 
-    Duplicate words keep their first occurrence. Each chunk of lines is
-    parsed in bulk; a chunk the bulk parse rejects is parsed again line by
-    line, which accepts what ``float`` accepts or names the bad line.
+    Each chunk of lines is parsed in bulk; a chunk the bulk parse rejects is
+    parsed again line by line, which accepts what ``float`` accepts or names
+    the bad line. The table keeps where each word's first line lies, not its
+    values: ``EmbeddingTable.ids`` reads a word's line again the first time
+    it is used, and a file changed or removed by then is a ``DataError``.
     """
     builder = _TableBuilder(path)
-    lineno = 1
-    with open(path, encoding="utf-8") as fh, reading_utf8(path):
+    sizes = array("q")                 # each line's length in bytes
+    # newline="" keeps each line's own end, so the sizes are the file's
+    with open(path, encoding="utf-8", newline="") as fh, reading_utf8(path):
+        stamp = _stamp(fh)
         while lines := fh.readlines(_CHUNK_BYTES):
-            if not builder.add_bulk(lines):
-                builder.add_exact(lines, lineno)
-            lineno += len(lines)
-    return builder.table()
+            if not builder.add_bulk(lines, len(sizes)):
+                builder.add_exact(lines, len(sizes))
+            sizes.extend([len(s) if s.isascii() else len(s.encode()) for s in lines])
+    if builder.dim is None:
+        raise DataError(f"{path}: no embedding lines")
+    # pads embed as zeros whatever the file says; a <pad> line is never read
+    builder.lines.pop(PAD_TOKEN, None)
+    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=starts[1:])
+    return EmbeddingTable(builder.dim, _EmbeddingFile(path, builder.dim, builder.lines,
+                                                      starts, stamp))
 
 
 class TableRows:
-    """Rows ``ids`` of ``matrix``, holding the matrix itself, not a copy.
+    """Rows ``ids`` of ``table.vectors``, holding the table, not a copy.
 
-    numpy reads it as the ``[len(ids) x dim]`` array ``matrix[ids]``
+    numpy reads it as the ``[len(ids) x dim]`` array ``table.vectors[ids]``
     (``np.asarray``, ``np.stack``); ``model`` gathers a batch whose
-    instances share one matrix with one fancy index instead.
+    instances share one table with one fancy index instead. The table's
+    matrix may have grown since the ids were given; their rows are the same.
     """
 
-    __slots__ = ("matrix", "ids")
+    __slots__ = ("table", "ids")
 
-    def __init__(self, matrix: np.ndarray, ids: np.ndarray):
-        self.matrix = matrix
+    def __init__(self, table, ids: np.ndarray):
+        self.table = table
         self.ids = ids
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.ids), self.matrix.shape[1]
+        return len(self.ids), self.table.vectors.shape[1]
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("table rows are gathered into a new array, never viewed")
-        return np.asarray(self.matrix[self.ids], dtype=dtype)
+        return np.asarray(self.table.vectors[self.ids], dtype=dtype)
 
 
 def embed(seq: TokenSequence, table: EmbeddingTable) -> TableRows:
     """Per-token rows of the table's matrix; read as an array, a
     [len(seq) x dim] matrix."""
-    rows = table.rows
-    ids = np.array([rows.get(tok, OOV_ROW) for tok in seq.tokens], dtype=np.intp)
-    return TableRows(table.vectors, ids)
+    return TableRows(table, table.ids(seq.tokens))
 
 
 # ---------------------------------------------------------------------------

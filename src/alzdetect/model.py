@@ -22,7 +22,6 @@ import dataclasses
 import json
 import math
 import os
-import reprlib
 import struct
 import typing
 from dataclasses import dataclass, replace
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteValue, Parameter, Tape, Tensor, constant
-from .chat_corpus import DataError
+from .chat_corpus import ECHO, DataError
 from .lexical_features import FEATURE_GROUPS, FEATURE_NAMES, EncodedInstance, TableRows
 from .text_pipeline import TAGSET
 
@@ -115,7 +114,7 @@ VARIANTS: dict[str, dict] = {
 
 def variant_config(name: str, base: ModelConfig) -> ModelConfig:
     if name not in VARIANTS:
-        raise KeyError(f"unknown variant {name!r}")
+        raise KeyError(f"unknown variant {ECHO.repr(name)}")
     return replace(base, **VARIANTS[name])
 
 
@@ -182,11 +181,12 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Para
 
 def _gather(rows: list) -> np.ndarray:
     """The instances' ``[T, dim]`` embeddings as one float64 ``[B, T, dim]``
-    array. Rows of one shared table matrix, as every encoded corpus has,
-    are gathered with one fancy index; anything else is stacked."""
-    matrix = getattr(rows[0], "matrix", None)
-    if all(type(r) is TableRows and r.matrix is matrix for r in rows):
-        return np.asarray(matrix[np.stack([r.ids for r in rows])], dtype=np.float64)
+    array. Rows of one shared table, as every encoded corpus has, are
+    gathered with one fancy index over the table's current matrix, which
+    holds every row an earlier id names; anything else is stacked."""
+    table = getattr(rows[0], "table", None)
+    if all(type(r) is TableRows and r.table is table for r in rows):
+        return np.asarray(table.vectors[np.stack([r.ids for r in rows])], dtype=np.float64)
     return np.stack(rows, dtype=np.float64)
 
 
@@ -405,9 +405,6 @@ def classify(probabilities: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
-# echoes a bad config value two levels deep, a few items and characters each
-ECHO = reprlib.Repr()
-ECHO.maxlevel = 2
 UNKNOWN_KEYS_SHOWN = 5     # unknown keys an error names; the rest it counts
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
@@ -430,8 +427,9 @@ def typed_value(value, kind, key: str = "", skip: tuple[str, ...] = ()):
         if unknown:
             more = (f", ... ({len(unknown):,} in all)"
                     if len(unknown) > UNKNOWN_KEYS_SHOWN else "")
-            raise TypeError(f"unknown {name} keys: "
-                            f"{', '.join(unknown[:UNKNOWN_KEYS_SHOWN])}{more}")
+            # each name as ECHO shortens and escapes a string, less its quotes
+            shown = ", ".join(ECHO.repr(k)[1:-1] for k in unknown[:UNKNOWN_KEYS_SHOWN])
+            raise TypeError(f"unknown {name} keys: {shown}{more}")
         fields = {k: typed_value(v, kinds[k], f"{key}.{k}".lstrip("."), skip)
                   for k, v in value.items()}
         try:

@@ -4,8 +4,9 @@ trapezoidal AUC that checks ``evaluation.auc_pair``, the training and saving
 of the shipped tagger with its hand-tagged corpus and tagger accuracy, the
 norm lexicons of the feature tests, the string-feature and dict-of-dicts
 tagger scorers that the cached tagger must match, the unguarded fixpoint
-CHAT normalizer that the guarded early-exit one must match, and the
-line-by-line embedding loader that the bulk loader must match."""
+CHAT normalizer that the guarded early-exit one must match, the
+line-by-line embedding loader that the bulk loader must match, and an
+embedding table built in memory."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import json
 import random
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -82,6 +84,7 @@ def make_instances(cfg, n, rng, separation=0.0):
     # the embeddings are rows of one matrix, as an encoded corpus's are:
     # instance i owns rows i*T .. i*T + T-1, and its pads read the zero row
     matrix = np.zeros((n * cfg.seq_len + 1, cfg.embed_dim))
+    table = SimpleNamespace(vectors=matrix)
     out = []
     for i in range(n):
         label = i % 2
@@ -102,7 +105,7 @@ def make_instances(cfg, n, rng, separation=0.0):
             feats[0] = float(label)
         mask = np.zeros(cfg.seq_len)
         mask[:length] = 1.0
-        out.append(EncodedInstance(f"t{i}", f"p{i}", TableRows(matrix, ids), pos, feats,
+        out.append(EncodedInstance(f"t{i}", f"p{i}", TableRows(table, ids), pos, feats,
                                    mask, label))
     return out
 
@@ -448,12 +451,18 @@ def reference_normalize_utterance(raw_text: str, warnings: list[str] | None = No
 # embedding tables
 
 
+class InMemoryRows(dict):
+    """word -> vector, as an ``EmbeddingTable`` source: ``in`` and ``read``."""
+
+    def read(self, words: list[str]) -> np.ndarray:
+        return np.array([self[w] for w in words], dtype=np.float64)
+
+
 def embedding_table(dim: int, entries: dict[str, np.ndarray]):
-    """An ``EmbeddingTable`` holding ``entries`` in insertion order."""
+    """An ``EmbeddingTable`` built in memory, whose rows are ``entries``."""
     from alzdetect.lexical_features import EmbeddingTable
 
-    vectors = np.array(list(entries.values()) + [np.zeros(dim)], dtype=np.float64)
-    return EmbeddingTable(vectors, {w: i for i, w in enumerate(entries)})
+    return EmbeddingTable(dim, InMemoryRows(entries))
 
 
 def reference_load_embeddings(path) -> tuple[int, dict[str, np.ndarray]]:

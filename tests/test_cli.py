@@ -386,6 +386,9 @@ _TRANSCRIPT_EDITS = {
     "no-words": (("truncate", b"*PAR:\t"), "transcript {id}: no word tokens"),
     "bad-tier": (("insert", b"picture ?\n", b"*PA:\thi\n"),
                  "{path}: bad tier line: '*PA:\\thi'"),
+    # 5,000 nines before the age, past what int() parses; shown shortened
+    "long-age": (("insert", b"|PAR|", b"9" * 5000),
+                 "{path}: age '999999999999...99999999999"),
 }
 
 
@@ -479,6 +482,25 @@ def test_long_bad_model_file_config_value_is_echoed_short(tmp_path, workspace, c
     err = capsys.readouterr().err
     assert err == (f"error: {path}: bad config block: seq_len must be an integer, "
                    f"got ['x', 'x', 'x', 'x', 'x', 'x', ...] (list)\n")
+
+
+_HUGE = 200_000      # characters in one config name: echoed whole, a 200 KB line
+
+
+def test_long_unknown_config_key_is_named_short(tmp_path, workspace, capsys):
+    cfg = _bad_input_config(tmp_path, workspace, model={**MODEL_SECTION, "k" * _HUGE: 1})
+    assert main(["train", str(cfg)]) == 1
+    assert capsys.readouterr().err == ("error: unknown model keys: "
+                                       "kkkkkkkkkkkk...kkkkkkkkkkkkk\n")
+
+
+def test_long_unknown_variant_is_echoed_short(tmp_path, workspace, capsys):
+    cfg = _bad_input_config(tmp_path, workspace, variant="v" * _HUGE)
+    assert main(["train", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown variant 'vvvvvvvvvvvv...vvvvvvvvvvvvv'; "
+                          "expected one of C-LSTM, ") and err.count("\n") == 1, err[:200]
+    assert len(err) < 200, len(err)
 
 
 _MANY_KEYS = {f"k{i}": 1 for i in range(2_000)}    # named whole, the error line is 13 KB

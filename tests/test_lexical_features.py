@@ -1,5 +1,6 @@
 """Embeddings, scalar lexicons, and the targeted feature vector."""
 
+import os
 import re
 import tempfile
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alzdetect import synthgen
+from alzdetect import model, synthgen
 from alzdetect.chat_corpus import (
     DataError,
     Demographics,
@@ -25,6 +26,7 @@ from alzdetect.lexical_features import (
     FEATURE_GROUPS,
     FEATURE_NAMES,
     LEXICON_SLOTS,
+    OOV_ROW,
     build_feature_vector,
     embed,
     encode_corpus,
@@ -49,15 +51,19 @@ REPO = Path(__file__).resolve().parent.parent
 # embeddings
 
 
+def _embedded(table, *words):
+    """The rows ``words`` embed as, one per word, read as one array."""
+    return np.asarray(embed(TokenSequence(words, len(words)), table))
+
+
 def test_load_embeddings_basic(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("the 0.1 0.2\nboy 0.3 0.4\nthe 9.0 9.0\n")
     table = load_embeddings(path)
     assert table.dim == 2
-    assert len(table.rows) == 2
     assert "boy" in table and "girl" not in table
     # duplicates keep the first occurrence
-    assert table.vectors[table.rows["the"]].tolist() == [0.1, 0.2]
+    assert _embedded(table, "the", "boy").tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
 
 def test_load_embeddings_ragged_line_raises(tmp_path):
@@ -82,8 +88,9 @@ def test_load_embeddings_empty_file_raises(tmp_path):
 
 
 def _same_as_reference(path):
-    """The bulk loader gives the reference's words and vector bytes, or
-    raises the reference's exception class with its message."""
+    """The loader raises the reference's exception class with its message
+    at load time, or gives the reference's width and words, and once every
+    word is read, each word's vector bytes."""
     try:
         dim, entries = reference_load_embeddings(path)
     except ValueError as exc:
@@ -93,11 +100,11 @@ def _same_as_reference(path):
         return
     table = load_embeddings(path)
     assert table.dim == dim
-    # a <pad> line's row stays in the matrix, but no word maps to it
-    assert table.rows == {w: i for i, w in enumerate(entries) if w != PAD_TOKEN}
-    assert table.vectors.shape == (len(entries) + 1, dim)
-    want = np.array(list(entries.values()), dtype=np.float64).reshape(len(entries), dim)
-    assert table.vectors[:-1].tobytes() == want.tobytes()
+    # a <pad> line is never read, and no word maps to it
+    words = [w for w in entries if w != PAD_TOKEN]
+    assert set(table.source.lines) == set(words) and PAD_TOKEN not in table
+    want = np.array([entries[w] for w in words], dtype=np.float64).reshape(len(words), dim)
+    assert _embedded(table, *words).tobytes() == want.tobytes()
     assert not table.vectors[-1].any()
 
 
@@ -116,20 +123,22 @@ def _second_chunk_bad_line(value):
 
 
 def test_load_embeddings_holds_the_table_once(tmp_path):
-    """Each chunk's rows are copied into the one matrix as it is parsed, so
-    the load never holds the file's values twice (a list of every chunk's
-    block joined at the end peaks at over twice the matrix)."""
+    """A loaded table keeps where each word's line lies, not its values, and
+    reads a row when a word is first used: with ten of its 6,000 words
+    embedded it holds ten rows (keeping every row took the 9.2 MiB matrix)."""
     path = tmp_path / "vec.txt"
     row = " ".join(["0.123456"] * 200)
     path.write_text("".join(f"w{i} {row}\n" for i in range(6000)))    # 9 MiB of vectors
+    words = tuple(f"w{i}" for i in range(0, 6000, 600))
     tracemalloc.start()
     try:
         table = load_embeddings(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        rows = _embedded(table, *words)
+        held = tracemalloc.get_traced_memory()[0] - rows.nbytes
     finally:
         tracemalloc.stop()
-    assert table.vectors.shape == (6001, 200)
-    assert peak < 1.6 * table.vectors.nbytes, peak / table.vectors.nbytes
+    assert held < 2 * 2**20, held / 2**20
+    assert rows.tolist() == [[0.123456] * 200] * 10
 
 
 def _narrower_after_first_chunk():
@@ -203,6 +212,75 @@ def test_load_embeddings_matches_reference_on_random_tables(dim, hostile, data):
         path = Path(root) / "vec.txt"
         path.write_bytes(end.join(lines).encode("utf-8"))
         _same_as_reference(path)
+
+
+def test_row_ids_follow_first_use(tmp_path):
+    """Two tables loaded from one file number their rows alike for one token
+    stream: by first use, with words that have no line on the zero row."""
+    path = tmp_path / "vec.txt"
+    path.write_text("a 1 2\nb 3 4\nc 5 6\n")
+    stream = [("c", "zzz", "a"), ("a", "<pad>", "b", "c"), ("zzz", "b")]
+    first, second = load_embeddings(path), load_embeddings(path)
+    ids = [[embed(TokenSequence(toks, len(toks)), t).ids.tolist() for toks in stream]
+           for t in (first, second)]
+    assert ids[0] == ids[1] == [[0, OOV_ROW, 1], [1, OOV_ROW, 2, 0], [OOV_ROW, 2]]
+
+
+def test_rows_keep_their_values_as_the_table_grows():
+    """The matrix grows by copying, so rows embedded before a growth read the
+    same values after it, and one index gathers old and new ids alike."""
+    entries = {f"w{i}": np.full(3, float(i)) for i in range(40)}
+    table = embedding_table(3, entries)
+    early = embed(TokenSequence(("w7", "zzz"), 2), table)
+    held = table.vectors
+    late = embed(TokenSequence(tuple(entries), 40), table)
+    assert table.vectors is not held and len(table.vectors) > 40
+    assert np.asarray(early).tolist() == [[7.0] * 3, [0.0] * 3]
+    assert np.asarray(late).tolist() == [[float(i)] * 3 for i in range(40)]
+    assert held[0].tolist() == [7.0] * 3 and not held[-1].any()
+    assert not table.vectors[-1].any()
+    both = model._gather([early, embed(TokenSequence(("w39", "w7"), 2), table)])
+    assert both.tolist() == [[[7.0] * 3, [0.0] * 3], [[39.0] * 3, [7.0] * 3]]
+
+
+def _rewrite_same_size(path):
+    # two lines of one length swap places within the mtime's resolution, so
+    # only the word at each span tells
+    st = path.stat()
+    path.write_text("b 3 4\na 1 2\nc 5 6\n")
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def _rewrite_values_same_size(path):
+    # same words, same widths, other values, seen with a later mtime
+    st = path.stat()
+    path.write_text("a 7 8\nb 3 4\nc 5 6\n")
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+@pytest.mark.parametrize("change, message", [
+    (_rewrite_same_size, "changed since it was loaded"),
+    (_rewrite_values_same_size, "changed since it was loaded"),
+    (lambda path: path.write_text("a 1 2\nb 3 4\n"), "changed since it was loaded"),
+    (lambda path: path.unlink(), "cannot be read again"),
+], ids=["same-size-moved", "same-size-values", "other-size", "deleted"])
+def test_file_changed_after_load_is_data_error_at_first_use(tmp_path, change, message):
+    path = tmp_path / "vec.txt"
+    path.write_text("a 1 2\nb 3 4\nc 5 6\n")
+    table = load_embeddings(path)
+    assert _embedded(table, "b").tolist() == [[3.0, 4.0]]      # read before the change
+    change(path)
+    assert _embedded(table, "b", "zzz").tolist() == [[3.0, 4.0], [0.0, 0.0]]
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        _embedded(table, "a")
+
+
+def test_spans_hold_for_every_line_end_and_non_ascii_words(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_bytes("caf\u00e9 1 2\r\n\u00fcber 3 4\r\u0663 5 6\nb 7 8".encode("utf-8"))
+    table = load_embeddings(path)
+    assert _embedded(table, "b", "\u0663", "\u00fcber", "caf\u00e9").tolist() == \
+        [[7, 8], [5, 6], [3, 4], [1, 2]]
 
 
 def test_lookup_oov_and_pad_are_zero_vectors():
@@ -486,6 +564,6 @@ def test_encoded_instances_hold_row_ids_not_vectors(tmp_path):
         tracemalloc.stop()
     assert peak / len(instances) < 8 * 1024
     for inst in instances:
-        assert np.shares_memory(inst.embeddings.matrix, table.vectors)
+        assert inst.embeddings.table is table
         assert inst.embeddings.shape == (73, 300)
         assert inst.pos_onehot.dtype == bool

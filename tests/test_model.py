@@ -355,8 +355,8 @@ def test_table_rows_give_the_bytes_of_dense_copies(size, training):
     ids = first.embeddings.ids.copy()
     ids[4:] = OOV_ROW                                # padding from mid-sequence on
     mask = np.where(np.arange(cfg.seq_len) < 4, 1.0, 0.0)
-    batch[0] = replace(first, embeddings=TableRows(first.embeddings.matrix, ids), mask=mask)
-    assert len({id(i.embeddings.matrix) for i in batch}) == 1     # the one-gather path
+    batch[0] = replace(first, embeddings=TableRows(first.embeddings.table, ids), mask=mask)
+    assert len({id(i.embeddings.table) for i in batch}) == 1     # the one-gather path
     assert _step_bytes(cfg, batch, training) == _step_bytes(cfg, _dense(batch), training)
 
 
@@ -365,7 +365,7 @@ def test_rows_of_two_tables_give_the_bytes_of_dense_copies(training):
     cfg = replace(TINY, seq_len=9, dropout_rate=0.5)
     batch = (make_instances(cfg, 4, np.random.default_rng(24))
              + make_instances(cfg, 4, np.random.default_rng(25)))
-    assert len({id(i.embeddings.matrix) for i in batch}) == 2     # the stacking path
+    assert len({id(i.embeddings.table) for i in batch}) == 2     # the stacking path
     assert _step_bytes(cfg, batch, training) == _step_bytes(cfg, _dense(batch), training)
 
 
