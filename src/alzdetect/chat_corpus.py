@@ -222,7 +222,7 @@ def parse_chat_file(content: str, label: Label, transcript_id: str = "",
         if line[0] == "*":
             m = _RE_TIER.match(line)
             if not m:
-                raise DataError(f"bad tier line: {line.strip()!r}")
+                raise DataError(f"bad tier line: {ECHO.repr(line.strip())}")
             if m.group(1) == PARTICIPANT:
                 body = [line[m.end():].strip()]
                 bodies.append(body)

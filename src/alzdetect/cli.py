@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import textwrap
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from . import chat_corpus, evaluation, lexical_features, model, synthgen
 from .autodiff import NonFiniteValue
 from .chat_corpus import DataError, Label, StatsReport, reading_utf8
 from .evaluation import SplitSpec
-from .lexical_features import OOV_ROW
 from .model import Diverged, ModelConfig
 from .synthgen import SynthConfig
 from .text_pipeline import default_tagger, fix_length, tokenize
@@ -76,7 +76,12 @@ def load_run_config(path: str | Path) -> RunConfig:
         raw = yaml.safe_load(text)
     # ValueError: an int of over 4300 digits; RecursionError: lists nested too deep
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        raise UsageError(f"cannot parse config {path}: {exc}") from exc
+        # a YAML message spans lines and quotes tags and aliases whole: keep
+        # where it is and the problem, shortened to a line
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else path
+        problem = textwrap.shorten(getattr(exc, "problem", None) or str(exc), 150)
+        raise UsageError(f"cannot parse config {where}: {problem}") from exc
     try:
         return model.typed_value(raw, RunConfig, skip=_NOT_IN_YAML)
     except (TypeError, ValueError) as exc:
@@ -136,7 +141,7 @@ def _encode(cfg: RunConfig, mcfg: ModelConfig):
         mcfg = replace(mcfg, embed_dim=table.dim)
     except ValueError as exc:          # a table too wide for model.MAX_PARAMS
         raise DataError(f"embedding file is {table.dim}-dimensional: {exc}") from None
-    if all((i.embeddings.ids[i.mask == 1.0] == OOV_ROW).all() for i in instances):
+    if not table.used:
         print(f"warning: {cfg.embeddings}: no word of the corpus has a vector, so "
               f"every token embeds as zeros", file=sys.stderr)
     return instances, mcfg

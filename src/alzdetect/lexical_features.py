@@ -10,13 +10,15 @@ Loading an embedding file checks every line but keeps only where each
 word's line lies; a word's values are read from the file again the first
 time a transcript uses it. So the table's matrix holds the rows of the
 words a run uses, not the file's, and a file changed or removed between
-the load and that first use is a ``DataError``.
+the load and that first use is a ``DataError``. ``_EmbeddingFile`` does
+both reads; ``_vector`` is the one rule for a line's values.
 
 An encoded instance copies no vector: its embeddings are ``TableRows``,
 its table and the row ids of the table's one shared matrix, and its POS
-one-hots are ``bool``. The model gathers each batch's embeddings with one
-fancy index over that matrix and casts both to float64, so it sees the
-same floats a dense copy would hold.
+one-hots are ``bool``. ``stack_embeddings`` gathers each batch's
+embeddings with one fancy index over that matrix as float64, and the model
+casts the one-hots too, so it sees the same floats a dense copy would hold.
+No other module reads a table's rows or ids.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from .chat_corpus import (
     Corpus,
+    ECHO,
     DataError,
     Demographics,
     Gender,
@@ -79,10 +82,10 @@ class EmbeddingTable:
     A word's values are read from ``source`` (an object with ``in`` and
     ``read(words) -> [len(words), dim]``; an embedding file's lines in a
     run) the first time ``ids`` meets the word, so ``vectors`` holds only
-    the rows that were used, numbered in first-use order. Words with no
-    row are remembered too, so after its first use a word costs one dict
-    lookup. The matrix grows by copying into one twice its size; a row id,
-    once given, names the same values in every later matrix.
+    the ``used`` rows, numbered in first-use order. Words with no row are
+    remembered too, so after its first use a word costs one dict lookup.
+    The matrix grows by copying into one twice its size; a row id, once
+    given, names the same values in every later matrix.
     """
 
     def __init__(self, dim: int, source):
@@ -90,7 +93,7 @@ class EmbeddingTable:
         self.source = source
         self.rows: dict[str, int] = {PAD_TOKEN: OOV_ROW}
         self.vectors = np.zeros((1, dim))
-        self._used = 0                 # rows of vectors holding a word's values
+        self.used = 0                  # rows of vectors holding a word's values
 
     def __contains__(self, word: str):
         """Whether the source has a row for ``word``, used yet or not."""
@@ -110,91 +113,67 @@ class EmbeddingTable:
         found = [w for w in new if w in self.source]
         if found:
             block = self.source.read(found)
-            end = self._used + len(found)
+            end = self.used + len(found)
             if end >= len(self.vectors):         # the last row stays the zero row
                 grown = np.zeros((max(2 * len(self.vectors), end + 1), self.dim))
-                grown[:self._used] = self.vectors[:self._used]
+                grown[:self.used] = self.vectors[:self.used]
                 self.vectors = grown
-            # rows past _used are named by no id yet, so a caller holding
+            # rows past used are named by no id yet, so a caller holding
             # this matrix sees no given row change
-            self.vectors[self._used:end] = block
-            self.rows.update(zip(found, range(self._used, end)))
-            self._used = end
+            self.vectors[self.used:end] = block
+            self.rows.update(zip(found, range(self.used, end)))
+            self.used = end
         for word in new:
             self.rows.setdefault(word, OOV_ROW)
 
 
-class _EmbeddingFile:
-    """Where the first line of each word lies in an embedding file whose
-    lines were all checked: ``lines[word]`` is a line index and line ``i``
-    spans bytes ``starts[i]:starts[i + 1]``. ``read`` parses those lines
-    again, after checking that the file's size and mtime are still those
-    seen when it was loaded."""
-
-    def __init__(self, path, dim: int, lines: dict[str, int], starts: np.ndarray, stamp):
-        self.path = path
-        self.dim = dim
-        self.lines = lines
-        self.starts = starts
-        self.stamp = stamp
-
-    def __contains__(self, word: str):
-        return word in self.lines
-
-    def read(self, words: list[str]) -> np.ndarray:
-        block = np.empty((len(words), self.dim))
-        try:
-            with open(self.path, "rb") as fh:
-                if _stamp(fh) != self.stamp:
-                    raise self._changed()
-                for k, word in enumerate(words):
-                    i = self.lines[word]
-                    fh.seek(self.starts[i])
-                    block[k] = self._parse(fh.read(self.starts[i + 1] - self.starts[i]), word)
-        except OSError as exc:
-            raise DataError(f"{self.path}: cannot be read again: {exc.strerror}") from None
-        return block
-
-    def _parse(self, raw: bytes, word: str) -> np.ndarray:
-        """The values of ``word``'s line, parsed as ``_TableBuilder.add_exact``
-        parses them; any mismatch means the file changed."""
-        try:
-            parts = raw.decode("utf-8").split()
-            if parts[:1] != [word] or len(parts) != self.dim + 1:
-                raise ValueError
-            vec = np.array(parts[1:], dtype=np.float64)
-        except ValueError:             # UnicodeDecodeError is a ValueError
-            raise self._changed() from None
-        if not np.isfinite(vec).all():
-            raise self._changed()
-        return vec
-
-    def _changed(self) -> DataError:
-        return DataError(f"{self.path}: changed since it was loaded")
-
-
-def _stamp(fh) -> tuple[int, int]:
-    st = os.fstat(fh.fileno())
-    return st.st_size, st.st_mtime_ns
+def _vector(values: list[str]) -> np.ndarray:
+    """A line's values by Python's float rules; a ValueError says what is
+    wrong with them."""
+    try:
+        vec = np.array(values, dtype=np.float64)
+    except ValueError:
+        raise ValueError("non-numeric vector value") from None
+    if not np.isfinite(vec).all():
+        raise ValueError("non-finite vector value")
+    return vec
 
 
 # lines read per bulk parse: about 350 lines of a 300-d GloVe table
 _CHUNK_BYTES = 1 << 20
 
 
-class _TableBuilder:
-    """Checks an embedding file's lines as they arrive, chunk by chunk, and
-    keeps the index of each word's first line; no value is kept."""
+class _EmbeddingFile:
+    """An embedding file whose every line is checked when this is built:
+    each chunk in bulk, or line by line by ``float``'s rules where the bulk
+    parse rejects it. It keeps where each word's first line lies
+    (``lines[word]`` is a line index; line ``i`` spans bytes
+    ``starts[i]:starts[i + 1]``), not its values: ``read`` parses the lines
+    again once the file's size and mtime match those seen at the build."""
 
     def __init__(self, path):
         self.path = path
         self.dim: int | None = None
         self.lines: dict[str, int] = {}
+        sizes = array("q")             # each line's length in bytes
+        # newline="" keeps each line's own end, so the sizes are the file's
+        with open(path, encoding="utf-8", newline="") as fh, reading_utf8(path):
+            self.stamp = _stamp(fh)
+            while lines := fh.readlines(_CHUNK_BYTES):
+                if not self._add_bulk(lines, len(sizes)):
+                    self._add_exact(lines, len(sizes))
+                sizes.extend([len(s) if s.isascii() else len(s.encode()) for s in lines])
+        if self.dim is None:
+            raise DataError(f"{path}: no embedding lines")
+        # pads embed as zeros whatever the file says; a <pad> line is never read
+        self.lines.pop(PAD_TOKEN, None)
+        self.starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=self.starts[1:])
 
-    def add_bulk(self, lines: list[str], first: int) -> bool:
+    def _add_bulk(self, lines: list[str], first: int) -> bool:
         """Parse ``lines`` with numpy's C text reader. Returns False, having
         added nothing, on any chunk where that reader could differ from
-        ``add_exact``: a value it rejects (it takes no ``1_0`` or non-ASCII
+        ``_add_exact``: a value it rejects (it takes no ``1_0`` or non-ASCII
         digits, which ``float`` takes), a width other than the table's, a
         non-finite value or a word with no values."""
         words, at, rests = [], [], []
@@ -219,10 +198,10 @@ class _TableBuilder:
             self.lines.setdefault(word, i)
         return True
 
-    def add_exact(self, lines: list[str], first: int):
-        """Parse ``lines`` one at a time with Python's float rules, and raise
-        the first error with its ``file:line``. A duplicate word's values
-        are not read."""
+    def _add_exact(self, lines: list[str], first: int):
+        """Parse ``lines`` one at a time with ``_vector``, and raise the
+        first error with its ``file:line``. A duplicate word's values are
+        not read."""
         for i, line in enumerate(lines, start=first):
             parts = line.split()
             if not parts:
@@ -237,49 +216,57 @@ class _TableBuilder:
                                 f"got {len(values)}")
             if word not in self.lines:
                 try:
-                    vec = np.array(values, dtype=np.float64)
-                except ValueError:
-                    raise DataError(f"{self.path}:{i + 1}: non-numeric vector value") from None
-                if not np.isfinite(vec).all():
-                    raise DataError(f"{self.path}:{i + 1}: non-finite vector value")
+                    _vector(values)
+                except ValueError as exc:
+                    raise DataError(f"{self.path}:{i + 1}: {exc}") from None
                 self.lines[word] = i
+
+    def __contains__(self, word: str):
+        return word in self.lines
+
+    def read(self, words: list[str]) -> np.ndarray:
+        block = np.empty((len(words), self.dim))
+        try:
+            with open(self.path, "rb") as fh:
+                if _stamp(fh) != self.stamp:
+                    raise ValueError
+                for k, word in enumerate(words):
+                    i = self.lines[word]
+                    fh.seek(self.starts[i])
+                    parts = fh.read(self.starts[i + 1] - self.starts[i]).decode("utf-8").split()
+                    # any mismatch with what was checked means the file changed
+                    if parts[:1] != [word] or len(parts) != self.dim + 1:
+                        raise ValueError
+                    block[k] = _vector(parts[1:])
+        except OSError as exc:
+            raise DataError(f"{self.path}: cannot be read again: {exc.strerror}") from None
+        except ValueError:             # UnicodeDecodeError is a ValueError
+            raise DataError(f"{self.path}: changed since it was loaded") from None
+        return block
+
+
+def _stamp(fh) -> tuple[int, int]:
+    st = os.fstat(fh.fileno())
+    return st.st_size, st.st_mtime_ns
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Check every ``word v1 v2 ... vD`` line; width is set by the first line.
-
-    Each chunk of lines is parsed in bulk; a chunk the bulk parse rejects is
-    parsed again line by line, which accepts what ``float`` accepts or names
-    the bad line. The table keeps where each word's first line lies, not its
-    values: ``EmbeddingTable.ids`` reads a word's line again the first time
-    it is used, and a file changed or removed by then is a ``DataError``.
-    """
-    builder = _TableBuilder(path)
-    sizes = array("q")                 # each line's length in bytes
-    # newline="" keeps each line's own end, so the sizes are the file's
-    with open(path, encoding="utf-8", newline="") as fh, reading_utf8(path):
-        stamp = _stamp(fh)
-        while lines := fh.readlines(_CHUNK_BYTES):
-            if not builder.add_bulk(lines, len(sizes)):
-                builder.add_exact(lines, len(sizes))
-            sizes.extend([len(s) if s.isascii() else len(s.encode()) for s in lines])
-    if builder.dim is None:
-        raise DataError(f"{path}: no embedding lines")
-    # pads embed as zeros whatever the file says; a <pad> line is never read
-    builder.lines.pop(PAD_TOKEN, None)
-    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=starts[1:])
-    return EmbeddingTable(builder.dim, _EmbeddingFile(path, builder.dim, builder.lines,
-                                                      starts, stamp))
+    """The table of a ``word v1 v2 ... vD`` file, every line checked; the
+    first line sets the width. A word's line is read again the first time
+    ``EmbeddingTable.ids`` meets the word, and a file changed or removed by
+    then is a ``DataError``."""
+    source = _EmbeddingFile(path)
+    return EmbeddingTable(source.dim, source)
 
 
 class TableRows:
     """Rows ``ids`` of ``table.vectors``, holding the table, not a copy.
 
     numpy reads it as the ``[len(ids) x dim]`` array ``table.vectors[ids]``
-    (``np.asarray``, ``np.stack``); ``model`` gathers a batch whose
-    instances share one table with one fancy index instead. The table's
-    matrix may have grown since the ids were given; their rows are the same.
+    (``np.asarray``, ``np.stack``); ``stack_embeddings`` gathers a batch
+    whose instances share one table with one fancy index instead. The
+    table's matrix may have grown since the ids were given; their rows are
+    the same.
     """
 
     __slots__ = ("table", "ids")
@@ -302,6 +289,17 @@ def embed(seq: TokenSequence, table: EmbeddingTable) -> TableRows:
     """Per-token rows of the table's matrix; read as an array, a
     [len(seq) x dim] matrix."""
     return TableRows(table, table.ids(seq.tokens))
+
+
+def stack_embeddings(rows: list) -> np.ndarray:
+    """Instances' ``[T, dim]`` embeddings as one float64 ``[B, T, dim]``
+    array. Rows of one shared table, as every encoded corpus has, are
+    gathered with one fancy index over the table's current matrix, which
+    holds every row an earlier id names; anything else is stacked."""
+    table = getattr(rows[0], "table", None)
+    if all(type(r) is TableRows and r.table is table for r in rows):
+        return np.asarray(table.vectors[np.stack([r.ids for r in rows])], dtype=np.float64)
+    return np.stack(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +333,10 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
         try:
             score = float(parts[1])
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
+            raise DataError(f"{path}:{lineno}: bad score {ECHO.repr(parts[1])}") from exc
         if not lo <= score <= hi:        # also catches nan and an overflow to inf
-            raise DataError(f"{path}:{lineno}: score {parts[1]!r} for {parts[0]!r} "
-                            f"outside [{lo}, {hi}]")
+            raise DataError(f"{path}:{lineno}: score {ECHO.repr(parts[1])} for "
+                            f"{ECHO.repr(parts[0])} outside [{lo}, {hi}]")
         entries[parts[0]] = score
     return entries
 

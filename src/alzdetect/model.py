@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteValue, Parameter, Tape, Tensor, constant
 from .chat_corpus import ECHO, DataError
-from .lexical_features import FEATURE_GROUPS, FEATURE_NAMES, EncodedInstance, TableRows
+from .lexical_features import FEATURE_GROUPS, FEATURE_NAMES, EncodedInstance, stack_embeddings
 from .text_pipeline import TAGSET
 
 EPS = 1e-7
@@ -86,7 +86,7 @@ class ModelConfig:
             raise ValueError(f"seq_len must be at most {MAX_SEQ_LEN}")
         unknown = set(self.feature_mask) - set(FEATURE_GROUPS)
         if unknown:
-            raise ValueError(f"unknown feature groups {sorted(unknown)}")
+            raise ValueError(f"unknown feature groups {ECHO.repr(sorted(unknown))}")
         if not self.learning_rate > 0:        # also rejects nan
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -96,7 +96,7 @@ class ModelConfig:
         if sum(math.prod(s) for s in param_shapes(self).values()) > MAX_PARAMS:
             widest = max(_SIZES, key=lambda k: getattr(self, k))
             raise ValueError(f"the model would have more than {MAX_PARAMS:,} parameters; "
-                             f"its largest size is {widest} = {getattr(self, widest)}")
+                             f"its largest size is {widest} = {ECHO.repr(getattr(self, widest))}")
 
 
 # Switch settings for the six reported variants, in report order. The
@@ -179,19 +179,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Para
 # ---------------------------------------------------------------------------
 # forward graph
 
-def _gather(rows: list) -> np.ndarray:
-    """The instances' ``[T, dim]`` embeddings as one float64 ``[B, T, dim]``
-    array. Rows of one shared table, as every encoded corpus has, are
-    gathered with one fancy index over the table's current matrix, which
-    holds every row an earlier id names; anything else is stacked."""
-    table = getattr(rows[0], "table", None)
-    if all(type(r) is TableRows and r.table is table for r in rows):
-        return np.asarray(table.vectors[np.stack([r.ids for r in rows])], dtype=np.float64)
-    return np.stack(rows, dtype=np.float64)
-
-
 def _stack_instances(config: ModelConfig, instances) -> tuple[np.ndarray, ...]:
-    emb = _gather([i.embeddings for i in instances])
+    emb = stack_embeddings([i.embeddings for i in instances])
     pos = np.stack([i.pos_onehot for i in instances], dtype=np.float64)
     feats = np.stack([i.features for i in instances], dtype=np.float64)
     mask = np.stack([i.mask for i in instances], dtype=np.float64)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chat_corpus import DataError, reading_utf8, words
+from .chat_corpus import ECHO, DataError, reading_utf8, words
 
 PAD_TOKEN = "<pad>"
 PAD_TAG = "PAD"
@@ -155,7 +155,7 @@ class PerceptronTaggerModel:
         with open(path, encoding="utf-8") as fh, reading_utf8(path):
             header = fh.readline().rstrip("\n")
             if header != "PTAG v1":
-                raise DataError(f"{path}:1: unsupported tagger file header {header!r}")
+                raise DataError(f"{path}:1: unsupported tagger file header {ECHO.repr(header)}")
             features: dict[str, int] = {}
             cells: dict[tuple[int, int], float] = {}   # a repeated line overrides
             tagdict: dict[str, str] = {}
@@ -168,9 +168,9 @@ class PerceptronTaggerModel:
                     weight = float(w)
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: expected feature<TAB>tag<TAB>weight, "
-                                    f"got {line!r}") from None
+                                    f"got {ECHO.repr(line)}") from None
                 if tag not in _TAG_COLUMN or not math.isfinite(weight):
-                    raise DataError(f"{path}:{lineno}: bad tag or weight in {line!r}")
+                    raise DataError(f"{path}:{lineno}: bad tag or weight in {ECHO.repr(line)}")
                 if feat.startswith("!tagdict "):
                     tagdict[feat[len("!tagdict "):]] = tag
                 else:

@@ -254,6 +254,21 @@ def test_nested_config_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot parse config") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ('a: "\\q"\n', "1:6: found unknown escape character 'q'"),
+    ("model: !" + "x" * 200_000 + " 1\n", "1:8: could not determine a constructor for "
+                                          "the tag [...]"),
+    ("seeds: *" + "x" * 200_000 + "\n", "1:8: found undefined alias [...]"),
+], ids=["bad-escape", "long-tag", "long-alias"])
+def test_yaml_error_is_one_short_line(tmp_path, capsys, text, message):
+    """The YAML parser's message spans seven lines for a bad escape and quotes
+    a tag or an alias whole; the error keeps its place and problem."""
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    assert main(["train", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot parse config {path}:{message}\n"
+
+
 def test_missing_corpus_is_data_error(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "nowhere")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -484,6 +499,22 @@ def test_long_bad_model_file_config_value_is_echoed_short(tmp_path, workspace, c
                    f"got ['x', 'x', 'x', 'x', 'x', 'x', ...] (list)\n")
 
 
+@pytest.mark.parametrize("key, value, needle", [
+    ("feature_mask", ["x" * 200_000], "unknown feature groups ['xxxxxxxxxxxx...xxxxxxxxxxxxx']"),
+    ("conv_filters", int("9" * 4000), "conv_filters = 999999999999999999...9999999999999999999"),
+], ids=["feature-group", "size"])
+def test_long_model_file_config_value_is_echoed_shortened(tmp_path, workspace, capsys,
+                                                          key, value, needle):
+    path = tmp_path / "model.bin"
+    save_edited_model(SAVED, path, lambda t: None)
+    edit_model_config(path, lambda c: c.update({key: value}))
+    cfg = _bad_input_config(tmp_path, workspace)
+    assert main(["eval", str(cfg), "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad config block: ") and needle in err
+    assert len(err.replace(str(path), "")) <= _ERROR_BYTES, len(err)
+
+
 _HUGE = 200_000      # characters in one config name: echoed whole, a 200 KB line
 
 
@@ -649,6 +680,31 @@ def test_embeddings_that_miss_every_word_warn_once(tmp_path, workspace, capsys):
                 if line.startswith("warning:")]
     assert warnings == [f"warning: {pad_only}: no word of the corpus has a vector, "
                         f"so every token embeds as zeros"]
+
+
+@pytest.mark.parametrize("fillers, warned", [
+    (MODEL_SECTION["seq_len"] - 1, False), (MODEL_SECTION["seq_len"], True)],
+    ids=["last-token-of-the-budget", "first-token-past-it"])
+def test_a_word_with_a_vector_past_the_budget_still_warns(tmp_path, workspace, capsys,
+                                                         fillers, warned):
+    """The corpus's one word with a vector follows ``fillers`` words that have
+    none, in one transcript: once truncation drops it, no token has a vector."""
+    root, _ = workspace
+    for label in ("ad", "ct"):
+        shutil.copytree(root / label, tmp_path / "corpus" / label)
+    first = sorted((tmp_path / "corpus" / "ct").glob("*.cha"))[0]
+    tier = b"*PAR:\t" + b"cat " * fillers + b"zyzzyva .\n"   # the first *PAR: tier
+    first.write_bytes(_corrupt(first.read_bytes(), ("insert", b"picture ?\n", tier)))
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text("zyzzyva" + " 0.5" * 8 + "\n")
+    cfg = _bad_input_config(tmp_path, workspace, corpus_dir=str(tmp_path / "corpus"),
+                            embeddings=str(embeddings))
+    with mock.patch.object(model, "fit", side_effect=_FitEntered), \
+            pytest.raises(_FitEntered):
+        main(["train", str(cfg)])
+    warning = (f"warning: {embeddings}: no word of the corpus has a vector, so every "
+               f"token embeds as zeros\n")
+    assert capsys.readouterr().err == (warning if warned else "")
 
 
 def test_each_lexicon_without_entries_warns(tmp_path, workspace, capsys):
@@ -1127,6 +1183,20 @@ _FILE_CASES = st.tuples(
     _EDITS,
 ).map(lambda c: ("file", *c[0], c[1]))
 
+# one piece of input, in each place an error quotes
+_LONG_TEXT = "x" * _HUGE
+_LONG_VALUES = [
+    ("config", "model", _LONG_TEXT, 1),                            # a key name
+    ("config", "top", "variant", _LONG_TEXT),
+    ("config", "model", "conv_filters", int("9" * 4000)),      # under int()'s 4,300 digits
+    ("file", "transcript", "train",
+     ("insert", b"picture ?\n", b"*" + _LONG_TEXT.encode() + b"\n")),    # a tier header
+    *[("file", "lexicon", "train", ("insert", b"\n", line.encode() + b"\n"))
+      for line in (f"w\t{'9' * len(_LONG_TEXT)}", f"w\t{_LONG_TEXT}", f"{_LONG_TEXT}\t7e9")],
+]
+# what an error line may hold beyond the paths it names
+_ERROR_BYTES = 200
+
 _PINNED = [
     ("config", "top", "output_dir", _WRONG_KIND),
     ("config", "top", "lexicons", _WRONG_KIND),
@@ -1148,6 +1218,7 @@ _PINNED = [
     ("layout", "ct"),
     ("nested", "config"),
     ("nested", "model"),
+    *_LONG_VALUES,
 ]
 
 
@@ -1229,7 +1300,9 @@ def test_bad_input_never_ends_in_a_traceback(workspace, case):
     `train` then reaches `model.fit`, `predict` exits 0.
     (c) A corpus without its ad/ or its ct/ directory stops `train` with exit 2.
     (d) Lists nested past the decoder's recursion limit, in the YAML config
-    or in a model file's config block, stop `train` or `eval` the same way."""
+    or in a model file's config block, stop `train` or `eval` the same way.
+    Whatever the input, stderr holds at most ``_ERROR_BYTES`` beyond the
+    paths it names."""
     make_argv = {"config": _config_case_argv, "file": _file_case_argv,
                  "layout": _layout_case_argv, "nested": _nested_case_argv}[case[0]]
     with tempfile.TemporaryDirectory() as tmp:
@@ -1242,9 +1315,11 @@ def test_bad_input_never_ends_in_a_traceback(workspace, case):
                 code = main(argv)
             except _FitEntered:
                 assert case[0] == "file" and argv[0] == "train", "training started"
-                return
+                code = None
     err = err.getvalue()
-    if case[0] == "file" and argv[0] == "predict" and code == 0:
+    unnamed = err.replace(str(tmp), "").replace(str(workspace[0]), "")
+    assert len(unnamed.encode()) <= _ERROR_BYTES, (len(unnamed.encode()), err[:300])
+    if code is None or (case[0] == "file" and argv[0] == "predict" and code == 0):
         return
     assert code in ((2,) if case[0] == "layout" else (1, 2)), (code, err)
     assert err.startswith("error:") and err.count("\n") == 1, err

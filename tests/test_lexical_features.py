@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alzdetect import model, synthgen
+from alzdetect import synthgen
 from alzdetect.chat_corpus import (
     DataError,
     Demographics,
@@ -35,6 +35,7 @@ from alzdetect.lexical_features import (
     load_embeddings,
     load_lexicon,
     load_lexicon_dir,
+    stack_embeddings,
 )
 from alzdetect.text_pipeline import (
     PAD_TOKEN,
@@ -239,7 +240,7 @@ def test_rows_keep_their_values_as_the_table_grows():
     assert np.asarray(late).tolist() == [[float(i)] * 3 for i in range(40)]
     assert held[0].tolist() == [7.0] * 3 and not held[-1].any()
     assert not table.vectors[-1].any()
-    both = model._gather([early, embed(TokenSequence(("w39", "w7"), 2), table)])
+    both = stack_embeddings([early, embed(TokenSequence(("w39", "w7"), 2), table)])
     assert both.tolist() == [[[7.0] * 3, [0.0] * 3], [[39.0] * 3, [7.0] * 3]]
 
 

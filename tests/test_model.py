@@ -8,10 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alzdetect import model
+from alzdetect import model, synthgen
 from alzdetect.autodiff import Parameter, Tape, backward
 from alzdetect.chat_corpus import DataError
-from alzdetect.lexical_features import OOV_ROW, EncodedInstance, TableRows
+from alzdetect.lexical_features import (
+    OOV_ROW,
+    EncodedInstance,
+    TableRows,
+    encode_corpus,
+    load_embeddings,
+    load_lexicon_dir,
+)
 from alzdetect.model import (
     UNIT_WEIGHTS,
     VARIANTS,
@@ -29,7 +36,7 @@ from alzdetect.model import (
     variant_config,
     weighted_bce,
 )
-from alzdetect.text_pipeline import TAGSET
+from alzdetect.text_pipeline import TAGSET, default_tagger
 from helpers import gradcheck, make_instances, save_edited_model
 
 TINY = ModelConfig(seq_len=5, embed_dim=4, pos_dim=3, conv_filters=2,
@@ -550,6 +557,56 @@ def test_predict_is_batch_size_invariant():
 def replace_batch(cfg, size):
     from dataclasses import replace
     return replace(cfg, batch_size=size)
+
+
+# ---------------------------------------------------------------------------
+# the padding contract at the default dims: how many pads follow a
+# transcript, and which transcripts share its batch, leave its probability
+# as it is
+
+# the budgets of the pad-count test; no parameter's shape depends on seq_len
+_BUDGETS = (ModelConfig().seq_len, 120)
+# batched and B=1 probabilities differed by at most 3 ulps of the larger
+# (1.7e-16) on 45 synthetic transcripts, six variants at the default dims
+_BATCH_ULPS = 4
+
+
+@pytest.fixture(scope="module")
+def short_transcripts(tmp_path_factory):
+    """Five synthetic transcripts of several lengths, none truncated at the
+    default budget, encoded through a 300-d table at each budget."""
+    root = tmp_path_factory.mktemp("pads")
+    corpus = synthgen.generate(synthgen.SynthConfig(
+        n_participants=5, mean_length_ad=30.0, mean_length_ct=45.0, seed=3), root)
+    table = load_embeddings(root / "embeddings.txt")
+    lexicons = load_lexicon_dir(root / "lexicons")
+    encoded = {budget: encode_corpus(corpus, table, lexicons, default_tagger(), budget)
+               for budget in _BUDGETS}
+    lengths = [int(i.mask.sum()) for i in encoded[_BUDGETS[1]]]
+    assert max(lengths) < _BUDGETS[0] and len(set(lengths)) > 1, lengths
+    return encoded
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_pad_count_leaves_probabilities_bit_identical(short_transcripts, variant):
+    cfg = variant_config(variant, ModelConfig())
+    params = init_params(cfg, np.random.default_rng(41))
+    short, long = (predict(params, replace(cfg, seq_len=budget), short_transcripts[budget])
+                   for budget in _BUDGETS)
+    assert short.tobytes() == long.tobytes()
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_batch_composition_moves_probabilities_by_a_few_ulps(short_transcripts, variant):
+    """Scored alone, a transcript runs none of its pad steps; in a batch of
+    longer ones they run, masked. The two differ only in BLAS rounding."""
+    cfg = variant_config(variant, ModelConfig())
+    params = init_params(cfg, np.random.default_rng(42))
+    data = short_transcripts[cfg.seq_len]
+    batched = predict(params, cfg, data)
+    alone = np.array([predict(params, cfg, [inst])[0] for inst in data])
+    ulps = np.abs(alone - batched) / np.spacing(np.maximum(alone, batched))
+    assert ulps.max() <= _BATCH_ULPS, ulps
 
 
 def test_classify_threshold_is_inclusive():

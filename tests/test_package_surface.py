@@ -88,3 +88,14 @@ def test_every_package_exception_is_caught_in_the_package():
     assert defined, "no exception class found in the package"
     uncaught = sorted(defined - caught)
     assert not uncaught, f"exception classes no except clause in src/ names: {uncaught}"
+
+
+# how an embedding table lays out its rows: its row view and its zero row
+TABLE_LAYOUT = {"TableRows", "OOV_ROW"}
+
+
+def test_only_lexical_features_knows_the_table_layout():
+    leaks = sorted(f"{path.name}: {name}" for path, tree in _trees("src/alzdetect")
+                   if path.name != "lexical_features.py"
+                   for name in set(_references(tree)) & TABLE_LAYOUT)
+    assert not leaks, f"the embedding table's layout named outside lexical_features: {leaks}"
