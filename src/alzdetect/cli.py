@@ -101,10 +101,14 @@ def _require_paths(cfg: RunConfig, *names: str):
         raise DataError(f"not set in config: {', '.join(unset)}")
 
 
-def _load_resources(cfg: RunConfig):
-    """Embedding table, lexicons and the shipped tagger. A lexicon with no
+def _load_resources(cfg: RunConfig, saved: ModelConfig | None = None):
+    """Embedding table, lexicons and the shipped tagger. A saved model's
+    config, if given, must be as wide as the table. A lexicon with no
     entries is allowed, but gets a warning: its feature is 0 everywhere."""
     table = lexical_features.load_embeddings(cfg.embeddings)
+    if saved is not None and table.dim != saved.embed_dim:
+        raise DataError(f"embedding file is {table.dim}-dimensional but the model expects "
+                        f"{saved.embed_dim}")
     lexicons = lexical_features.load_lexicon_dir(cfg.lexicons)
     for slot, entries in lexicons.items():
         if not entries:
@@ -113,28 +117,20 @@ def _load_resources(cfg: RunConfig):
     return table, lexicons, default_tagger()
 
 
-def _check_width(dim: int, mcfg: ModelConfig):
-    """A saved model reads vectors exactly as wide as the embedding table."""
-    if dim != mcfg.embed_dim:
-        raise DataError(f"embedding file is {dim}-dimensional but the model expects "
-                        f"{mcfg.embed_dim}")
-
-
 def _predict(params, mcfg: ModelConfig, instances, model_path) -> np.ndarray:
-    """``model.predict``, an overflow being bad data in the model file; numpy's
-    overflow warnings are muted, since every op checks its own output."""
+    """``model.predict``, an overflow being bad data in the model file."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return model.predict(params, mcfg, instances)
+        return model.predict(params, mcfg, instances)
     except NonFiniteValue as exc:
         raise DataError(f"{model_path}: the forward pass overflows: {exc}") from None
 
 
-def _encode(cfg: RunConfig, mcfg: ModelConfig):
+def _encode(cfg: RunConfig, mcfg: ModelConfig, saved: bool = False):
     """The corpus encoded at ``mcfg.seq_len``, and ``mcfg`` as wide as the
-    embedding table: the embedding file fixes a new model's width."""
+    embedding table: the embedding file fixes a new model's width, and a
+    ``saved`` model's width must match the table's."""
     corpus = chat_corpus.load_corpus(cfg.corpus_dir)
-    table, lexicons, tagger = _load_resources(cfg)
+    table, lexicons, tagger = _load_resources(cfg, mcfg if saved else None)
     instances = lexical_features.encode_corpus(corpus, table, lexicons, tagger,
                                                budget=mcfg.seq_len)
     try:
@@ -217,8 +213,7 @@ def _cmd_eval(args) -> int:
     _require_paths(cfg, "corpus_dir", "embeddings", "lexicons")
     out = _output_dir(cfg)
     params, mcfg = model.load(args.model)
-    instances, wide = _encode(cfg, mcfg)
-    _check_width(wide.embed_dim, mcfg)
+    instances, _ = _encode(cfg, mcfg, saved=True)
     [(_, _, _, test)] = evaluation.seed_splits(instances, cfg.split, cfg.seeds[:1])
     scores = _predict(params, mcfg, test, args.model)
     labels = np.array([i.label for i in test])
@@ -265,8 +260,7 @@ def _cmd_predict(args) -> int:
     params, mcfg = model.load(args.model)
     if args.top is not None and not mcfg.use_attention:
         raise UsageError(f"--top needs attention, but {args.model} was trained without it")
-    table, lexicons, tagger = _load_resources(cfg)
-    _check_width(table.dim, mcfg)
+    table, lexicons, tagger = _load_resources(cfg, mcfg)
     # the label on the record is a placeholder; prediction ignores it
     record = chat_corpus.read_transcript(args.transcript, Label.CT)
     instance = lexical_features.encode_record(record, table, lexicons, tagger,
@@ -348,10 +342,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command, its errors printed as one ``error:`` line and
     mapped to an exit code: 1 usage or config, 2 bad or missing data (a
-    DataError or any OSError), 3 training divergence."""
+    DataError or any OSError), 3 training divergence. numpy's floating-point
+    warnings are muted, since every op checks its own output."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

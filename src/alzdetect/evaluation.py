@@ -48,9 +48,9 @@ class SplitSpec:
 
     def __post_init__(self):
         t, v = self.train_fraction, self.val_fraction
-        if not (t >= 0 and v >= 0 and t + v <= 1):     # also rejects nan
+        if not (t > 0 and v > 0 and t + v < 1):     # also rejects nan
             raise ValueError(f"train_fraction {t} and val_fraction {v} must be "
-                             f">= 0 and sum to at most 1")
+                             f"> 0 and sum to less than 1")
 
 
 def split(items: list, spec: SplitSpec) -> tuple[list, list, list]:

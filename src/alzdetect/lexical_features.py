@@ -6,12 +6,13 @@ scalars in a fixed order: five lexicon means (age of acquisition,
 concreteness, familiarity, imageability, sentiment valence), age / 100,
 and gender coded Female=1.0, Male=0.0, Unknown=0.5.
 
-Loading an embedding file checks every line but keeps only where each
-word's line lies; a word's values are read from the file again the first
-time a transcript uses it. So the table's matrix holds the rows of the
-words a run uses, not the file's, and a file changed or removed between
-the load and that first use is a ``DataError``. ``_EmbeddingFile`` does
-both reads; ``_vector`` is the one rule for a line's values.
+Loading an embedding file checks each line's width and the file's UTF-8
+but parses no value: it keeps only where each word's line lies. A word's
+values are read from the file again, and parsed and checked by the one
+rule ``_vector``, the first time a transcript uses it. So the table's
+matrix holds the rows of the words a run uses, not the file's; a bad value
+on a line no transcript uses is never seen; and a file changed or removed
+between the load and that first use is a ``DataError``.
 
 An encoded instance copies no vector: its embeddings are ``TableRows``,
 its table and the row ids of the table's one shared matrix, and its POS
@@ -139,17 +140,12 @@ def _vector(values: list[str]) -> np.ndarray:
     return vec
 
 
-# lines read per bulk parse: about 350 lines of a 300-d GloVe table
-_CHUNK_BYTES = 1 << 20
-
-
 class _EmbeddingFile:
-    """An embedding file whose every line is checked when this is built:
-    each chunk in bulk, or line by line by ``float``'s rules where the bulk
-    parse rejects it. It keeps where each word's first line lies
-    (``lines[word]`` is a line index; line ``i`` spans bytes
-    ``starts[i]:starts[i + 1]``), not its values: ``read`` parses the lines
-    again once the file's size and mtime match those seen at the build."""
+    """An embedding file whose every line's width and UTF-8 are checked when
+    this is built. It keeps where each word's first line lies (``lines[word]``
+    is a line index; line ``i`` spans bytes ``starts[i]:starts[i + 1]``), not
+    its values: ``read`` parses a word's line, by ``_vector``, once the
+    file's size and mtime match those seen at the build."""
 
     def __init__(self, path):
         self.path = path
@@ -159,67 +155,26 @@ class _EmbeddingFile:
         # newline="" keeps each line's own end, so the sizes are the file's
         with open(path, encoding="utf-8", newline="") as fh, reading_utf8(path):
             self.stamp = _stamp(fh)
-            while lines := fh.readlines(_CHUNK_BYTES):
-                if not self._add_bulk(lines, len(sizes)):
-                    self._add_exact(lines, len(sizes))
-                sizes.extend([len(s) if s.isascii() else len(s.encode()) for s in lines])
+            for i, line in enumerate(fh):
+                sizes.append(len(line) if line.isascii() else len(line.encode()))
+                parts = line.split()
+                if not parts:
+                    continue
+                width = len(parts) - 1
+                if self.dim is None:
+                    if not width:
+                        raise DataError(f"{path}:{i + 1}: no vector values")
+                    self.dim = width
+                elif width != self.dim:
+                    raise DataError(f"{path}:{i + 1}: expected {self.dim} values, "
+                                    f"got {width}")
+                self.lines.setdefault(parts[0], i)
         if self.dim is None:
             raise DataError(f"{path}: no embedding lines")
         # pads embed as zeros whatever the file says; a <pad> line is never read
         self.lines.pop(PAD_TOKEN, None)
         self.starts = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=self.starts[1:])
-
-    def _add_bulk(self, lines: list[str], first: int) -> bool:
-        """Parse ``lines`` with numpy's C text reader. Returns False, having
-        added nothing, on any chunk where that reader could differ from
-        ``_add_exact``: a value it rejects (it takes no ``1_0`` or non-ASCII
-        digits, which ``float`` takes), a width other than the table's, a
-        non-finite value or a word with no values."""
-        words, at, rests = [], [], []
-        for i, line in enumerate(lines, start=first):
-            parts = line.split(maxsplit=1)
-            if len(parts) == 2:
-                words.append(parts[0])
-                at.append(i)
-                rests.append(parts[1])
-            elif parts:
-                return False
-        if not rests:
-            return True
-        try:
-            block = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            return False
-        if self.dim not in (None, block.shape[1]) or not np.isfinite(block).all():
-            return False
-        self.dim = block.shape[1]
-        for word, i in zip(words, at):
-            self.lines.setdefault(word, i)
-        return True
-
-    def _add_exact(self, lines: list[str], first: int):
-        """Parse ``lines`` one at a time with ``_vector``, and raise the
-        first error with its ``file:line``. A duplicate word's values are
-        not read."""
-        for i, line in enumerate(lines, start=first):
-            parts = line.split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            if self.dim is None:
-                if not values:
-                    raise DataError(f"{self.path}:{i + 1}: no vector values")
-                self.dim = len(values)
-            elif len(values) != self.dim:
-                raise DataError(f"{self.path}:{i + 1}: expected {self.dim} values, "
-                                f"got {len(values)}")
-            if word not in self.lines:
-                try:
-                    _vector(values)
-                except ValueError as exc:
-                    raise DataError(f"{self.path}:{i + 1}: {exc}") from None
-                self.lines[word] = i
 
     def __contains__(self, word: str):
         return word in self.lines
@@ -237,9 +192,14 @@ class _EmbeddingFile:
                     # any mismatch with what was checked means the file changed
                     if parts[:1] != [word] or len(parts) != self.dim + 1:
                         raise ValueError
-                    block[k] = _vector(parts[1:])
+                    try:
+                        block[k] = _vector(parts[1:])
+                    except ValueError as exc:
+                        raise DataError(f"{self.path}:{i + 1}: {exc}") from None
         except OSError as exc:
             raise DataError(f"{self.path}: cannot be read again: {exc.strerror}") from None
+        except DataError:              # a bad value, named by its line
+            raise
         except ValueError:             # UnicodeDecodeError is a ValueError
             raise DataError(f"{self.path}: changed since it was loaded") from None
         return block
@@ -251,10 +211,11 @@ def _stamp(fh) -> tuple[int, int]:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """The table of a ``word v1 v2 ... vD`` file, every line checked; the
-    first line sets the width. A word's line is read again the first time
-    ``EmbeddingTable.ids`` meets the word, and a file changed or removed by
-    then is a ``DataError``."""
+    """The table of a ``word v1 v2 ... vD`` file, every line's width
+    checked against the first line's. A word's line is read again, and its
+    values parsed, the first time ``EmbeddingTable.ids`` meets the word; a
+    bad value there, or a file changed or removed by then, is a
+    ``DataError`` naming the file."""
     source = _EmbeddingFile(path)
     return EmbeddingTable(source.dim, source)
 

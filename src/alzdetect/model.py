@@ -87,8 +87,8 @@ class ModelConfig:
         unknown = set(self.feature_mask) - set(FEATURE_GROUPS)
         if unknown:
             raise ValueError(f"unknown feature groups {ECHO.repr(sorted(unknown))}")
-        if not self.learning_rate > 0:        # also rejects nan
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:        # also rejects nan
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if self.patience < 0:

@@ -465,13 +465,14 @@ def embedding_table(dim: int, entries: dict[str, np.ndarray]):
     return EmbeddingTable(dim, InMemoryRows(entries))
 
 
-def reference_load_embeddings(path) -> tuple[int, dict[str, np.ndarray]]:
-    """(dim, word -> vector) read one line at a time with ``float``'s rules;
-    the width is set by the first line, the first occurrence of a word wins,
-    and a duplicate word's values are not read."""
+def reference_load_embeddings(path) -> tuple[int, dict[str, tuple[int, list[str]]]]:
+    """(dim, word -> (line number, values as text)) read one line at a time;
+    the width is set by the first line and checked on every line, and the
+    first occurrence of a word wins. No value is parsed here: the loader
+    checks values when a word is first read (``reference_vector``)."""
     from alzdetect.chat_corpus import DataError, reading_utf8
 
-    entries: dict[str, np.ndarray] = {}
+    entries: dict[str, tuple[int, list[str]]] = {}
     dim = None
     with open(path, encoding="utf-8") as fh, reading_utf8(path):
         for lineno, line in enumerate(fh, start=1):
@@ -487,14 +488,20 @@ def reference_load_embeddings(path) -> tuple[int, dict[str, np.ndarray]]:
                 raise DataError(
                     f"{path}:{lineno}: expected {dim} values, got {len(values)}"
                 )
-            if word not in entries:
-                try:
-                    vec = np.array(values, dtype=np.float64)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-numeric vector value") from None
-                if not np.isfinite(vec).all():
-                    raise DataError(f"{path}:{lineno}: non-finite vector value")
-                entries[word] = vec
+            entries.setdefault(word, (lineno, values))
     if dim is None:
         raise DataError(f"{path}: no embedding lines")
     return dim, entries
+
+
+def reference_vector(path, lineno: int, values: list[str]) -> np.ndarray:
+    """One line's values by ``float``'s rules, or the error naming the line."""
+    from alzdetect.chat_corpus import DataError
+
+    try:
+        vec = np.array([float(v) for v in values])
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-numeric vector value") from None
+    if not np.isfinite(vec).all():
+        raise DataError(f"{path}:{lineno}: non-finite vector value")
+    return vec

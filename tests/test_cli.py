@@ -153,6 +153,11 @@ def test_mistyped_seeds_are_usage_errors(tmp_path, capsys, seeds):
     ("split", "seed", "0"),
     ("split", "test_fraction", "0.1"),
     ("split", "unit", "transcript"),
+    # fractions that leave a slice empty for every corpus; the default
+    # train_fraction is 0.81, so 0.19 leaves the test slice nothing
+    ("split", "train_fraction", "0.0"),
+    ("split", "val_fraction", "0.0"),
+    ("split", "val_fraction", "0.19"),
 ], ids=lambda v: str(v))
 def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, workspace, capsys,
                                                          section, key, value):
@@ -292,15 +297,21 @@ def test_corrupt_model_file_is_data_error(tmp_path, workspace):
     assert main(["eval", str(cfg_path), "--model", str(bad)]) == 2
 
 
-def test_divergent_training_exits_three(tmp_path, workspace):
+@pytest.mark.filterwarnings("error")       # numpy's overflow warnings are stray lines too
+@pytest.mark.parametrize("learning_rate", [1e200, 1e308], ids=["1e200", "1e308"])
+def test_divergent_training_exits_three(tmp_path, workspace, capsys, learning_rate):
+    """1e200 overflows in the LSTM first, 1e308 already in the optimizer step
+    and a matmul; either way the one stderr line is the error."""
     root, _ = workspace
-    model = dict(MODEL_SECTION, learning_rate=1e200)
+    model = dict(MODEL_SECTION, learning_rate=learning_rate)
     path = _write_config(tmp_path / "c.yaml",
                          corpus_dir=str(root),
                          embeddings=str(root / "embeddings.txt"),
                          lexicons=str(root / "lexicons"),
                          output_dir=str(tmp_path), model=model)
     assert main(["train", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged") and err.count("\n") == 1, err
 
 
 def _bad_input_config(tmp_path, workspace, **overrides):
@@ -579,6 +590,7 @@ def test_eval_names_its_row_after_the_model_file(tmp_path, workspace, capsys,
 @pytest.mark.parametrize("key, value", [
     ("seq_len", 10**30), ("seq_len", model.MAX_SEQ_LEN + 1), ("conv_filters", 10**30),
     ("lstm_hidden", 10**10), ("conv_kernel", 10**9 + 1), ("learning_rate", 10**400),
+    ("learning_rate", float("inf")),
 ])
 def test_oversize_config_value_is_refused(tmp_path, workspace, capsys, key, value):
     """Too large in the YAML: exit 1; in a model file's config block: exit 2.
@@ -648,17 +660,59 @@ def test_overflowing_lexicon_mean_is_data_error(tmp_path, workspace, capsys):
     _assert_data_error(["train", str(cfg)], capsys, "the aoa feature is not finite")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0.1x"])
-def test_bad_embedding_value_is_data_error(tmp_path, workspace, capsys, value):
+def _edited_embeddings(tmp_path, workspace, edit):
+    """The workspace's embedding file after ``edit`` has changed its list of lines."""
     root, _ = workspace
     lines = (root / "embeddings.txt").read_text().splitlines()
-    word, *vec = lines[2].split()
-    vec[1] = value
-    lines[2] = " ".join([word, *vec])
-    bad = tmp_path / "embeddings.txt"
-    bad.write_text("\n".join(lines) + "\n")
+    edit(lines)
+    path = tmp_path / "embeddings.txt"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("nan", "non-finite"), ("inf", "non-finite"), ("0.1x", "non-numeric")],
+    ids=["nan", "inf", "0.1x"])
+def test_bad_embedding_value_is_data_error(tmp_path, workspace, capsys, value, problem):
+    """The table loads; `train` stops when a transcript first uses the word,
+    with one error line naming the file's line."""
+    def edit(lines):
+        word, *vec = lines[2].split()
+        vec[1] = value
+        lines[2] = " ".join([word, *vec])
+
+    bad = _edited_embeddings(tmp_path, workspace, edit)
+    lexical_features.load_embeddings(bad)
     cfg = _bad_input_config(tmp_path, workspace, embeddings=str(bad))
-    _assert_data_error(["train", str(cfg)], capsys, f"{bad}:3:")
+    assert main(["train", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:3: {problem} vector value\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "0.1x"])
+def test_bad_value_on_a_line_no_transcript_uses_is_never_read(tmp_path, workspace, capsys,
+                                                               value):
+    """A word's values are parsed when a transcript first uses it, so a bad
+    value on the line of a word the corpus lacks is never seen."""
+    bad = _edited_embeddings(tmp_path, workspace,
+                             lambda lines: lines.insert(4, "zyzzyva" + f" {value}" * 8))
+    cfg = _bad_input_config(tmp_path, workspace, embeddings=str(bad))
+    assert main(["train", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines.insert(4, "zyzzyva 0.5"), ":5: expected 8 values, got 1"),
+    (lambda lines: lines.insert(0, "zyzzyva"), ":1: no vector values"),
+    (lambda lines: lines.clear(), ": no embedding lines"),
+], ids=["width", "no-values", "empty"])
+def test_embedding_file_layout_is_checked_at_load(tmp_path, workspace, capsys, edit, message):
+    """A line's width is checked at load, even for a word the corpus lacks:
+    one error line, and no transcript is encoded."""
+    bad = _edited_embeddings(tmp_path, workspace, edit)
+    cfg = _bad_input_config(tmp_path, workspace, embeddings=str(bad))
+    with mock.patch.object(lexical_features, "encode_corpus", side_effect=AssertionError):
+        assert main(["train", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}{message}\n"
 
 
 def test_non_finite_lexicon_is_data_error(tmp_path, workspace, capsys):
@@ -798,6 +852,24 @@ def test_predict_with_narrower_embeddings_is_data_error(tmp_path, workspace,
     transcript = sorted((root / "ct").glob("*.cha"))[0]
     _assert_data_error(["predict", str(narrow_embeddings_config), "--model", str(path),
                         str(transcript)], capsys, "dimensional")
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_model_width_is_checked_before_encoding(tmp_path, workspace, capsys, command):
+    """An 8-d model and a 4-d table that holds none of the corpus's words: the
+    width error is the one stderr line, and no transcript is encoded."""
+    narrow = tmp_path / "embeddings4.txt"
+    narrow.write_text("zyzzyva 0.1 0.2 0.3 0.4\n")
+    path = tmp_path / "model.bin"
+    save_edited_model(SAVED, path, lambda tensors: None)
+    cfg = _bad_input_config(tmp_path, workspace, embeddings=str(narrow))
+    argv = (["eval", str(cfg), "--model", str(path)] if command == "eval"
+            else _predict_argv(cfg, path, workspace))
+    with (mock.patch.object(lexical_features, "encode_corpus", side_effect=AssertionError),
+          mock.patch.object(lexical_features, "encode_record", side_effect=AssertionError)):
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: embedding file is 4-dimensional but the model expects 8\n")
 
 
 def _predict_argv(cfg, model_path, workspace, *extra):
@@ -1143,16 +1215,17 @@ _BAD_VALUES = {
     ("model", "dropout_rate"): st.one_of(_wrong_type(int, float), st.sampled_from(
         [-0.01, 1.0, float("nan"), _NOT_A_FLOAT])),
     ("model", "learning_rate"): st.one_of(_wrong_type(int, float), st.sampled_from(
-        [0.0, -0.001, float("nan"), _NOT_A_FLOAT])),
+        [0.0, -0.001, float("nan"), float("inf"), _NOT_A_FLOAT])),
     **{(section, k): st.integers(0, 64)          # keys the config does not take
        for section, k in (("top", "tagger"), ("model", "seed"), ("model", "pos_dim"),
                           ("model", "embed_dim"), ("model", "use_attention"),
                           ("model", "use_class_weights"), ("model", "feature_mask"),
                           ("split", "seed"), ("split", "test_fraction"), ("split", "unit"))},
+    # with the other fraction at its default, 0.91 and 0.19 sum to exactly 1
     ("split", "train_fraction"): st.one_of(_wrong_type(int, float), st.sampled_from(
-        [-0.01, 0.92, float("nan"), _NOT_A_FLOAT])),
+        [-0.01, 0.0, 0.91, 0.92, float("nan"), _NOT_A_FLOAT])),
     ("split", "val_fraction"): st.one_of(_wrong_type(int, float), st.sampled_from(
-        [-0.01, 0.2, float("nan"), _NOT_A_FLOAT])),
+        [-0.01, 0.0, 0.19, 0.2, float("nan"), _NOT_A_FLOAT])),
     **{("synth", k): st.one_of(_wrong_type(int, float), st.sampled_from(
         [float("nan"), float("inf"), -float("inf"), -1.0, _NOT_A_FLOAT]))
        for k in ("mean_length_ad", "mean_length_ct", "length_sd",
@@ -1205,6 +1278,7 @@ _PINNED = [
     ("config", "model", "seq_len", 10**30),
     ("config", "model", "conv_filters", 10**30),
     ("config", "model", "learning_rate", _NOT_A_FLOAT),
+    ("config", "model", "learning_rate", float("inf")),
     ("config", "split", "test_fraction", 0.1),
     ("config", "split", "unit", "transcript"),
     ("config", "synth", "length_sd", -1.0),

@@ -146,6 +146,9 @@ def test_split_spec_validation():
         SplitSpec(train_fraction=0.9, val_fraction=0.2)
     with pytest.raises(ValueError):
         SplitSpec(train_fraction=float("nan"))
+    for fractions in ((0.0, 0.09), (0.81, 0.0), (0.5, 0.5)):     # a slice always empty
+        with pytest.raises(ValueError):
+            SplitSpec(*fractions)
 
 
 # ---------------------------------------------------------------------------

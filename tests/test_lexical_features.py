@@ -6,13 +6,14 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alzdetect import synthgen
+from alzdetect import lexical_features, synthgen
 from alzdetect.chat_corpus import (
     DataError,
     Demographics,
@@ -44,7 +45,13 @@ from alzdetect.text_pipeline import (
     fix_length,
     tokenize,
 )
-from helpers import dense_tagger, embedding_table, fixture_lexicons, reference_load_embeddings
+from helpers import (
+    dense_tagger,
+    embedding_table,
+    fixture_lexicons,
+    reference_load_embeddings,
+    reference_vector,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -89,9 +96,10 @@ def test_load_embeddings_empty_file_raises(tmp_path):
 
 
 def _same_as_reference(path):
-    """The loader raises the reference's exception class with its message
-    at load time, or gives the reference's width and words, and once every
-    word is read, each word's vector bytes."""
+    """The loader raises the reference's error, with its message, at load
+    time, or gives the reference's width and words. Every word is then read
+    at once, in file order: that raises the reference's first value error
+    in file order, or gives each word's vector bytes."""
     try:
         dim, entries = reference_load_embeddings(path)
     except ValueError as exc:
@@ -104,7 +112,14 @@ def _same_as_reference(path):
     # a <pad> line is never read, and no word maps to it
     words = [w for w in entries if w != PAD_TOKEN]
     assert set(table.source.lines) == set(words) and PAD_TOKEN not in table
-    want = np.array([entries[w] for w in words], dtype=np.float64).reshape(len(words), dim)
+    try:
+        want = np.array([reference_vector(path, *entries[w]) for w in words],
+                        dtype=np.float64).reshape(len(words), dim)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            _embedded(table, *words)
+        assert str(got.value) == str(exc)
+        return
     assert _embedded(table, *words).tobytes() == want.tobytes()
     assert not table.vectors[-1].any()
 
@@ -116,7 +131,7 @@ _TOKENS = ["1_0", "\u0663", "0x10", "nan", "inf", "1e400", "-1e-400", "+1", ".5"
 
 
 def _second_chunk_bad_line(value):
-    # lines of about 2.7 KB: line 450 lies past the first 1 MiB read
+    # lines of about 2.7 KB: line 450 lies past the first 1 MiB of the file
     row = " ".join(["0.123456"] * 300)
     lines = [f"w{i} {row}" for i in range(500)]
     lines[449] = f"w449 {value} " + " ".join(["0.5"] * 299)
@@ -143,8 +158,7 @@ def test_load_embeddings_holds_the_table_once(tmp_path):
 
 
 def _narrower_after_first_chunk():
-    # a first line longer than 1 MiB is a chunk of its own, so the
-    # narrower lines after it make a chunk of one consistent width
+    # a first line longer than 1 MiB, then lines of one narrower width
     long_value = "0." + "1" * 4000
     first = "a " + " ".join([long_value] * 300)
     return first + "\n" + "".join(f"w{i} " + " ".join(["0.5"] * 299) + "\n" for i in range(5))
@@ -183,8 +197,25 @@ def test_bad_line_in_second_chunk_names_its_line(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text(_second_chunk_bad_line("abc"))
     assert path.read_text().index("w449 abc") > 1 << 20
+    table = load_embeddings(path)
+    assert _embedded(table, "w448", "w450").shape == (2, 300)
     with pytest.raises(DataError, match=f"{path}:450: non-numeric"):
-        load_embeddings(path)
+        _embedded(table, "w449")
+
+
+def test_load_parses_no_value(tmp_path):
+    """Loading checks widths only; each word's values are parsed once, when
+    the word is first used, and never for a word no transcript uses (nor for
+    values numpy's text reader would not take, such as ``1_0``)."""
+    path = tmp_path / "vec.txt"
+    path.write_text("a 1 2\nb 3 4\nc 5 6\na 7 8\nd 1_0 2\n")
+    with mock.patch.object(lexical_features, "_vector", wraps=lexical_features._vector) as spy:
+        table = load_embeddings(path)
+        assert spy.call_count == 0
+        _embedded(table, "c", "a", "zzz", "c")
+        _embedded(table, "a", "c")
+        assert spy.call_count == 2
+    assert _embedded(table, "a", "c").tolist() == [[1, 2], [5, 6]]
 
 
 _WORDS = st.sampled_from(["the", "boy", "a", "cookie", "jar", "sink", "mother", "water",
@@ -197,7 +228,7 @@ _VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
 @given(dim=st.integers(1, 4), hostile=st.booleans(), data=st.data())
 def test_load_embeddings_matches_reference_on_random_tables(dim, hostile, data):
     # a hostile table may hold blank lines, ragged lines and the hostile
-    # tokens; a clean one is what the bulk parse takes whole
+    # tokens
     lines = []
     for _ in range(data.draw(st.integers(0, 12))):
         if hostile and not data.draw(st.integers(0, 4)):
