@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -224,10 +226,10 @@ def report_values(r: MetricsReport) -> tuple[float | None, ...]:
 
 def mean_report(reports: list[MetricsReport]) -> MetricsReport:
     """Arithmetic mean of every metric and every confusion count: each
-    column summed over the reports in order, then divided by their number.
-    A column holding any None (an AUC not computed) averages to None."""
+    column summed left to right from 0.0 (``sum()`` rounds otherwise from 3.12)
+    and divided by their number; a None (an AUC not computed) gives None."""
     n = len(reports)
-    means = [None if None in column else sum(column) / n
+    means = [None if None in column else reduce(add, column, 0.0) / n
              for column in zip(*map(report_values, reports))]
     return MetricsReport(*means[:5], counts=ConfusionCounts(*means[5:]))
 

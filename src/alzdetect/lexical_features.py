@@ -6,13 +6,13 @@ scalars in a fixed order: five lexicon means (age of acquisition,
 concreteness, familiarity, imageability, sentiment valence), age / 100,
 and gender coded Female=1.0, Male=0.0, Unknown=0.5.
 
-Loading an embedding file checks each line's width and the file's UTF-8
-but parses no value: it keeps only where each word's line lies. A word's
-values are read from the file again, and parsed and checked by the one
-rule ``_vector``, the first time a transcript uses it. So the table's
-matrix holds the rows of the words a run uses, not the file's; a bad value
-on a line no transcript uses is never seen; and a file changed or removed
-between the load and that first use is a ``DataError``.
+Loading an embedding file checks its UTF-8 and each line's width (fields
+counted with numpy over chunks of lines) and parses no value: it keeps where
+each word's line lies. A word's values are read again, and parsed and checked
+by the one rule ``_vector``, the first time a transcript uses it. So the
+table's matrix holds the rows of the words a run uses, not the file's; a bad
+value on a line no transcript uses is never seen; and a file changed or
+removed between the load and that first use is a ``DataError``.
 
 An encoded instance copies no vector: its embeddings are ``TableRows``,
 its table and the row ids of the table's one shared matrix, and its POS
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,41 +139,69 @@ def _vector(values: list[str]) -> np.ndarray:
     return vec
 
 
+_CHUNK_BYTES = 1 << 18    # bytes of whole lines read at once at load; the buffer size, > 1
+# str.isspace() of each code point up to U+3000, the last str.split() splits
+# on, and of U+3001, which stands for every later one; its ASCII rows as bytes
+_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+_SPACE_BYTES = _IS_SPACE[:256].tobytes()
+
+
 class _EmbeddingFile:
     """An embedding file whose every line's width and UTF-8 are checked when
     this is built. It keeps where each word's first line lies (``lines[word]``
     is a line index; line ``i`` spans bytes ``starts[i]:starts[i + 1]``), not
     its values: ``read`` parses a word's line, by ``_vector``, once the
-    file's size and mtime match those seen at the build."""
+    file's size and mtime match those seen at the build. The build decodes
+    each chunk of lines whole, so a UTF-8 fault wins over a width fault on
+    an earlier line of its chunk, and counts a line's ``str.split()`` fields
+    over its code points without building them."""
 
     def __init__(self, path):
         self.path = path
         self.dim: int | None = None
         self.lines: dict[str, int] = {}
-        sizes = array("q")             # each line's length in bytes
-        # newline="" keeps each line's own end, so the sizes are the file's
-        with open(path, encoding="utf-8", newline="") as fh, reading_utf8(path):
+        ends = []                      # each chunk's line ends, in file bytes
+        first_line = 0                 # lines before the chunk
+        with open(path, "rb", buffering=_CHUNK_BYTES) as fh, reading_utf8(path):
             self.stamp = _stamp(fh)
-            for i, line in enumerate(fh):
-                sizes.append(len(line) if line.isascii() else len(line.encode()))
-                parts = line.split()
-                if not parts:
-                    continue
-                width = len(parts) - 1
-                if self.dim is None:
-                    if not width:
-                        raise DataError(f"{path}:{i + 1}: no vector values")
-                    self.dim = width
-                elif width != self.dim:
-                    raise DataError(f"{path}:{i + 1}: expected {self.dim} values, "
-                                    f"got {width}")
-                self.lines.setdefault(parts[0], i)
+            while chunk := b"".join(fh.readlines(_CHUNK_BYTES)):
+                text = chunk.decode("utf-8")
+                byte_ends = _line_ends(np.frombuffer(chunk, dtype=np.uint8))
+                if len(text) == len(chunk):      # ASCII: its code points are its bytes
+                    space = np.frombuffer(chunk.translate(_SPACE_BYTES), dtype=np.bool_)
+                    text_ends = byte_ends
+                else:
+                    code_points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+                    space = _IS_SPACE.take(code_points, mode="clip")
+                    text_ends = _line_ends(code_points)
+                text_starts = np.concatenate(([0], text_ends[:-1]))
+                # a field starts at a non-space that starts the chunk or follows
+                # a space; each line but the chunk's last ends in one (\n or \r)
+                field_start = ~space
+                field_start[1:] &= space[:-1]
+                # a type that counts to the chunk's length holds any line's count
+                fields = np.add.reduceat(field_start, text_starts,
+                                         dtype=np.min_scalar_type(len(field_start)))
+                rows = zip(text_starts.tolist(), text_ends.tolist(), fields.tolist())
+                for i, (start, end, n_fields) in enumerate(rows, start=first_line):
+                    if not n_fields:
+                        continue
+                    width = n_fields - 1
+                    if self.dim is None:
+                        if not width:
+                            raise DataError(f"{path}:{i + 1}: no vector values")
+                        self.dim = width
+                    elif width != self.dim:
+                        raise DataError(f"{path}:{i + 1}: expected {self.dim} values, "
+                                        f"got {width}")
+                    self.lines.setdefault(text[start:end].split(None, 1)[0], i)
+                ends.append(fh.tell() - len(chunk) + byte_ends)
+                first_line += len(byte_ends)
         if self.dim is None:
             raise DataError(f"{path}: no embedding lines")
         # pads embed as zeros whatever the file says; a <pad> line is never read
         self.lines.pop(PAD_TOKEN, None)
-        self.starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=self.starts[1:])
+        self.starts = np.concatenate([[0], *ends])
 
     def __contains__(self, word: str):
         return word in self.lines
@@ -210,11 +237,20 @@ def _stamp(fh) -> tuple[int, int]:
     return st.st_size, st.st_mtime_ns
 
 
+def _line_ends(chunk: np.ndarray) -> np.ndarray:
+    """One past each line of a chunk's bytes or code points, as text mode with
+    ``newline=""`` ends lines: at ``\\n``, at ``\\r`` not before ``\\n``, at EOF."""
+    cr = chunk == 13
+    cr[:-1] &= chunk[1:] != 10
+    ends = np.flatnonzero(cr | (chunk == 10)) + 1
+    return ends if len(ends) and ends[-1] == len(chunk) else np.append(ends, len(chunk))
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """The table of a ``word v1 v2 ... vD`` file, every line's width
-    checked against the first line's. A word's line is read again, and its
-    values parsed, the first time ``EmbeddingTable.ids`` meets the word; a
-    bad value there, or a file changed or removed by then, is a
+    """The table of a ``word v1 v2 ... vD`` file, its UTF-8 and every line's
+    width checked at load, against the first line's. A word's line is read
+    again, and its values parsed, the first time ``EmbeddingTable.ids`` meets
+    the word; a bad value there, or a file changed or removed by then, is a
     ``DataError`` naming the file."""
     source = _EmbeddingFile(path)
     return EmbeddingTable(source.dim, source)
@@ -312,12 +348,18 @@ def lexicon_mean(tokens: tuple[str, ...], lex: dict[str, float]) -> tuple[float,
     tokens found (its coverage).
 
     Tokens absent from the lexicon are excluded from both numerator and
-    denominator; zero coverage gives mean 0.0.
+    denominator; zero coverage gives mean 0.0. Scores add left to right from
+    0.0, the same bits on every Python (``sum()`` rounds otherwise from 3.12).
     """
-    scores = [lex[t] for t in tokens if t in lex]
-    if not tokens or not scores:
+    total, found = 0.0, 0
+    for t in tokens:
+        score = lex.get(t)
+        if score is not None:
+            total += score
+            found += 1
+    if not found:
         return 0.0, 0.0
-    return sum(scores) / len(scores), len(scores) / len(tokens)
+    return total / found, found / len(tokens)
 
 
 _GENDER_CODE = {Gender.FEMALE: 1.0, Gender.MALE: 0.0, Gender.UNKNOWN: 0.5}

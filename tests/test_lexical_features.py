@@ -2,6 +2,7 @@
 
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -125,7 +126,7 @@ def _same_as_reference(path):
 
 
 # every separator str.split() splits on, and one it does not
-_SEPARATORS = [chr(c) for c in range(0x3000) if chr(c).isspace()] + ["\x00"]
+_SEPARATORS = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()] + ["\x00"]
 _TOKENS = ["1_0", "\u0663", "0x10", "nan", "inf", "1e400", "-1e-400", "+1", ".5", "5.",
            "1.0abc"]
 
@@ -182,15 +183,45 @@ _HOSTILE = (
         ("second-chunk-non-finite", _second_chunk_bad_line("1e400")),
         ("second-chunk-underscore", _second_chunk_bad_line("1_5")),
         ("narrower-after-first-chunk", _narrower_after_first_chunk()),
+        ("lone-cr", "a 1 2\rb 3 4\r\rc 5 6\r"),
+        ("lone-cr-ragged", "a 1 2\r\rb 3\r"),
+        ("cr-then-crlf", "a 1 2\r\r\nb 3 4\r\n"),
+        ("no-final-newline", "a 1 2\nb 3 4"),
+        ("no-final-newline-ragged", "a 1 2\nb 3 4 5"),
+        ("wide-spaces", "a\u00851\u00a02\u2028\nb\u30003\u2029\u30004\u0085\n"),
+        ("wide-space-ragged", "a 1 2\nb 3\u00a04\u30005\n"),
+        ("wide-spaces-are-not-line-ends", "a 1\u20282\u0085b 3 4\x1c\x0c\n"),
+        ("bom", "\ufeffa 1 2\nb 3 4\n"),
+        ("bom-alone", "\ufeff\na 1 2\n"),
+        ("second-chunk-invalid-utf8",
+         _second_chunk_bad_line("0.5").encode().replace(b"w449", b"w\xff449")),
+        ("second-chunk-truncated-utf8", _second_chunk_bad_line("0.5").encode() + b"w\xc3"),
+        ("wider-line-longer-than-a-chunk",
+         "a 1 2\nb " + " ".join(["0." + "1" * 100_000] * 3) + "\n"),
     ]
 )
 
 
+def _write(tmp_path, text):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    return path
+
+
 @pytest.mark.parametrize("text", [t for _, t in _HOSTILE], ids=[i for i, _ in _HOSTILE])
 def test_load_embeddings_matches_reference_on_hostile_input(tmp_path, text):
-    path = tmp_path / "vec.txt"
-    path.write_bytes(text.encode("utf-8"))
-    _same_as_reference(path)
+    _same_as_reference(_write(tmp_path, text))
+
+
+# chunks of a few bytes: each line is a chunk of its own (or a few blank lines
+# are), so every line end, line count and width check crosses a chunk boundary
+_TINY_CHUNKS = mock.patch.object(lexical_features, "_CHUNK_BYTES", 3)
+
+
+@pytest.mark.parametrize("text", [t for _, t in _HOSTILE], ids=[i for i, _ in _HOSTILE])
+def test_load_embeddings_matches_reference_on_hostile_input_in_tiny_chunks(tmp_path, text):
+    with _TINY_CHUNKS:
+        _same_as_reference(_write(tmp_path, text))
 
 
 def test_bad_line_in_second_chunk_names_its_line(tmp_path):
@@ -224,9 +255,7 @@ _VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                     st.floats(-10, 10).map(lambda v: f"{v:.6f}"))
 
 
-@settings(max_examples=200, deadline=None)
-@given(dim=st.integers(1, 4), hostile=st.booleans(), data=st.data())
-def test_load_embeddings_matches_reference_on_random_tables(dim, hostile, data):
+def _same_as_reference_on_a_random_table(dim, hostile, data):
     # a hostile table may hold blank lines, ragged lines and the hostile
     # tokens
     lines = []
@@ -237,13 +266,28 @@ def test_load_embeddings_matches_reference_on_random_tables(dim, hostile, data):
         values = data.draw(st.lists(_VALUES, min_size=dim, max_size=dim))
         if hostile and not data.draw(st.integers(0, 4)):
             values[data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from(_TOKENS))
-        sep = data.draw(st.sampled_from([" ", "\t", "  ", " \t", "\u3000"]))
+        sep = data.draw(st.sampled_from([" ", "\t", "  ", " \t", "\u3000", "\x1c", "\u00a0",
+                                         "\u0085 ", "\u2028"]))
         lines.append(sep.join([data.draw(_WORDS)] + values))
-    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    last = data.draw(st.sampled_from(["", end]))
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "vec.txt"
-        path.write_bytes(end.join(lines).encode("utf-8"))
+        path.write_bytes((end.join(lines) + last).encode("utf-8"))
         _same_as_reference(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 4), hostile=st.booleans(), data=st.data())
+def test_load_embeddings_matches_reference_on_random_tables(dim, hostile, data):
+    _same_as_reference_on_a_random_table(dim, hostile, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 4), hostile=st.booleans(), data=st.data())
+def test_load_embeddings_matches_reference_on_random_tables_in_tiny_chunks(dim, hostile, data):
+    with _TINY_CHUNKS:
+        _same_as_reference_on_a_random_table(dim, hostile, data)
 
 
 def test_row_ids_follow_first_use(tmp_path):
@@ -450,6 +494,13 @@ def test_mean_score_misses_are_fully_excluded():
 
 def test_mean_score_zero_coverage_is_zero():
     assert lexicon_mean(("zorp", "blag"), TOY) == (0.0, 0.0)
+
+
+def test_mean_score_adds_left_to_right_on_every_python():
+    """Ten scores of 0.1 add to 0.9999999999999999 left to right, as
+    ``sum()`` did before Python 3.12; from 3.12 ``sum()`` gives 1.0."""
+    words = tuple("abcdefghij")
+    assert lexicon_mean(words, dict.fromkeys(words, 0.1)) == (0.09999999999999999, 1.0)
 
 
 def test_mean_score_ignores_pad_positions():
