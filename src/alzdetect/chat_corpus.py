@@ -102,7 +102,12 @@ _RE_BRACKET = re.compile(r"\[[^\]]*\]")                # any leftover [...] code
 _RE_PAUSE = re.compile(r"\(\.{1,3}\)")                 # (.) (..) (...)
 _RE_OMITTED = re.compile(r"\(([A-Za-z']+)\)")          # (be)cause
 _RE_UNINTELLIGIBLE = re.compile(r"\b(?:xxx|yyy)\b")
-_RE_MARKER = re.compile(r"[&\[<>(+]|\b(?:xxx|yyy)\b")   # what any pattern above needs
+_RE_MARKER_CHAR = re.compile(r"[&\[<>(+]")             # what every code but xxx/yyy needs
+
+
+def _filler_word(m: re.Match) -> str:
+    word = m.group(1).lower()
+    return _FILLER_WORDS.get(word, word)
 
 
 def _strip_codes_once(text: str, warnings: list[str] | None) -> str:
@@ -115,7 +120,7 @@ def _strip_codes_once(text: str, warnings: list[str] | None) -> str:
     if "&=" in text:
         text = _RE_EVENT.sub(" ", text)
     if "&" in text:
-        text = _RE_FILLER.sub(lambda m: _FILLER_WORDS.get(m.group(1).lower(), m.group(1).lower()), text)
+        text = _RE_FILLER.sub(_filler_word, text)
     if "[" in text:
         text = _RE_RETRACE.sub(" ", text)
     if "[" in text:
@@ -148,7 +153,10 @@ def normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str
     dangling codes) can expose new codes once outer ones are removed, so the
     pass repeats until the text stops changing. Every pass removes marker
     characters, which bounds the loop. Each substitution of a pass needs a
-    marker (``_RE_MARKER``), so text without one is already settled.
+    marker, so text without one is already settled: the loop goes on only
+    while the text holds one of ``& [ < > ( +`` (one character-class scan),
+    or else a whole-word ``xxx`` or ``yyy``, which is searched for only when
+    the plain substring occurs.
 
     Within a pass each pattern runs only when the text, as the patterns
     before it left it, holds the literal it needs: ``&=`` for event codes,
@@ -158,7 +166,8 @@ def normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str
     matched nothing, so the result is that of running all of them.
     """
     text = " ".join(raw_text.split())
-    while _RE_MARKER.search(text):
+    while _RE_MARKER_CHAR.search(text) or (
+            ("xxx" in text or "yyy" in text) and _RE_UNINTELLIGIBLE.search(text)):
         stripped = _strip_codes_once(text, warnings)
         if stripped == text:
             break
@@ -170,6 +179,7 @@ def normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str
 # file parsing
 
 _RE_TIER = re.compile(r"^\*([A-Z]{3}):")
+_RE_AGE = re.compile(r"\d+")                          # the years of ``NN;MM.DD``
 
 
 def _parse_id_header(value: str) -> Demographics | None:
@@ -181,14 +191,14 @@ def _parse_id_header(value: str) -> Demographics | None:
     age_field = parts[3].strip()
     age: int | None = None
     if age_field and age_field != ";":
-        m = re.match(r"^(\d+)", age_field)
+        m = _RE_AGE.match(age_field)
         if not m:
             raise DataError(f"unparseable age field {ECHO.repr(age_field)}")
         # past three digits after the leading zeros no age is in range, and
         # past 4,300 int() refuses to parse
-        if len(m.group(1).lstrip("0")) > 3:
-            raise DataError(f"age {ECHO.repr(m.group(1))} out of range")
-        age = int(m.group(1))
+        if len(m.group().lstrip("0")) > 3:
+            raise DataError(f"age {ECHO.repr(m.group())} out of range")
+        age = int(m.group())
     gender_field = parts[4].strip().lower()
     if gender_field.startswith("f"):
         gender = Gender.FEMALE
@@ -255,12 +265,7 @@ def words(text: str) -> list[str]:
     """The words of clean text as the model reads them: whitespace pieces,
     lowercased, with trailing ``. ? ! , ; :`` dropped. A piece of
     punctuation alone is no word; apostrophized forms stay whole."""
-    out = []
-    for piece in text.split():
-        word = piece.lower().rstrip(".?!,;:")
-        if word:
-            out.append(word)
-    return out
+    return [word for piece in text.split() if (word := piece.lower().rstrip(".?!,;:"))]
 
 
 def participant_word_count(record: TranscriptRecord) -> int:
@@ -276,8 +281,10 @@ def read_transcript(path: str | Path, label: Label) -> TranscriptRecord:
     participant id is the stem up to the first ``-`` (DementiaBank-style
     ``<participant>-<visit>`` names)."""
     path = Path(path)
+    # bytes, not text mode: parse_chat_file splits with str.splitlines(), which
+    # ends a line at LF, CRLF or a lone CR alike, so newline translation is idle
     with reading_utf8(path):
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     stem = path.stem
     try:
         return parse_chat_file(text, label, transcript_id=stem,

@@ -20,6 +20,7 @@ from alzdetect.chat_corpus import (
     normalize_utterance,
     parse_chat_file,
     participant_word_count,
+    read_transcript,
     write_manifest,
 )
 from alzdetect.text_pipeline import tokenize
@@ -123,6 +124,8 @@ _CHAT_FRAGMENTS = st.sampled_from([
     "[: going to]", "[:", "[+ exc]", "[+", "[*foo]", "[", "]", "<", ">", "<the dog>",
     "(.)", "(..)", "(...)", "(be)", "(", ")", "xxx", "yyy", "xxxx", "axxx", "xxx's",
     "+...", "+//", "+", "+.", "word", "a", "b'c", ".", "?", " ", "  ", "\t", "\u00a0",
+    # word characters against a placeholder: no word boundary, so no placeholder
+    "_xxx", "xxx_", "3yyy", "yyy3", "\u00e9xxx", "xxx\u00e9",
 ])
 
 
@@ -263,6 +266,37 @@ def test_load_corpus_layout(tmp_path):
     assert [r.transcript_id for r in corpus.records] == ["005-1", "005-2", "101-0"]
     assert [r.participant_id for r in corpus.records] == ["005", "005", "101"]
     assert [r.label for r in corpus.records] == [Label.AD, Label.AD, Label.CT]
+
+
+@pytest.mark.parametrize("ends", [["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]],
+                         ids=["lf", "crlf", "cr", "mixed"])
+def test_line_ends_read_alike(tmp_path, ends):
+    """A transcript gives the same record whether its lines end in LF,
+    CRLF, a lone CR or a mix of them, continuation lines included."""
+    lines = SAMPLE.split("\n")
+    assert any(line.startswith("\t") for line in lines)
+    (tmp_path / "ad").mkdir()
+    path = tmp_path / "ad" / "001-0.cha"
+    path.write_bytes("".join(line + ends[i % len(ends)] for i, line in enumerate(lines)).encode())
+    want = parse_chat_file(SAMPLE, Label.AD, transcript_id="001-0", participant_id="001")
+    assert read_transcript(path, Label.AD) == want
+    assert load_corpus(tmp_path) == Corpus(records=(want,))
+
+
+@pytest.mark.parametrize("tail, reason", [(b"\xff .\n", "invalid start byte"),
+                                          (b"caf\xc3", "unexpected end of data")],
+                         ids=["invalid-byte", "cut-at-eof"])
+def test_transcript_that_is_not_utf8_raises(tmp_path, tail, reason):
+    (tmp_path / "ad").mkdir()
+    path = tmp_path / "ad" / "001-0.cha"
+    path.write_bytes(SAMPLE.encode("utf-8") + b"\n*PAR:\tthe " + tail)
+    message = f"{path}: not UTF-8 text ({reason})"
+    with pytest.raises(DataError) as exc:
+        read_transcript(path, Label.AD)
+    assert str(exc.value) == message
+    with pytest.raises(DataError) as exc:
+        load_corpus(tmp_path)
+    assert str(exc.value) == message
 
 
 def test_load_corpus_empty_raises(tmp_path):
