@@ -7,11 +7,11 @@ concreteness, familiarity, imageability, sentiment valence), age / 100,
 and gender coded Female=1.0, Male=0.0, Unknown=0.5.
 
 Loading an embedding file checks its UTF-8 and each line's width (fields
-counted with numpy over chunks of lines) and parses no value: it keeps where
-each word's line lies. A word's values are read again, and parsed and checked
-by the one rule ``_vector``, the first time a transcript uses it. So the
-table's matrix holds the rows of the words a run uses, not the file's; a bad
-value on a line no transcript uses is never seen; and a file changed or
+counted with numpy over the bytes of chunks of lines) and parses no value: it
+keeps where each word's line lies. A word's values are read again, and parsed
+and checked by the one rule ``_vector``, the first time a transcript uses it.
+So the table's matrix holds the rows of the words a run uses, not the file's;
+a bad value on a line no transcript uses is never seen; and a file changed or
 removed between the load and that first use is a ``DataError``.
 
 An encoded instance copies no vector: its embeddings are ``TableRows``,
@@ -140,10 +140,12 @@ def _vector(values: list[str]) -> np.ndarray:
 
 
 _CHUNK_BYTES = 1 << 18    # bytes of whole lines read at once at load; the buffer size, > 1
-# str.isspace() of each code point up to U+3000, the last str.split() splits
-# on, and of U+3001, which stands for every later one; its ASCII rows as bytes
-_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
-_SPACE_BYTES = _IS_SPACE[:256].tobytes()
+# the 19 non-ASCII characters str.split() splits on, in rising order, each as the
+# big-endian number of its UTF-8 bytes: two or three, led by C2, E1, E2 or E3
+_WIDE_SPACES = np.array(
+    [int.from_bytes(chr(c).encode(), "big") for c in
+     (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)],
+    dtype=np.uint32)
 
 
 class _EmbeddingFile:
@@ -154,7 +156,7 @@ class _EmbeddingFile:
     file's size and mtime match those seen at the build. The build decodes
     each chunk of lines whole, so a UTF-8 fault wins over a width fault on
     an earlier line of its chunk, and counts a line's ``str.split()`` fields
-    over its code points without building them."""
+    over the chunk's bytes (``_space_mask``) without building them."""
 
     def __init__(self, path):
         self.path = path
@@ -164,26 +166,26 @@ class _EmbeddingFile:
         first_line = 0                 # lines before the chunk
         with open(path, "rb", buffering=_CHUNK_BYTES) as fh, reading_utf8(path):
             self.stamp = _stamp(fh)
-            while chunk := b"".join(fh.readlines(_CHUNK_BYTES)):
-                text = chunk.decode("utf-8")
-                byte_ends = _line_ends(np.frombuffer(chunk, dtype=np.uint8))
-                if len(text) == len(chunk):      # ASCII: its code points are its bytes
-                    space = np.frombuffer(chunk.translate(_SPACE_BYTES), dtype=np.bool_)
-                    text_ends = byte_ends
-                else:
-                    code_points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-                    space = _IS_SPACE.take(code_points, mode="clip")
-                    text_ends = _line_ends(code_points)
-                text_starts = np.concatenate(([0], text_ends[:-1]))
+            while lines := fh.readlines(_CHUNK_BYTES):
+                chunk = b"".join(lines)
+                space = _space_mask(chunk)
+                # each line's start, then the chunk's end: readlines ended lines
+                # at \n, and a \r not before \n ends one too
+                bounds = np.cumsum([0, *map(len, lines)])
+                if b"\r" in chunk:
+                    code = np.frombuffer(chunk, dtype=np.uint8)
+                    lone_cr = (code[:-1] == np.uint8(13)) & (code[1:] != np.uint8(10))
+                    bounds = np.union1d(bounds, np.flatnonzero(lone_cr) + 1)
                 # a field starts at a non-space that starts the chunk or follows
                 # a space; each line but the chunk's last ends in one (\n or \r)
                 field_start = ~space
                 field_start[1:] &= space[:-1]
-                # a type that counts to the chunk's length holds any line's count
-                fields = np.add.reduceat(field_start, text_starts,
-                                         dtype=np.min_scalar_type(len(field_start)))
-                rows = zip(text_starts.tolist(), text_ends.tolist(), fields.tolist())
-                for i, (start, end, n_fields) in enumerate(rows, start=first_line):
+                # a type that counts to the longest line's length holds its count
+                fields = np.add.reduceat(field_start, bounds[:-1],
+                                         dtype=np.min_scalar_type(np.diff(bounds).max()))
+                marks = space.tobytes()
+                rows = zip(bounds.tolist(), fields.tolist())
+                for i, (start, n_fields) in enumerate(rows, start=first_line):
                     if not n_fields:
                         continue
                     width = n_fields - 1
@@ -194,9 +196,11 @@ class _EmbeddingFile:
                     elif width != self.dim:
                         raise DataError(f"{path}:{i + 1}: expected {self.dim} values, "
                                         f"got {width}")
-                    self.lines.setdefault(text[start:end].split(None, 1)[0], i)
-                ends.append(fh.tell() - len(chunk) + byte_ends)
-                first_line += len(byte_ends)
+                    # the word: from the line's first unmarked byte to its next marked one
+                    word = marks.index(b"\0", start)
+                    self.lines.setdefault(chunk[word:marks.index(b"\1", word)].decode(), i)
+                ends.append(fh.tell() - len(chunk) + bounds[1:])
+                first_line += len(bounds) - 1
         if self.dim is None:
             raise DataError(f"{path}: no embedding lines")
         # pads embed as zeros whatever the file says; a <pad> line is never read
@@ -237,13 +241,32 @@ def _stamp(fh) -> tuple[int, int]:
     return st.st_size, st.st_mtime_ns
 
 
-def _line_ends(chunk: np.ndarray) -> np.ndarray:
-    """One past each line of a chunk's bytes or code points, as text mode with
-    ``newline=""`` ends lines: at ``\\n``, at ``\\r`` not before ``\\n``, at EOF."""
-    cr = chunk == 13
-    cr[:-1] &= chunk[1:] != 10
-    ends = np.flatnonzero(cr | (chunk == 10)) + 1
-    return ends if len(ends) and ends[-1] == len(chunk) else np.append(ends, len(chunk))
+def _space_mask(chunk: bytes) -> np.ndarray:
+    """Which bytes of ``chunk`` belong to a character ``str.split()`` splits
+    on. Every byte of a wide space is marked; a 0x85 or 0xA0 that continues
+    another character (as in U+00C5 and U+00E0) is not. The chunk's one
+    decode is its UTF-8 check."""
+    code = np.frombuffer(chunk, dtype=np.uint8)
+    is_ascii = len(chunk.decode("utf-8")) == len(chunk)
+    # 9-13 and 28-32: at most 4 above 9 or 28, a byte below wrapping to 255. Each
+    # comparison overwrites the difference it reads, so two chunk-sized arrays
+    # are made, not five
+    space, above_28 = code - np.uint8(9), code - np.uint8(28)
+    space = np.less_equal(space, np.uint8(4), out=space.view(np.bool_))
+    space |= np.less_equal(above_28, np.uint8(4), out=above_28.view(np.bool_))
+    if is_ascii:
+        return space
+    # each whole sequence led by C2-E3 as the number of its bytes: 2 after C2-DF, else 3
+    lead = np.flatnonzero(code >= np.uint8(0xC2))
+    lead = lead[code[lead] <= np.uint8(0xE3)]
+    seq = code.take(lead[:, None] + np.arange(3), mode="clip")
+    two = seq[:, 0] < np.uint8(0xE0)
+    key = (seq @ np.array([1 << 16, 1 << 8, 1], dtype=np.uint32)) >> (np.uint32(8) * two)
+    hit = _WIDE_SPACES.take(np.searchsorted(_WIDE_SPACES, key), mode="clip") == key
+    lead, three = lead[hit], ~two[hit]
+    space[lead] = space[lead + 1] = True
+    space[lead[three] + 2] = True
+    return space
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
@@ -306,8 +329,8 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
     """Word -> score from a ``word<TAB>score`` file headed by ``# range lo
     hi``; every score must lie in that (finite, non-empty) range."""
     with open(path, encoding="utf-8") as fh, reading_utf8(path):
-        lines = fh.read().splitlines()
-    if not lines:
+        lines = fh.read().split("\n")      # text mode ends lines at \n, \r\n and \r alone
+    if lines == [""]:
         raise DataError(f"{path}: empty lexicon file")
     header = lines[0].split()
     if len(header) != 4 or header[0] != "#" or header[1] != "range":

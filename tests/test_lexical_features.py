@@ -129,6 +129,10 @@ def _same_as_reference(path):
 _SEPARATORS = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()] + ["\x00"]
 _TOKENS = ["1_0", "\u0663", "0x10", "nan", "inf", "1e400", "-1e-400", "+1", ".5", "5.",
            "1.0abc"]
+# characters that share a lead or a continuation byte with a wide space but are
+# not one (str.split() does not split on U+200B), and a 4-byte emoji
+_NEAR_MISSES = ["\u00a9", "\x80", "\u00c5", "\u00e0", "\u1681", "\u200b", "\u2030",
+                "\u205e", "\u3001", "\ufeff", "\U0001f600"]
 
 
 def _second_chunk_bad_line(value):
@@ -193,12 +197,16 @@ _HOSTILE = (
         ("wide-spaces-are-not-line-ends", "a 1\u20282\u0085b 3 4\x1c\x0c\n"),
         ("bom", "\ufeffa 1 2\nb 3 4\n"),
         ("bom-alone", "\ufeff\na 1 2\n"),
+        ("wide-space-ends-a-line", "a 1 2\u3000\nb 3 4\u00a0\r\nc 5 6\u2029\rd 7 8\u1680"),
         ("second-chunk-invalid-utf8",
          _second_chunk_bad_line("0.5").encode().replace(b"w449", b"w\xff449")),
         ("second-chunk-truncated-utf8", _second_chunk_bad_line("0.5").encode() + b"w\xc3"),
         ("wider-line-longer-than-a-chunk",
          "a 1 2\nb " + " ".join(["0." + "1" * 100_000] * 3) + "\n"),
     ]
+    + [(f"near-miss-U+{ord(c):04X}", f"{c} 1 2\nx{c}y\u00a01\u30002\n{c}{c}\u2028 3\t4\u0085\n")
+       for c in _NEAR_MISSES]
+    + [(f"near-miss-U+{ord(c):04X}-joins", f"a 1 2\nb 1{c}2\n") for c in _NEAR_MISSES]
 )
 
 
@@ -250,7 +258,7 @@ def test_load_parses_no_value(tmp_path):
 
 
 _WORDS = st.sampled_from(["the", "boy", "a", "cookie", "jar", "sink", "mother", "water",
-                          "stool", "x\u00e9", "\u0663", "<pad>"])
+                          "stool", "x\u00e9", "\u0663", "<pad>", *_NEAR_MISSES])
 _VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                     st.floats(-10, 10).map(lambda v: f"{v:.6f}"))
 
@@ -288,6 +296,24 @@ def test_load_embeddings_matches_reference_on_random_tables(dim, hostile, data):
 def test_load_embeddings_matches_reference_on_random_tables_in_tiny_chunks(dim, hostile, data):
     with _TINY_CHUNKS:
         _same_as_reference_on_a_random_table(dim, hostile, data)
+
+
+def test_space_mask_marks_the_bytes_of_every_space_and_no_other():
+    """Every code point but the surrogates, UTF-8 encoded in one chunk: each
+    byte of a character ``str.isspace()`` holds for is marked, and no other
+    byte is, such as the 0x85 and 0xA0 that end U+00C5 and U+00E0. So is
+    every byte below 128 in an ASCII chunk."""
+    chars = [chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF]
+    widths = [len(c.encode("utf-8")) for c in chars]
+    owner = np.repeat(np.arange(len(chars)), widths)
+    want = np.array([c.isspace() for c in chars])[owner]
+    got = lexical_features._space_mask("".join(chars).encode("utf-8"))
+    wrong = sorted({f"U+{ord(chars[k]):04X}" for k in owner[got != want]})
+    assert not wrong, wrong
+    ascii_bytes = bytes(range(128))
+    assert lexical_features._space_mask(ascii_bytes).tolist() == \
+        [chr(b).isspace() for b in ascii_bytes]
+    assert not lexical_features._space_mask("\u00c5\u00e0".encode("utf-8")).any()
 
 
 def test_row_ids_follow_first_use(tmp_path):
@@ -438,6 +464,22 @@ def test_load_lexicon_rejects_non_finite_values(tmp_path, text, needle):
     path.write_text(text)
     with pytest.raises(DataError, match=f"{path}{needle}"):
         load_lexicon(path)
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                  "\u2029"])
+def test_load_lexicon_ends_lines_only_at_line_ends(tmp_path, char):
+    """A character str.splitlines() would break at is part of its line, so
+    the lines after it keep their numbers; \\r\\n and a lone \\r end lines."""
+    path = tmp_path / "x.tsv"
+    path.write_bytes(f"# range 0 10\na{char}b\t1\nd\tx\n".encode("utf-8"))
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: bad score 'x'")):
+        load_lexicon(path)
+    path.write_bytes(f"# range 0 10\r\na{char}b\t1\rc\t2\r\nd\tx\r".encode("utf-8"))
+    with pytest.raises(DataError, match=re.escape(f"{path}:4: bad score 'x'")):
+        load_lexicon(path)
+    path.write_bytes(f"# range 0 10\r\na{char}b\t1\rc\t2\r\n".encode("utf-8"))
+    assert load_lexicon(path) == {f"a{char}b": 1.0, "c": 2.0}
 
 
 def test_load_lexicon_dir_requires_all_slots(tmp_path):
