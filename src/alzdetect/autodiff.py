@@ -48,7 +48,8 @@ class Tensor:
     """Dense n-dimensional float64 array plus the slot its gradient goes to.
 
     ``grad`` is allocated the first time a backward rule touches the
-    tensor; it always matches ``data`` in shape.
+    tensor (or, on a Parameter, the first time it is read); it always
+    matches ``data`` in shape.
     """
 
     __slots__ = ("data", "slot", "name")
@@ -75,14 +76,25 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, trainable tensor. Its gradient buffer always exists."""
+    """A named, trainable tensor. It holds only its data until a gradient is
+    first written: backward makes the buffer, as for any other tensor, so a
+    Parameter that is only run forward (a loaded model, say) holds no
+    gradient memory. Reading ``grad`` before then makes the buffer as
+    zeros, so a Parameter that backward never reached reads as zeros, and
+    a write through ``grad`` sticks."""
 
-    def __init__(self, data, name: str):
-        super().__init__(data, name)
-        self.slot.grad = np.zeros_like(self.data)
+    __slots__ = ()
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self.slot.grad is None:
+            self.slot.grad = np.zeros(self.slot.shape)
+        return self.slot.grad
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        """Zero the buffer in place; with none, the gradient reads as zeros already."""
+        if self.slot.grad is not None:
+            self.slot.grad[...] = 0.0
 
 
 class Constant(Tensor):
@@ -558,8 +570,10 @@ def backward(tape: Tape, loss: Tensor):
     records themselves stay on the tape, but a tape runs backward once:
     rules may overwrite what their op saved (``lstm`` its gates), so a
     second pass raises ``RuntimeError`` instead of giving wrong gradients.
-    Tensors the loss never touched keep whatever gradient they already had
-    (zeros, for freshly created or zeroed Parameters).
+    Tensors the loss never touched keep whatever gradient they already had;
+    a Parameter that has none yet gets no buffer, and reads as zeros.
+    A Parameter's first gradient is written to a new buffer, with the bits
+    that adding it to zeros gives.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss has shape {loss.data.shape}, expected scalar")

@@ -117,10 +117,11 @@ def _load_resources(cfg: RunConfig, saved: ModelConfig | None = None):
     return table, lexicons, default_tagger()
 
 
-def _predict(params, mcfg: ModelConfig, instances, model_path) -> np.ndarray:
-    """``model.predict``, an overflow being bad data in the model file."""
+def _forward(model_path, fn, *args):
+    """``fn(*args)``, a forward pass of the model at ``model_path``; an
+    overflow is bad data in the model file."""
     try:
-        return model.predict(params, mcfg, instances)
+        return fn(*args)
     except NonFiniteValue as exc:
         raise DataError(f"{model_path}: the forward pass overflows: {exc}") from None
 
@@ -215,7 +216,7 @@ def _cmd_eval(args) -> int:
     params, mcfg = model.load(args.model)
     instances, _ = _encode(cfg, mcfg, saved=True)
     [(_, _, _, test)] = evaluation.seed_splits(instances, cfg.split, cfg.seeds[:1])
-    scores = _predict(params, mcfg, test, args.model)
+    scores = _forward(args.model, model.predict, params, mcfg, test)
     labels = np.array([i.label for i in test])
     report = evaluation.evaluate_scores(labels, scores)
     # the row is named after the model file's switches, not the YAML variant
@@ -265,13 +266,13 @@ def _cmd_predict(args) -> int:
     record = chat_corpus.read_transcript(args.transcript, Label.CT)
     instance = lexical_features.encode_record(record, table, lexicons, tagger,
                                               budget=mcfg.seq_len)
-    prob = _predict(params, mcfg, [instance], args.model)[0]
+    # one forward pass gives the probability and, with attention, the weights
+    prob, alpha = _forward(args.model, model.score_instance, params, mcfg, instance)
     label = "AD" if model.classify(prob) else "CT"
     print(f"{record.transcript_id}\t{prob:.4f}\t{label}")
     if args.top is not None:
         tokens = fix_length(tokenize(chat_corpus.extract_participant_text(record)),
                             mcfg.seq_len).tokens
-        alpha = model.attention_weights(params, mcfg, instance)
         real = np.flatnonzero(instance.mask)
         for i in real[np.argsort(-alpha[real], kind="stable")[:args.top]]:
             print(f"  {alpha[i]:.4f}  [{i:3d}] {tokens[i]}")

@@ -351,7 +351,8 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected word<TAB>score")
         try:
-            score = float(parts[1])
+            # str.strip() drops every str.isspace() character; float() keeps \x1c-\x1f
+            score = float(parts[1].strip())
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad score {ECHO.repr(parts[1])}") from exc
         if not lo <= score <= hi:        # also catches nan and an overflow to inf

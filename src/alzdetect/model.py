@@ -245,15 +245,15 @@ def _forward_graph(params: dict[str, Parameter], config: ModelConfig,
     return prob, alpha
 
 
-def attention_weights(params: dict[str, Parameter], config: ModelConfig,
-                      instance: EncodedInstance) -> np.ndarray:
-    """Per-timestep attention weights for one instance (diagnostic)."""
-    if not config.use_attention:
-        raise ValueError("attention is disabled in this config")
+def score_instance(params: dict[str, Parameter], config: ModelConfig,
+                   instance: EncodedInstance) -> tuple[np.float64, np.ndarray | None]:
+    """One instance's probability, as ``predict`` gives it, and its
+    per-timestep attention weights (None without attention), from one
+    forward pass."""
     emb, pos, feats, mask, _ = _stack_instances(config, [instance])
-    _, alpha = _forward_graph(params, config, emb, pos, feats, mask,
-                              training=False, rng=None)
-    return alpha.data[0].copy()
+    prob, alpha = _forward_graph(params, config, emb, pos, feats, mask,
+                                 training=False, rng=None)
+    return prob.data[0], None if alpha is None else alpha.data[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +465,11 @@ def _read_exact(fh, n: int) -> bytes:
 
 
 def load(path: str | Path) -> tuple[dict[str, Parameter], ModelConfig]:
+    """The parameters and config of a ``save``d model. Every check runs
+    before its part is used: magic, version, the config block, then each
+    tensor's name, its length (before it is read) and its values (finite),
+    and last that nothing follows. A loaded Parameter holds its data and
+    no gradient buffer."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != MAGIC:
             raise DataError(f"{path}: not a model file (bad magic)")

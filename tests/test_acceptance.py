@@ -265,7 +265,7 @@ def test_chat_round_trip_pos_rows_and_attention_mass(tmp_path, tagger):
     params = model.init_params(cfg, np.random.default_rng(6))
     mass_ok = zero_ok = True
     for inst in instances:
-        alpha = model.attention_weights(params, cfg, inst)
+        alpha = model.score_instance(params, cfg, inst)[1]
         mass_ok &= abs(alpha.sum() - 1.0) <= 1e-9
         zero_ok &= bool(np.all(alpha[inst.mask == 0.0] == 0.0))
 

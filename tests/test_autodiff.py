@@ -241,13 +241,36 @@ def test_adam_bias_correction_second_step():
 
 def test_adam_allocates_its_moments_once_per_parameter():
     params = [Parameter(np.zeros((2, 3)), "w"), Parameter(np.zeros(3), "b")]
+    for p in params:
+        p.grad[...] = 1.0            # the gradient buffers are made before the count
     opt = Adam(0.01)
     with mock.patch.object(np, "zeros_like", wraps=np.zeros_like) as zeros_like:
         for _ in range(3):
-            for p in params:
-                p.grad[...] = 1.0
             opt.step(params)
     assert zeros_like.call_count == 2 * len(params)     # m and v, on the first step
+
+
+def test_parameter_holds_only_its_data_until_a_gradient_is_written():
+    data = np.random.default_rng(41).standard_normal((256, 512))
+    kept, peak = _traced_bytes(lambda: Parameter(data, "w"))
+    assert kept < data.nbytes // 100 and peak < data.nbytes // 100, (kept, peak)
+    p = Parameter(data, "w")
+    assert p.slot.grad is None
+    p.zero_grad()
+    assert p.slot.grad is None
+    assert np.array_equal(p.grad, np.zeros(data.shape))   # reading it makes the zeros
+    p.grad[0, 0] = 2.0
+    assert p.grad[0, 0] == 2.0 and p.grad is p.slot.grad
+    p.zero_grad()
+    assert p.slot.grad is not None and not p.grad.any()
+
+
+def test_first_gradient_of_a_parameter_turns_negative_zero_to_zero():
+    """The first write makes the buffer with the bits of zeros + g."""
+    p = Parameter(np.array([1.0, 2.0]), "p")
+    with Tape() as tape:
+        backward(tape, ad.sum_(ad.mul(p, constant(np.array([-0.0, -3.0])))))
+    assert p.grad.tolist() == [0.0, -3.0] and not np.signbit(p.grad[0])
 
 
 # ---------------------------------------------------------------------------

@@ -471,7 +471,7 @@ def test_mistyped_model_file_config_is_data_error(tmp_path, workspace, capsys, k
 
 
 @pytest.mark.filterwarnings("error")       # numpy's overflow warnings are stray lines too
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["eval", "predict", "predict-top"])
 def test_model_whose_forward_pass_overflows_is_data_error(tmp_path, workspace, capsys,
                                                           command):
     """Finite weights so large that the forward pass overflows are bad data
@@ -480,8 +480,9 @@ def test_model_whose_forward_pass_overflows_is_data_error(tmp_path, workspace, c
     save_edited_model(SAVED, path, lambda t: [t[name].fill(1e308) for name in
                                               ("conv_embed_kernels", "lstm_fwd_wx")])
     cfg = _bad_input_config(tmp_path, workspace)
+    top = ["--top", "3"] if command == "predict-top" else []
     argv = (["eval", str(cfg), "--model", str(path)] if command == "eval"
-            else _predict_argv(cfg, path, workspace))
+            else _predict_argv(cfg, path, workspace, *top))
     _assert_data_error(argv, capsys, f"error: {path}: the forward pass overflows: "
                                      f"conv1d produced a non-finite value")
     assert not (tmp_path / "eval.csv").exists()
@@ -880,7 +881,7 @@ def _predict_argv(cfg, model_path, workspace, *extra):
 
 def test_predict_top_prints_the_most_attended_real_tokens(tmp_path, workspace, capsys):
     """`predict --top 3` prints its usual line, then the three real tokens
-    that `model.attention_weights` weighs most, largest first."""
+    that the model's attention weighs most, largest first."""
     root, cfg_path = workspace
     path = tmp_path / "model.bin"
     save_edited_model(SAVED, path, lambda tensors: None)
@@ -897,13 +898,26 @@ def test_predict_top_prints_the_most_attended_real_tokens(tmp_path, workspace, c
         record, lexical_features.load_embeddings(root / "embeddings.txt"),
         lexical_features.load_lexicon_dir(root / "lexicons"), default_tagger(),
         budget=mcfg.seq_len)
-    alpha = model.attention_weights(params, mcfg, instance)
+    alpha = model.score_instance(params, mcfg, instance)[1]
     tokens = text_pipeline.fix_length(text_pipeline.tokenize(record.participant_text),
                                       mcfg.seq_len).tokens
     real = [i for i in range(mcfg.seq_len) if instance.mask[i]]
     assert len(real) > 3
     expected = sorted(real, key=lambda i: -alpha[i])[:3]
     assert top == [f"  {alpha[i]:.4f}  [{i:3d}] {tokens[i]}" for i in expected]
+
+
+@pytest.mark.parametrize("top", [[], ["--top", "3"]], ids=["plain", "top"])
+def test_predict_runs_the_model_once(tmp_path, workspace, capsys, top):
+    """The probability and the attention weights come from one forward pass."""
+    _, cfg_path = workspace
+    path = tmp_path / "model.bin"
+    save_edited_model(SAVED, path, lambda tensors: None)
+    spy = mock.Mock(wraps=model._forward_graph)
+    with mock.patch.object(model, "_forward_graph", spy):
+        assert main(_predict_argv(cfg_path, path, workspace, *top)) == 0
+    assert spy.call_count == 1
+    assert len(capsys.readouterr().out.splitlines()) == 1 + (3 if top else 0)
 
 
 @pytest.mark.parametrize("top", ["0", "-3"])

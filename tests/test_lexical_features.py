@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from alzdetect import lexical_features, synthgen
 from alzdetect.chat_corpus import (
+    ECHO,
     DataError,
     Demographics,
     Gender,
@@ -480,6 +481,30 @@ def test_load_lexicon_ends_lines_only_at_line_ends(tmp_path, char):
         load_lexicon(path)
     path.write_bytes(f"# range 0 10\r\na{char}b\t1\rc\t2\r\n".encode("utf-8"))
     assert load_lexicon(path) == {f"a{char}b": 1.0, "c": 2.0}
+
+
+# every str.isspace() character but the tab, which ends the word, and the
+# line ends, which end the line
+_FIELD_SPACES = [c for c in map(chr, range(0x110000))
+                 if c.isspace() and c not in "\t\n\r"]
+
+
+def test_load_lexicon_strips_every_space_around_a_score(tmp_path):
+    """float() strips every str.isspace() character but \x1c-\x1f; a score
+    field is stripped of all of them, as the embedding file splits on all."""
+    assert {"\x1c", "\x1f", "\x0c", "\x85", "\u3000"} <= set(_FIELD_SPACES)
+    path = tmp_path / "x.tsv"
+    for c in _FIELD_SPACES:
+        path.write_bytes(f"# range 0 10\na\t{c}1.5\nb\t2{c}\nc\t{c}3{c}{c}\n".encode("utf-8"))
+        assert load_lexicon(path) == {"a": 1.5, "b": 2.0, "c": 3.0}, repr(c)
+
+
+@pytest.mark.parametrize("c", ["\x1c", "\x1f", "\x0c", "\x85", "\u3000"])
+def test_load_lexicon_rejects_a_score_of_spaces_alone(tmp_path, c):
+    path = tmp_path / "x.tsv"
+    path.write_bytes(f"# range 0 10\na\t1\nb\t{c}{c}\n".encode("utf-8"))
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: bad score {ECHO.repr(c + c)}")):
+        load_lexicon(path)
 
 
 def test_load_lexicon_dir_requires_all_slots(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from alzdetect import model, synthgen
-from alzdetect.autodiff import Parameter, Tape, backward
+from alzdetect.autodiff import Adam, Parameter, Tape, backward
 from alzdetect.chat_corpus import DataError
 from alzdetect.lexical_features import (
     OOV_ROW,
@@ -236,7 +236,7 @@ def test_attention_weights_mass_on_real_positions():
     rng = np.random.default_rng(5)
     params = init_params(TINY, rng)
     inst = make_instances(TINY, 1, rng)[0]
-    alpha = model.attention_weights(params, TINY, inst)
+    alpha = model.score_instance(params, TINY, inst)[1]
     n_real = int(inst.mask.sum())
     assert alpha.shape == (TINY.seq_len,)
     assert np.all(alpha[n_real:] == 0.0)          # exact zeros at pads
@@ -252,17 +252,19 @@ def test_identical_hidden_states_attend_uniformly():
             params[name].data[...] = 0.0   # every timestep's state becomes 0
     inst = make_instances(TINY, 1, rng)[0]
     n_real = int(inst.mask.sum())
-    alpha = model.attention_weights(params, TINY, inst)
+    alpha = model.score_instance(params, TINY, inst)[1]
     assert alpha[:n_real] == pytest.approx(np.full(n_real, 1.0 / n_real), abs=1e-15)
     assert np.all(alpha[n_real:] == 0.0)
 
 
-def test_attention_weights_require_attention_enabled():
-    cfg = variant_config("C-LSTM", TINY)
+@pytest.mark.parametrize("variant", ["C-LSTM", "OURS-Att-w"])
+def test_score_instance_matches_predict_and_weighs_only_with_attention(variant):
+    cfg = variant_config(variant, TINY)
     params = init_params(cfg, np.random.default_rng(0))
     inst = make_instances(cfg, 1, np.random.default_rng(0))[0]
-    with pytest.raises(ValueError):
-        model.attention_weights(params, cfg, inst)
+    prob, alpha = model.score_instance(params, cfg, inst)
+    assert prob.tobytes() == predict(params, cfg, [inst]).tobytes()
+    assert (alpha is None) == (not cfg.use_attention)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +389,40 @@ def test_attention_gradient_is_exactly_zero_when_disabled():
     for name in ("attn_w", "attn_b", "attn_u"):
         assert np.all(params[name].grad == 0.0)
     assert np.any(params["dense_w"].grad != 0.0)
+
+
+def test_backward_leaves_unreached_parameters_without_a_gradient_buffer():
+    cfg = variant_config("C-LSTM", TINY)
+    rng = np.random.default_rng(9)
+    params = init_params(cfg, rng)
+    with Tape() as tape:
+        backward(tape, _graph_loss(params, cfg, make_instances(cfg, 3, rng))())
+    attn = [p for name, p in params.items() if name.startswith("attn")]
+    assert len(attn) == 3 and all(p.slot.grad is None for p in attn)
+    assert all(p.slot.grad is not None for name, p in params.items()
+               if not name.startswith("attn"))
+    assert all(np.array_equal(p.grad, np.zeros(p.shape)) for p in attn)
+
+
+@pytest.mark.parametrize("variant", ["C-LSTM", "OURS-Att-w"])
+def test_adam_step_over_lazy_gradients_gives_the_bytes_of_zero_buffers(variant):
+    """Parameters whose gradient buffers backward makes step to the bytes of
+    parameters that held zero buffers before backward ran."""
+    cfg = variant_config(variant, TINY)
+    instances = make_instances(cfg, 4, np.random.default_rng(11))
+
+    def step(premade: bool) -> list[bytes]:
+        params = init_params(cfg, np.random.default_rng(12))
+        if premade:
+            # reading a gradient makes its buffer, as zeros
+            assert not any(p.grad.any() for p in params.values())
+        with Tape() as tape:
+            backward(tape, _graph_loss(params, cfg, instances)())
+        grads = [p.grad.tobytes() for p in params.values()]
+        Adam(cfg.learning_rate).step(list(params.values()))
+        return grads + [p.data.tobytes() for p in params.values()]
+
+    assert step(premade=False) == step(premade=True)
 
 
 def test_disabled_features_leave_predictions_bitwise_unchanged():
@@ -629,6 +665,42 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(loaded_params[name].data, params[name].data)
     inst = make_instances(TINY, 1, rng)[0]
     assert predict(loaded_params, loaded_cfg, [inst])[0] == predict(params, TINY, [inst])[0]
+
+
+def _params_bytes(params) -> int:
+    return sum(p.data.nbytes for p in params.values())
+
+
+def _traced(run):
+    """What ``run()`` returns, and the bytes it leaves allocated and its
+    peak, both above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = run()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, now - start, peak - start
+
+
+def test_init_params_allocates_the_parameters_once():
+    """No gradient buffer is made beside the weights (3.9 MB at default dims)."""
+    params, kept, peak = _traced(lambda: init_params(ModelConfig(), np.random.default_rng(0)))
+    size = _params_bytes(params)
+    assert size <= kept < 1.1 * size and peak < 1.1 * size, (size, kept, peak)
+
+
+def test_loaded_model_holds_its_parameters_once(tmp_path):
+    """No gradient buffer is made beside the weights. While it loads, one
+    tensor's bytes at a time are read before they are copied into place."""
+    path = tmp_path / "model.bin"
+    save(init_params(ModelConfig(), np.random.default_rng(0)), ModelConfig(), path)
+    (params, _), kept, peak = _traced(lambda: load(path))
+    size = _params_bytes(params)
+    largest = max(p.data.nbytes for p in params.values())
+    assert size <= kept < 1.1 * size and peak < 1.1 * size + largest, (size, kept, peak)
+    assert all(p.slot.grad is None for p in params.values())
 
 
 def test_model_file_holds_only_config_names_and_values(tmp_path):
