@@ -209,6 +209,10 @@ def _parse_id_header(value: str) -> Demographics | None:
     return Demographics(age=age, gender=gender)
 
 
+# Demographics is frozen, so every file without a *PAR: @ID shares this one
+_UNKNOWN_DEMOGRAPHICS = Demographics(age=None, gender=Gender.UNKNOWN)
+
+
 def parse_chat_file(content: str, label: Label, transcript_id: str = "",
                     participant_id: str = "") -> TranscriptRecord:
     """Parse one CHAT file into a TranscriptRecord.
@@ -218,13 +222,15 @@ def parse_chat_file(content: str, label: Label, transcript_id: str = "",
     normalized, so ``warnings`` holds their unknown codes alone; other
     main tiers and dependent ``%`` tiers are skipped.
     """
-    demographics = Demographics(age=None, gender=Gender.UNKNOWN)
+    demographics = _UNKNOWN_DEMOGRAPHICS
     bodies: list[list[str]] = []   # the lines of each *PAR: tier, file order
     body: list[str] | None = None  # the lines of the open *PAR: tier
     for line in content.splitlines():
         if not line.strip():
             continue
-        if line.startswith(("\t", "    ")) or line[0] not in "@*%":
+        # a line that is not blank and starts with a space or tab starts
+        # with none of @ * %
+        if line[0] not in "@*%":
             if body is not None:       # a continuation, indented or stray
                 body.append(line.strip())
             continue
@@ -264,8 +270,11 @@ def extract_participant_text(record: TranscriptRecord) -> str:
 def words(text: str) -> list[str]:
     """The words of clean text as the model reads them: whitespace pieces,
     lowercased, with trailing ``. ? ! , ; :`` dropped. A piece of
-    punctuation alone is no word; apostrophized forms stay whole."""
-    return [word for piece in text.split() if (word := piece.lower().rstrip(".?!,;:"))]
+    punctuation alone is no word; apostrophized forms stay whole. The text
+    is lowered whole: lowering makes and removes no whitespace, and its one
+    context rule (Greek final sigma) stops at whitespace, so the pieces are
+    those of lowering each piece."""
+    return [word for piece in text.lower().split() if (word := piece.rstrip(".?!,;:"))]
 
 
 def participant_word_count(record: TranscriptRecord) -> int:

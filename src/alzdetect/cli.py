@@ -110,8 +110,8 @@ def _load_resources(cfg: RunConfig, saved: ModelConfig | None = None):
         raise DataError(f"embedding file is {table.dim}-dimensional but the model expects "
                         f"{saved.embed_dim}")
     lexicons = lexical_features.load_lexicon_dir(cfg.lexicons)
-    for slot, entries in lexicons.items():
-        if not entries:
+    for slot, size in lexicons.sizes.items():
+        if not size:
             print(f"warning: {Path(cfg.lexicons) / f'{slot}.tsv'}: no entries, so the "
                   f"{slot} feature is 0 for every transcript", file=sys.stderr)
     return table, lexicons, default_tagger()

@@ -4,7 +4,8 @@ Every instance carries two token-level matrices (pre-trained word
 embeddings and POS one-hots) plus one participant-level vector of seven
 scalars in a fixed order: five lexicon means (age of acquisition,
 concreteness, familiarity, imageability, sentiment valence), age / 100,
-and gender coded Female=1.0, Male=0.0, Unknown=0.5.
+and gender coded Female=1.0, Male=0.0, Unknown=0.5. The five lexicons are
+one table, ``Lexicons``, so a token is looked up once for all five means.
 
 Loading an embedding file checks its UTF-8 and each line's width (fields
 counted with numpy over the bytes of chunks of lines) and parses no value: it
@@ -41,6 +42,7 @@ from .chat_corpus import (
     TranscriptRecord,
     extract_participant_text,
     reading_utf8,
+    words,
 )
 from .text_pipeline import (
     PAD_TOKEN,
@@ -327,7 +329,10 @@ def stack_embeddings(rows: list) -> np.ndarray:
 
 def load_lexicon(path: str | Path) -> dict[str, float]:
     """Word -> score from a ``word<TAB>score`` file headed by ``# range lo
-    hi``; every score must lie in that (finite, non-empty) range."""
+    hi``; every score must lie in that (finite, non-empty) range. A word is
+    keyed as the one token ``chat_corpus.words`` reads it as (``THE`` and
+    ``the `` are ``the``), and a word that reads as no token or several is
+    an error; of two lines that key one token, the later wins."""
     with open(path, encoding="utf-8") as fh, reading_utf8(path):
         lines = fh.read().split("\n")      # text mode ends lines at \n, \r\n and \r alone
     if lines == [""]:
@@ -358,32 +363,41 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
         if not lo <= score <= hi:        # also catches nan and an overflow to inf
             raise DataError(f"{path}:{lineno}: score {ECHO.repr(parts[1])} for "
                             f"{ECHO.repr(parts[0])} outside [{lo}, {hi}]")
-        entries[parts[0]] = score
+        token = words(parts[0])
+        if len(token) != 1:
+            raise DataError(f"{path}:{lineno}: word {ECHO.repr(parts[0])} is not one token")
+        entries[token[0]] = score
     return entries
 
 
-def load_lexicon_dir(root: str | Path) -> dict[str, dict[str, float]]:
-    """Load the five named lexicons (``<slot>.tsv``) from one directory."""
-    return {slot: load_lexicon(Path(root) / f"{slot}.tsv") for slot in LEXICON_SLOTS}
+class Lexicons:
+    """The five lexicons as one table. ``rows`` maps a word to its row of
+    ``matrix``, a float64 ``[n + 1, 10]`` array: columns 0-4 hold the word's
+    score in each lexicon, in ``LEXICON_SLOTS`` order, and columns 5-9 hold
+    1.0 where that lexicon has the word (0.0 in both where it has not). The
+    last row, ``absent``, is the zeros of a word no lexicon has.
+    ``sizes[slot]`` is the number of entries of that slot's lexicon."""
+
+    __slots__ = ("rows", "matrix", "absent", "sizes")
+
+    def __init__(self, entries: dict[str, dict[str, float]]):
+        n = len(LEXICON_SLOTS)
+        self.rows: dict[str, int] = {}
+        for slot in LEXICON_SLOTS:
+            for word in entries[slot]:
+                self.rows.setdefault(word, len(self.rows))
+        self.absent = len(self.rows)
+        self.matrix = np.zeros((self.absent + 1, 2 * n))
+        for j, slot in enumerate(LEXICON_SLOTS):
+            ids = [self.rows[word] for word in entries[slot]]
+            self.matrix[ids, j] = list(entries[slot].values())
+            self.matrix[ids, n + j] = 1.0
+        self.sizes = {slot: len(entries[slot]) for slot in LEXICON_SLOTS}
 
 
-def lexicon_mean(tokens: tuple[str, ...], lex: dict[str, float]) -> tuple[float, float]:
-    """Mean score over the tokens found in the lexicon, and the share of
-    tokens found (its coverage).
-
-    Tokens absent from the lexicon are excluded from both numerator and
-    denominator; zero coverage gives mean 0.0. Scores add left to right from
-    0.0, the same bits on every Python (``sum()`` rounds otherwise from 3.12).
-    """
-    total, found = 0.0, 0
-    for t in tokens:
-        score = lex.get(t)
-        if score is not None:
-            total += score
-            found += 1
-    if not found:
-        return 0.0, 0.0
-    return total / found, found / len(tokens)
+def load_lexicon_dir(root: str | Path) -> Lexicons:
+    """The table of the five named lexicons (``<slot>.tsv``) of one directory."""
+    return Lexicons({slot: load_lexicon(Path(root) / f"{slot}.tsv") for slot in LEXICON_SLOTS})
 
 
 _GENDER_CODE = {Gender.FEMALE: 1.0, Gender.MALE: 0.0, Gender.UNKNOWN: 0.5}
@@ -391,15 +405,33 @@ _GENDER_CODE = {Gender.FEMALE: 1.0, Gender.MALE: 0.0, Gender.UNKNOWN: 0.5}
 
 def build_feature_vector(
     seq: TokenSequence,
-    lexicons: dict[str, dict[str, float]],
+    lexicons: Lexicons,
     demo: Demographics,
 ) -> np.ndarray:
     """The 7-vector [5 lexicon means, age/100, gender code], in
-    ``FEATURE_NAMES`` order."""
-    tokens = seq.tokens[:seq.original_length]      # the real tokens, no pads
-    means = [lexicon_mean(tokens, lexicons[slot])[0] for slot in LEXICON_SLOTS]
-    age = 0.0 if demo.age is None else demo.age / 100.0
-    return np.array(means + [age, _GENDER_CODE[demo.gender]])
+    ``FEATURE_NAMES`` order.
+
+    A lexicon's mean is over the real tokens it has: a token it lacks is in
+    neither numerator nor denominator, and a transcript it does not cover
+    at all gets 0.0. Each token's table row is gathered once, and the rows
+    add one after another from 0.0 (``np.add.reduce`` down the rows runs
+    its columns side by side): each score column gets the bits of a left to
+    right Python sum of the scores found, since an absent word adds 0.0,
+    and each presence column counts the tokens found. An overflowing sum
+    is an infinite mean, which ``encode_record`` rejects.
+    """
+    n = len(LEXICON_SLOTS)
+    get, absent = lexicons.rows.get, lexicons.absent
+    block = lexicons.matrix.take([get(t, absent) for t in seq.tokens[:seq.original_length]],
+                                 axis=0)
+    with np.errstate(over="ignore"):
+        sums = np.add.reduce(block, axis=0, initial=0.0)
+    features = np.empty(n + 2)
+    # a lexicon that found no token summed only 0.0s, so over a count of
+    # at least 1 its mean is 0.0; any other count is itself
+    np.divide(sums[:n], np.maximum(sums[n:], 1.0), out=features[:n])
+    features[n:] = 0.0 if demo.age is None else demo.age / 100.0, _GENDER_CODE[demo.gender]
+    return features
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +453,7 @@ class EncodedInstance:
 def encode_record(
     record: TranscriptRecord,
     table: EmbeddingTable,
-    lexicons: dict[str, dict[str, float]],
+    lexicons: Lexicons,
     tagger: PerceptronTaggerModel,
     budget: int,
 ) -> EncodedInstance:
@@ -449,7 +481,7 @@ def encode_record(
 def encode_corpus(
     corpus: Corpus,
     table: EmbeddingTable,
-    lexicons: dict[str, dict[str, float]],
+    lexicons: Lexicons,
     tagger: PerceptronTaggerModel,
     budget: int,
 ) -> list[EncodedInstance]:

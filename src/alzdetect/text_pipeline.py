@@ -51,6 +51,9 @@ class TokenSequence:
 # The fixed 37-tag inventory, PAD at 0: the columns of a one-hot row.
 TAGSET = (PAD_TAG, *PTB_TAGS)
 _TAG_INDEX = {t: i for i, t in enumerate(TAGSET)}
+# row i is tag i's one-hot; read-only, only gathered from
+_ONE_HOT = np.eye(len(TAGSET), dtype=bool)
+_ONE_HOT.setflags(write=False)
 # the tagger's weight column of each word tag
 _TAG_COLUMN = {t: j for j, t in enumerate(PTB_TAGS)}
 
@@ -209,11 +212,9 @@ def tag(model: PerceptronTaggerModel, seq: TokenSequence) -> tuple[str, ...]:
 
 
 def one_hot(tags: tuple[str, ...]) -> np.ndarray:
-    """[len(tags) x len(TAGSET)] bool matrix, one True per row."""
-    n = len(tags)
-    mat = np.zeros((n, len(TAGSET)), dtype=bool)
-    mat[np.arange(n), [_TAG_INDEX[t] for t in tags]] = True
-    return mat
+    """[len(tags) x len(TAGSET)] bool matrix, one True per row: a new array
+    of rows gathered from ``_ONE_HOT``."""
+    return _ONE_HOT.take([_TAG_INDEX[t] for t in tags], axis=0)
 
 
 def default_tagger() -> PerceptronTaggerModel:

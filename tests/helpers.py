@@ -2,11 +2,12 @@
 per-timestep LSTM composition the fused ``lstm`` primitive must match, the
 trapezoidal AUC that checks ``evaluation.auc_pair``, the training and saving
 of the shipped tagger with its hand-tagged corpus and tagger accuracy, the
-norm lexicons of the feature tests, the string-feature and dict-of-dicts
-tagger scorers that the cached tagger must match, the unguarded fixpoint
-CHAT normalizer that the guarded early-exit one must match, the
-line-by-line embedding loader that the bulk loader must match, and an
-embedding table built in memory."""
+norm lexicons of the feature tests, the per-lexicon feature means and the
+per-piece word splitter that the table encoder and ``words`` must match,
+the string-feature and dict-of-dicts tagger scorers that the cached tagger
+must match, the unguarded fixpoint CHAT normalizer that the guarded
+early-exit one must match, the line-by-line embedding loader that the bulk
+loader must match, and an embedding table built in memory."""
 
 from __future__ import annotations
 
@@ -210,9 +211,52 @@ FIXTURE_LEXICON_DIR = FIXTURES / "lexicons"
 
 
 def fixture_lexicons():
+    """The fixture lexicons as the one table the encoder reads."""
     from alzdetect.lexical_features import load_lexicon_dir
 
     return load_lexicon_dir(FIXTURE_LEXICON_DIR)
+
+
+def fixture_entries() -> dict[str, dict[str, float]]:
+    """The fixture lexicons, slot -> (word -> score), each file read alone."""
+    from alzdetect.lexical_features import LEXICON_SLOTS, load_lexicon
+
+    return {slot: load_lexicon(FIXTURE_LEXICON_DIR / f"{slot}.tsv") for slot in LEXICON_SLOTS}
+
+
+# ---------------------------------------------------------------------------
+# reference feature vector and word splitter: one pass per lexicon, one piece
+# lowered at a time
+
+
+def lexicon_mean(tokens: tuple[str, ...], lex: dict[str, float]) -> float:
+    """Mean score over the tokens found in the lexicon. Tokens absent from
+    the lexicon are in neither numerator nor denominator; a lexicon that
+    has none of them gives 0.0. Scores add left to right from 0.0, the same
+    bits on every Python."""
+    total, found = 0.0, 0
+    for t in tokens:
+        score = lex.get(t)
+        if score is not None:
+            total += score
+            found += 1
+    return total / found if found else 0.0
+
+
+def reference_feature_vector(seq, entries: dict[str, dict[str, float]], demo) -> np.ndarray:
+    """``build_feature_vector`` with one ``lexicon_mean`` pass per slot over
+    ``entries``, slot -> (word -> score)."""
+    from alzdetect.lexical_features import _GENDER_CODE, LEXICON_SLOTS
+
+    tokens = seq.tokens[:seq.original_length]
+    means = [lexicon_mean(tokens, entries[slot]) for slot in LEXICON_SLOTS]
+    age = 0.0 if demo.age is None else demo.age / 100.0
+    return np.array(means + [age, _GENDER_CODE[demo.gender]])
+
+
+def reference_words(text: str) -> list[str]:
+    """``chat_corpus.words`` lowering each whitespace piece on its own."""
+    return [word for piece in text.split() if (word := piece.lower().rstrip(".?!,;:"))]
 
 
 def read_tagged_file(path) -> list[list[tuple[str, str]]]:

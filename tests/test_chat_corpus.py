@@ -21,10 +21,11 @@ from alzdetect.chat_corpus import (
     parse_chat_file,
     participant_word_count,
     read_transcript,
+    words,
     write_manifest,
 )
 from alzdetect.text_pipeline import tokenize
-from helpers import reference_normalize_utterance
+from helpers import reference_normalize_utterance, reference_words
 
 SAMPLE = "\n".join([
     "@UTF8",
@@ -168,6 +169,9 @@ def test_continuation_line_with_spaces():
     content = "*PAR:\tthe boy\n    fell down .\n"
     rec = parse_chat_file(content, Label.CT)
     assert rec.participant_text == "the boy fell down ."
+    # an indented line continues its tier whatever follows the indent
+    content = "*PAR:\tthe\n    *boy\n\t@fell\n  %down .\n"
+    assert parse_chat_file(content, Label.CT).participant_text == "the *boy @fell %down ."
 
 
 def test_continuation_of_another_speaker_is_not_kept():
@@ -373,3 +377,37 @@ def test_reparsing_written_transcript_is_stable(tmp_path):
     again = parse_chat_file("*PAR:\t" + text + "\n", Label.AD)
     assert extract_participant_text(again) == text
     assert again.warnings == ()
+
+
+# ---------------------------------------------------------------------------
+# words: the text lowered whole splits into the pieces of lowering each piece
+
+_CODE_POINTS = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+_SPACES = [c for c in _CODE_POINTS if c.isspace()]
+
+
+def test_words_lowers_every_code_point_as_a_piece_alone():
+    text = " ".join(_CODE_POINTS)
+    assert words(text) == reference_words(text)
+    text = " ".join(c + "." + c.upper() for c in _CODE_POINTS)
+    assert words(text) == reference_words(text)
+
+
+def test_words_keeps_greek_final_sigma_and_dotted_capital_i_within_their_piece():
+    text = ("ΟΔΟΣ ΟΔΟΣ. Σ ΣΑ ΑΣ ΑΣΑ ΑΣ.Α Α.Σ ὈΔΥΣΣΕΎΣ İ İSTANBUL İ. İİ "
+            + " ".join(f"ΑΣ{w}Α{w}Σ{w}ΑΣ{w}ΣΑ{w}İ{w}Σ" for w in _SPACES))
+    assert words(text) == reference_words(text)
+    assert words("ΟΔΟΣ ΣΑ ΑΣ.") == ["οδος", "σα", "ας"]
+    assert words("İ") == ["i\u0307"]
+
+
+_WORD_CHARS = st.one_of(
+    st.characters(exclude_categories=("Cs",)),
+    st.sampled_from(_SPACES + list("ΣσςΑαİIıi.?!,;:'")),
+)
+
+
+@settings(max_examples=500)
+@given(st.text(_WORD_CHARS, max_size=60))
+def test_words_matches_the_per_piece_reference(text):
+    assert words(text) == reference_words(text)

@@ -726,6 +726,18 @@ def test_non_finite_lexicon_is_data_error(tmp_path, workspace, capsys):
     _assert_data_error(["train", str(cfg)], capsys, f"{bad}:1:")
 
 
+def test_lexicon_word_that_is_not_one_token_is_data_error(tmp_path, workspace, capsys):
+    root, _ = workspace
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(root / "lexicons", lexicons)
+    bad = lexicons / "familiarity.tsv"
+    bad.write_text(bad.read_text() + "the boy\t2.0\n")
+    lineno = len(bad.read_text().splitlines())
+    cfg = _bad_input_config(tmp_path, workspace, lexicons=str(lexicons))
+    _assert_data_error(["train", str(cfg)], capsys,
+                       f"{bad}:{lineno}: word 'the boy' is not one token")
+
+
 def test_embeddings_that_miss_every_word_warn_once(tmp_path, workspace, capsys):
     pad_only = tmp_path / "embeddings.txt"
     pad_only.write_text("<pad>" + " 0.5" * 8 + "\n")

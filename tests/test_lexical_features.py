@@ -5,6 +5,7 @@ import re
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -30,11 +31,11 @@ from alzdetect.lexical_features import (
     FEATURE_NAMES,
     LEXICON_SLOTS,
     OOV_ROW,
+    Lexicons,
     build_feature_vector,
     embed,
     encode_corpus,
     encode_record,
-    lexicon_mean,
     load_embeddings,
     load_lexicon,
     load_lexicon_dir,
@@ -50,7 +51,9 @@ from alzdetect.text_pipeline import (
 from helpers import (
     dense_tagger,
     embedding_table,
+    fixture_entries,
     fixture_lexicons,
+    reference_feature_vector,
     reference_load_embeddings,
     reference_vector,
 )
@@ -471,16 +474,21 @@ def test_load_lexicon_rejects_non_finite_values(tmp_path, text, needle):
                                   "\u2029"])
 def test_load_lexicon_ends_lines_only_at_line_ends(tmp_path, char):
     """A character str.splitlines() would break at is part of its line, so
-    the lines after it keep their numbers; \\r\\n and a lone \\r end lines."""
+    the lines after it keep their numbers; \\r\\n and a lone \\r end lines.
+    Each of these characters is whitespace, so the word it ends reads as
+    the token before it."""
     path = tmp_path / "x.tsv"
-    path.write_bytes(f"# range 0 10\na{char}b\t1\nd\tx\n".encode("utf-8"))
+    path.write_bytes(f"# range 0 10\na{char}\t1\nd\tx\n".encode("utf-8"))
     with pytest.raises(DataError, match=re.escape(f"{path}:3: bad score 'x'")):
         load_lexicon(path)
-    path.write_bytes(f"# range 0 10\r\na{char}b\t1\rc\t2\r\nd\tx\r".encode("utf-8"))
+    path.write_bytes(f"# range 0 10\r\na{char}\t1\rc\t2\r\nd\tx\r".encode("utf-8"))
     with pytest.raises(DataError, match=re.escape(f"{path}:4: bad score 'x'")):
         load_lexicon(path)
-    path.write_bytes(f"# range 0 10\r\na{char}b\t1\rc\t2\r\n".encode("utf-8"))
-    assert load_lexicon(path) == {f"a{char}b": 1.0, "c": 2.0}
+    path.write_bytes(f"# range 0 10\r\na{char}\t1\rc\t2\r\n".encode("utf-8"))
+    assert load_lexicon(path) == {"a": 1.0, "c": 2.0}
+    path.write_bytes(f"# range 0 10\na{char}b\t1\n".encode("utf-8"))
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: word ")):
+        load_lexicon(path)
 
 
 # every str.isspace() character but the tab, which ends the word, and the
@@ -507,6 +515,52 @@ def test_load_lexicon_rejects_a_score_of_spaces_alone(tmp_path, c):
         load_lexicon(path)
 
 
+def test_load_lexicon_keys_each_word_as_the_token_it_reads_as(tmp_path):
+    """Tokens are lowercased and hold no whitespace, so a word is keyed as
+    its one token; of two lines that key one token, the later wins."""
+    path = tmp_path / "x.tsv"
+    path.write_text("# range 0 10\nthe \t3.0\n boy\t4.0\nTHE\t2.0\nFell.\t5.0\n"
+                    "don't\t6.0\n\u0130\t7.0\n")
+    assert load_lexicon(path) == {"the": 2.0, "boy": 4.0, "fell": 5.0, "don't": 6.0,
+                                  "i\u0307": 7.0}
+
+
+@pytest.mark.parametrize("word", ["", " ", ".", "?!", "a b", "a\u3000b", "the boy."])
+def test_load_lexicon_rejects_a_word_that_is_not_one_token(tmp_path, word):
+    path = tmp_path / "x.tsv"
+    path.write_text(f"# range 0 10\nthe\t1.0\n{word}\t5.0\n")
+    message = f"{path}:3: word {ECHO.repr(word)} is not one token"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_lexicon(path)
+
+
+def test_lexicon_table_rows_hold_every_slot_score_and_presence():
+    """A word some lexicons lack reads 0.0 in their score and presence
+    columns; a word none has reads the zero row."""
+    table = Lexicons({"aoa": {"the": 2.5, "boy": 3.0}, "concreteness": {"boy": 4.0},
+                      "familiarity": {}, "imageability": {"fell": -0.0},
+                      "sentiment": {"the": 0.5}})
+    assert table.rows == {"the": 0, "boy": 1, "fell": 2}
+    assert table.absent == 3
+    assert table.matrix.dtype == np.float64 and table.matrix.shape == (4, 10)
+    assert table.matrix.tolist() == [
+        [2.5, 0.0, 0.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 1.0],
+        [3.0, 4.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0] * 10,
+    ]
+    assert np.signbit(table.matrix[2, 3])
+    assert table.sizes == {"aoa": 2, "concreteness": 1, "familiarity": 0,
+                           "imageability": 1, "sentiment": 1}
+
+
+def test_lexicon_table_requires_all_lexicons():
+    entries = fixture_entries()
+    del entries["sentiment"]
+    with pytest.raises(KeyError, match="sentiment"):
+        Lexicons(entries)
+
+
 def test_load_lexicon_dir_requires_all_slots(tmp_path):
     (tmp_path / "aoa.tsv").write_text("# range 1 10\nthe\t2.5\n")
     with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "concreteness.tsv"))):
@@ -514,8 +568,9 @@ def test_load_lexicon_dir_requires_all_slots(tmp_path):
 
 
 def test_fixture_lexicons_cover_all_slots():
-    lex = fixture_lexicons()
+    lex = fixture_entries()
     assert set(lex) == set(LEXICON_SLOTS)
+    assert fixture_lexicons().sizes == {slot: len(lex[slot]) for slot in LEXICON_SLOTS}
     ranges = {"aoa": (1.0, 10.0), "concreteness": (1.0, 5.0), "familiarity": (1.0, 7.0),
               "imageability": (1.0, 7.0), "sentiment": (-1.0, 1.0)}
     for slot, (lo, hi) in ranges.items():
@@ -530,8 +585,8 @@ def test_fixture_anchor_scores_are_frozen():
         "fell": (3.4, 3.4, 6.0, 4.2, -0.3),
     }
     for word, expected in anchors.items():
-        got = tuple(lex[slot][word] for slot in LEXICON_SLOTS)
-        assert got == expected, word
+        row = lex.matrix[lex.rows[word]]
+        assert tuple(row[:5].tolist()) == expected and row[5:].all(), word
 
 
 # ---------------------------------------------------------------------------
@@ -539,35 +594,34 @@ def test_fixture_anchor_scores_are_frozen():
 
 
 TOY = {"the": 2.5, "boy": 3.2, "fell": 3.4}
+DEMO = Demographics(70, Gender.FEMALE)
 
 
-def _means(seq):
-    """The five lexicon slots of ``seq``'s feature vector, each read from TOY."""
-    return build_feature_vector(seq, dict.fromkeys(LEXICON_SLOTS, TOY),
-                                Demographics(70, Gender.FEMALE))[:5].tolist()
+def _means(seq, lex=TOY):
+    """The five lexicon slots of ``seq``'s feature vector, each read from ``lex``."""
+    if isinstance(seq, tuple):
+        seq = TokenSequence(seq, len(seq))
+    return build_feature_vector(seq, Lexicons(dict.fromkeys(LEXICON_SLOTS, lex)),
+                                DEMO)[:5].tolist()
 
 
 def test_mean_score_full_coverage():
-    mean, cov = lexicon_mean(("the", "boy"), TOY)
-    assert mean == pytest.approx((2.5 + 3.2) / 2)
-    assert cov == 1.0
+    assert _means(("the", "boy")) == [(2.5 + 3.2) / 2] * 5
 
 
 def test_mean_score_misses_are_fully_excluded():
-    mean, cov = lexicon_mean(("the", "boy", "zorp"), TOY)
-    assert mean == pytest.approx((2.5 + 3.2) / 2)  # zorp not in denominator
-    assert cov == pytest.approx(2 / 3)
+    assert _means(("the", "boy", "zorp")) == [(2.5 + 3.2) / 2] * 5  # zorp not in denominator
 
 
 def test_mean_score_zero_coverage_is_zero():
-    assert lexicon_mean(("zorp", "blag"), TOY) == (0.0, 0.0)
+    assert _means(("zorp", "blag")) == [0.0] * 5
 
 
 def test_mean_score_adds_left_to_right_on_every_python():
     """Ten scores of 0.1 add to 0.9999999999999999 left to right, as
     ``sum()`` did before Python 3.12; from 3.12 ``sum()`` gives 1.0."""
     words = tuple("abcdefghij")
-    assert lexicon_mean(words, dict.fromkeys(words, 0.1)) == (0.09999999999999999, 1.0)
+    assert _means(words, dict.fromkeys(words, 0.1)) == [0.09999999999999999] * 5
 
 
 def test_mean_score_ignores_pad_positions():
@@ -578,16 +632,57 @@ def test_mean_score_ignores_pad_positions():
 
 @given(st.permutations(["the", "boy", "fell", "zorp", "the"]))
 def test_mean_score_is_order_invariant(words):
-    m0, c0 = lexicon_mean(("the", "boy", "fell", "zorp", "the"), TOY)
-    m1, c1 = lexicon_mean(tuple(words), TOY)
-    assert m1 == pytest.approx(m0)
-    assert c1 == c0
+    assert _means(tuple(words)) == pytest.approx(_means(("the", "boy", "fell", "zorp", "the")))
 
 
 @given(st.integers(min_value=3, max_value=20))
 def test_mean_score_is_padding_invariant(budget):
     seq = TokenSequence(("the", "boy", "fell"), 3)
     assert _means(fix_length(seq, budget)) == _means(seq)
+
+
+# scores whose sums round, cancel to zero, carry a sign on zero, or overflow
+_SCORES = st.one_of(
+    st.floats(min_value=-1e7, max_value=1e7, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 0.1, 1e-8, -1e-8, 1.7e308, -1.7e308, 5e-324]),
+)
+_VOCAB = [f"w{i}" for i in range(12)]
+
+
+@st.composite
+def _lexicons_and_tokens(draw):
+    """Five lexicons over a small vocabulary, each holding some words only,
+    and real tokens from the vocabulary plus words no lexicon has."""
+    entries = {slot: draw(st.dictionaries(st.sampled_from(_VOCAB), _SCORES, max_size=10))
+               for slot in LEXICON_SLOTS}
+    tokens = tuple(draw(st.lists(st.sampled_from(_VOCAB + ["zorp", "blag"]),
+                                 min_size=1, max_size=130)))
+    return entries, tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lexicons_and_tokens(), st.integers(min_value=1, max_value=140),
+       st.sampled_from([Demographics(None, Gender.UNKNOWN), Demographics(66, Gender.MALE),
+                        Demographics(81, Gender.FEMALE)]))
+def test_feature_vector_matches_the_per_lexicon_reference_bytes(case, budget, demo):
+    entries, tokens = case
+    seq = fix_length(TokenSequence(tokens, len(tokens)), budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = build_feature_vector(seq, Lexicons(entries), demo)
+        want = reference_feature_vector(seq, entries, demo)
+    assert got.dtype == want.dtype and got.shape == want.shape == (7,)
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@pytest.mark.parametrize("tokens, want", [
+    (("a",), [0.0] * 5),                       # a lone -0.0 sums to 0.0, as in Python
+    (("a", "a"), [0.0] * 5),
+    (("zorp",), [0.0] * 5),                    # no lexicon covers the transcript
+])
+def test_feature_vector_signed_zeros_and_no_coverage(tokens, want):
+    got = np.array(_means(tokens, {"a": -0.0}))
+    assert got.tolist() == want and not np.signbit(got).any()
 
 
 # ---------------------------------------------------------------------------
@@ -629,14 +724,6 @@ def test_missing_age_encodes_as_zero():
     vec = build_feature_vector(TokenSequence(("the",), 1), fixture_lexicons(),
                                Demographics(age=None, gender=Gender.FEMALE))
     assert vec[FEATURE_NAMES.index("age")] == 0.0
-
-
-def test_feature_vector_requires_all_lexicons():
-    lex = dict(fixture_lexicons())
-    del lex["sentiment"]
-    with pytest.raises(KeyError, match="sentiment"):
-        build_feature_vector(TokenSequence(("the",), 1), lex,
-                             Demographics(70, Gender.FEMALE))
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +777,16 @@ def test_encode_corpus_preserves_order():
     assert [i.transcript_id for i in out] == ["t-0"]
 
 
-def test_encode_record_rejects_an_overflowing_lexicon_mean():
-    lexicons = dict(fixture_lexicons())
-    lexicons["aoa"] = {w: 1e308 for w in ("the", "boy", "fell")}
-    with pytest.raises(DataError, match="transcript t-0: the aoa feature"):
-        encode_record(_record(), _table(), lexicons, dense_tagger({}), budget=10)
+@pytest.mark.parametrize("slot", ["aoa", "imageability", "sentiment"])
+def test_encode_record_rejects_an_overflowing_lexicon_mean(slot):
+    """The sum overflows to infinity with no numpy warning, and the slot
+    is named."""
+    entries = fixture_entries()
+    entries[slot] = {"the": 1e308, "boy": 1e308, "fell": -1e308}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"transcript t-0: the {slot} feature is not finite"):
+            encode_record(_record(), _table(), Lexicons(entries), dense_tagger({}), budget=10)
 
 
 def test_encoded_instances_hold_row_ids_not_vectors(tmp_path):

@@ -1,9 +1,14 @@
 """Classifier graph: structure, gradients, training loop, serialization."""
 
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -701,6 +706,43 @@ def test_loaded_model_holds_its_parameters_once(tmp_path):
     largest = max(p.data.nbytes for p in params.values())
     assert size <= kept < 1.1 * size and peak < 1.1 * size + largest, (size, kept, peak)
     assert all(p.slot.grad is None for p in params.values())
+
+
+# Loads a model, then reports the minor page faults per B=1 request, after
+# warm-up, in a process whose heap nothing else has touched
+_FAULTS_PER_REQUEST = """
+import resource, sys
+import numpy as np
+from alzdetect import model
+from helpers import make_instances
+
+params, config = model.load(sys.argv[1])
+instance = make_instances(config, 1, np.random.default_rng(0))
+for _ in range(5):
+    model.predict(params, config, instance)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(30):
+    model.predict(params, config, instance)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's malloc thresholds")
+def test_scoring_after_load_runs_on_a_warm_heap(tmp_path):
+    """At default dims a B=1 request's largest temporaries pass glibc's
+    default 128 KiB mmap threshold, so each would be mapped and unmapped
+    per request (about 240 page faults) until a large block is freed, which
+    raises the threshold. ``load`` frees each tensor's read buffer, which
+    does it; a load that frees less slows every later request."""
+    path = tmp_path / "model.bin"
+    save(init_params(ModelConfig(), np.random.default_rng(0)), ModelConfig(), path)
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _FAULTS_PER_REQUEST, str(path)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert float(run.stdout) < 20, run.stdout
 
 
 def test_model_file_holds_only_config_names_and_values(tmp_path):

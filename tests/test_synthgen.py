@@ -116,7 +116,7 @@ def test_support_files_load(tmp_path):
     assert table.dim == SMALL.embed_dim
     for entry in DEFAULT_VOCAB + FILLER_VOCAB:
         assert entry.word in table
-        assert entry.word in lexicons["aoa"]
+        assert lexicons.matrix[lexicons.rows[entry.word], 5:].all()   # in all five lexicons
     manifest = (tmp_path / "manifest.jsonl").read_text().splitlines()
     assert len(manifest) == len(corpus.records)
 

@@ -128,6 +128,15 @@ def test_one_hot_rows():
     assert mat[2, 0] == 1.0
 
 
+def test_one_hot_rows_are_new_bool_arrays():
+    first = one_hot(("DT", "NN"))
+    assert first.dtype == bool and first.flags.writeable
+    first[:] = True                                # the rows are a copy, not a view
+    again = one_hot(("DT", "NN"))
+    assert again.sum() == 2 and again[0, TAGSET.index("DT")] and again[1, TAGSET.index("NN")]
+    assert one_hot(()).shape == (0, len(TAGSET))
+
+
 def test_one_hot_unknown_tag_raises():
     with pytest.raises(KeyError):
         one_hot(("QQ",))
