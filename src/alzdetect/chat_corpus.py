@@ -12,6 +12,7 @@ warnings; other speakers' tiers are scanned but not kept.
 from __future__ import annotations
 
 import json
+import os
 import re
 import reprlib
 from contextlib import contextmanager
@@ -215,17 +216,25 @@ _UNKNOWN_DEMOGRAPHICS = Demographics(age=None, gender=Gender.UNKNOWN)
 
 def parse_chat_file(content: str, label: Label, transcript_id: str = "",
                     participant_id: str = "") -> TranscriptRecord:
-    """Parse one CHAT file into a TranscriptRecord.
+    r"""Parse one CHAT file into a TranscriptRecord.
 
     Main tiers are ``*TAG:<TAB>text`` with tab-indented continuation
     lines; ``@`` lines are metadata. Only ``*PAR:`` tiers are kept and
     normalized, so ``warnings`` holds their unknown codes alone; other
     main tiers and dependent ``%`` tiers are skipped.
+
+    A line ends at ``\n``, ``\r\n`` or a lone ``\r`` and nowhere else:
+    ``str.splitlines()`` would also end one at ``\x0b``, ``\x0c``,
+    ``\x1c``-``\x1e``, U+0085, U+2028 and U+2029, and read the rest of the
+    line as a new tier or header. Inside a line they are whitespace, which
+    separates words as a space does.
     """
     demographics = _UNKNOWN_DEMOGRAPHICS
     bodies: list[list[str]] = []   # the lines of each *PAR: tier, file order
     body: list[str] | None = None  # the lines of the open *PAR: tier
-    for line in content.splitlines():
+    if "\r" in content:
+        content = content.replace("\r\n", "\n").replace("\r", "\n")
+    for line in content.split("\n"):
         if not line.strip():
             continue
         # a line that is not blank and starts with a space or tab starts
@@ -289,11 +298,18 @@ def read_transcript(path: str | Path, label: Label) -> TranscriptRecord:
     """Parse one CHAT file. The transcript id is the file stem; the
     participant id is the stem up to the first ``-`` (DementiaBank-style
     ``<participant>-<visit>`` names)."""
-    path = Path(path)
-    # bytes, not text mode: parse_chat_file splits with str.splitlines(), which
-    # ends a line at LF, CRLF or a lone CR alike, so newline translation is idle
-    with reading_utf8(path):
-        text = path.read_bytes().decode("utf-8")
+    if not isinstance(path, Path):
+        path = Path(path)
+    # one unbuffered read of the whole file: no BufferedReader is worth making
+    # for a single read(). Bytes, not text mode: parse_chat_file ends a line at
+    # LF, CRLF or a lone CR alike, so newline translation is idle. The OSError
+    # of a missing file or a directory names the path, as any open() does.
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     stem = path.stem
     try:
         return parse_chat_file(text, label, transcript_id=stem,
@@ -304,14 +320,23 @@ def read_transcript(path: str | Path, label: Label) -> TranscriptRecord:
 
 def load_corpus(root: str | Path) -> Corpus:
     """Assemble a corpus from ``<root>/ad/*.cha`` and ``<root>/ct/*.cha``,
-    each file read by ``read_transcript``."""
+    each file read by ``read_transcript``.
+
+    Each directory's paths are taken in name order, keyed by the normcased
+    name. Within one directory that is the order ``sorted()`` gives the
+    paths themselves: code points on POSIX, lowercased names on Windows
+    (where ``PurePath`` compares lowercased parts), ties in glob order. The
+    key compares two strings instead of two paths' part lists. Each path
+    goes to ``read_transcript`` as it is, with no copy to build.
+    """
     root = Path(root)
     records: list[TranscriptRecord] = []
     for sub, label in (("ad", Label.AD), ("ct", Label.CT)):
         d = root / sub
         if not d.is_dir():
             continue
-        records.extend(read_transcript(path, label) for path in sorted(d.glob("*.cha")))
+        paths = sorted(d.glob("*.cha"), key=lambda p: os.path.normcase(p.name))
+        records.extend(read_transcript(path, label) for path in paths)
     if not records:
         raise DataError(f"no transcripts under {root}/ad or {root}/ct")
     seen = set()

@@ -1,12 +1,18 @@
 """Transcript parsing: tier assembly, annotation stripping, demographics."""
 
+import builtins
 import json
+import os
 import re
+import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alzdetect import chat_corpus
 from alzdetect.chat_corpus import (
     Corpus,
     DataError,
@@ -174,6 +180,27 @@ def test_continuation_line_with_spaces():
     assert parse_chat_file(content, Label.CT).participant_text == "the *boy @fell %down ."
 
 
+# what str.splitlines() ends a line at besides \n, \r\n and \r
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("marker", ["%", "@", "*"])
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=ascii)
+def test_only_line_ends_end_a_line(char, marker):
+    """Inside a *PAR: tier or its continuation, a whitespace character that
+    is no line end separates words, so what follows it stays in the tier."""
+    content = (f"*PAR:\tthe boy{char}{marker}fell down .\n"
+               f"*PAR:\tthe\n\tgirl{char}{marker}ran off .\n")
+    assert parse_chat_file(content, Label.CT).participant_text == (
+        f"the boy {marker}fell down . the girl {marker}ran off .")
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=ascii)
+def test_line_led_by_whitespace_that_is_no_line_end_continues_its_tier(char):
+    content = f"*PAR:\tthe boy\n{char}%fell down .\n*INV:\tand\n{char}then ?\n"
+    assert parse_chat_file(content, Label.CT).participant_text == "the boy %fell down ."
+
+
 def test_continuation_of_another_speaker_is_not_kept():
     content = "*PAR:\tthe boy .\n*INV:\tand\n\tthen ?\nstray\n*PAR:\tfell .\n"
     assert extract_participant_text(parse_chat_file(content, Label.CT)) == "the boy . fell ."
@@ -272,6 +299,40 @@ def test_load_corpus_layout(tmp_path):
     assert [r.label for r in corpus.records] == [Label.AD, Label.AD, Label.CT]
 
 
+def _globbed_stems(root):
+    """The transcript ids in the order ``sorted()`` gives each label
+    directory's ``*.cha`` paths."""
+    return [p.stem for sub in ("ad", "ct") if (root / sub).is_dir()
+            for p in sorted((root / sub).glob("*.cha"))]
+
+
+def test_load_corpus_takes_transcripts_in_sorted_path_order(tmp_path):
+    (tmp_path / "ad").mkdir()
+    (tmp_path / "ct").mkdir()
+    for name in ["b-1", "a-9", "a-10", "é-1", "e-1", "Z-1"]:
+        _write_cha(tmp_path / "ad" / f"{name}.cha", ["one"])
+    for name in ["B-1.cha", ".h-1.cha", ".cha", "x.CHA", "notes.txt"]:
+        _write_cha(tmp_path / "ct" / name, ["two"])
+    ids = [r.transcript_id for r in load_corpus(tmp_path).records]
+    assert ids == _globbed_stems(tmp_path)
+    if os.name == "posix":
+        # code-point order; hidden names are matched, and .CHA is not *.cha
+        assert ids == ["Z-1", "a-10", "a-9", "b-1", "e-1", "é-1", ".cha", ".h-1", "B-1"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.text(string.ascii_letters + string.digits + "-_.é", max_size=6),
+                          st.sampled_from(["ad", "ct"])),
+                min_size=1, max_size=12, unique_by=lambda nd: Path(nd[0] + ".cha").stem))
+def test_load_corpus_order_matches_sorted_paths(names):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, sub in names:
+            (root / sub).mkdir(exist_ok=True)
+            _write_cha(root / sub / f"{name}.cha", ["word"])
+        assert [r.transcript_id for r in load_corpus(root).records] == _globbed_stems(root)
+
+
 @pytest.mark.parametrize("ends", [["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]],
                          ids=["lf", "crlf", "cr", "mixed"])
 def test_line_ends_read_alike(tmp_path, ends):
@@ -301,6 +362,32 @@ def test_transcript_that_is_not_utf8_raises(tmp_path, tail, reason):
     with pytest.raises(DataError) as exc:
         load_corpus(tmp_path)
     assert str(exc.value) == message
+
+
+def test_read_transcript_takes_a_str_or_a_path(tmp_path):
+    path = tmp_path / "001-0.cha"
+    path.write_text(SAMPLE, encoding="utf-8")
+    want = parse_chat_file(SAMPLE, Label.AD, transcript_id="001-0", participant_id="001")
+    assert read_transcript(str(path), Label.AD) == want
+    assert read_transcript(path, Label.AD) == want
+
+
+def test_load_corpus_opens_each_transcript_once_unbuffered(tmp_path, monkeypatch):
+    (tmp_path / "ad").mkdir()
+    (tmp_path / "ct").mkdir()
+    paths = [tmp_path / "ad" / "005-1.cha", tmp_path / "ad" / "005-2.cha",
+             tmp_path / "ct" / "101-0.cha"]
+    for path in paths:
+        _write_cha(path, ["one"])
+    calls = []
+
+    def counting_open(file, *args, **kwargs):
+        calls.append((file, kwargs.get("buffering")))
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(chat_corpus, "open", counting_open, raising=False)
+    assert len(load_corpus(tmp_path).records) == 3
+    assert calls == [(path, 0) for path in paths]
 
 
 def test_load_corpus_empty_raises(tmp_path):

@@ -1,6 +1,7 @@
 """Command-line flows: config parsing, exit codes, artifact round trips."""
 
 import contextlib
+import errno
 import io
 import os
 import re
@@ -277,6 +278,17 @@ def test_yaml_error_is_one_short_line(tmp_path, capsys, text, message):
 def test_missing_corpus_is_data_error(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "nowhere")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="opening a directory is EACCES there")
+def test_directory_named_like_a_transcript_is_data_error(tmp_path, capsys):
+    """A directory that ``*.cha`` matches is opened like a file, and the
+    OSError names it by its path."""
+    (tmp_path / "ad" / "x.cha").mkdir(parents=True)
+    assert main(["stats", str(tmp_path)]) == 2
+    path = tmp_path / "ad" / "x.cha"
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'\n")
 
 
 def test_missing_embeddings_fails_fast(tmp_path, workspace):
