@@ -246,19 +246,29 @@ def tanh(x: Tensor) -> Tensor:
     return _out(data, "tanh", bw, x)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+# 0-d arrays, not Python floats, as ufunc operands: numpy 2 spends about 0.3 µs
+# promoting a Python scalar, half of a one-row call; the values are the same
+_ZERO, _ONE = np.zeros(()), np.ones(())
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     # numerically symmetric, branch-free: exp(min(x, 0)) / (1 + exp(-|x|)).
     # Both exps take arguments <= 0, so neither overflows; for x >= 0 the
     # numerator is exactly 1, and for x < 0 both exps are the same float.
-    denom = np.exp(-np.abs(x))
-    denom += 1.0
-    out = np.exp(np.minimum(x, 0.0), out=out)
-    out /= denom
+    # The denominator is built in ``scratch``; ``out`` must not share x's memory.
+    np.abs(x, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    scratch += _ONE
+    np.minimum(x, _ZERO, out=out)
+    np.exp(out, out=out)
+    out /= scratch
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    data = _sigmoid(x.data)
+    data = _sigmoid(x.data, np.empty(x.shape), np.empty(x.shape))
 
     def bw(g, sx):
         _accum(sx, g * data * (1.0 - data))
@@ -463,7 +473,12 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
     [B, T] is 0 the row keeps its previous h and cell, so the h at the last
     real timestep is the direction's final state. A timestep that is a pad
     in every row computes nothing in either pass; the state and its gradient
-    carry over it. The output is a [B, T, H] view of the saved states, not
+    carry over it. A computed step allocates nothing: it writes only into
+    the saves and three buffers made before the loop (the pre-activations
+    ``z``, the sigmoid's denominator and ``i·g``). Each step records
+    whether its ``z`` is finite, and the record is tested once after the
+    loop, so a step whose saturated gates leave the state finite still
+    raises. The output is a [B, T, H] view of the saved states, not
     a copy. Backward is hand-written BPTT: one reverse pass over the saved
     gates, writing each step's four gate gradients over that step's spent
     activations, then one GEMM each for the weight and input gradients.
@@ -489,7 +504,14 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
     cs = np.zeros((nt + 1, nb, hidden))
     acts = np.empty((nt, nb, 4 * hidden))        # i, f, g, o; unset at all-pad steps
     tanh_c = np.empty((nt, nb, hidden))
-    z = np.empty((nb, 4 * hidden))
+    finite = np.ones((nt, nb, 4 * hidden), dtype=bool)  # per computed step: z is finite
+    # a step writes only into these and the saves: z, the sigmoid's denominator,
+    # and one [B, H] row block for i·g and the pad rows' blend
+    z, denom, ig = np.empty((nb, 4 * hidden)), np.empty((nb, 4 * hidden)), np.empty((nb, hidden))
+    z_g = z[:, h2:h3]
+    i_acts, f_acts, g_acts, o_acts = (acts[:, :, :hidden], acts[:, :, hidden:h2],
+                                      acts[:, :, h2:h3], acts[:, :, h3:])
+    bd = b.data.reshape(1, 4 * hidden)           # at B=1 the same shape as z: no broadcast
     with np.errstate(over="ignore", invalid="ignore"):
         xw = (xs.reshape(nb * nt, c) @ wxd).reshape(nb, nt, 4 * hidden)
         for k, ti in enumerate(steps):
@@ -498,23 +520,25 @@ def lstm(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor, mask: np.ndarray,
                 h[...] = hs[k]
                 cell[...] = cs[k]
                 continue
-            np.matmul(hs[k], whd, out=z)
+            np.dot(hs[k], whd, out=z)
             z += xw[:, ti]
-            z += b.data
-            _check_finite(z, "lstm")
-            a = acts[k]
-            _sigmoid(z, out=a)
-            np.tanh(z[:, h2:h3], out=a[:, h2:h3])
-            np.multiply(a[:, hidden:h2], cs[k], out=cell)
-            cell += a[:, :hidden] * a[:, h2:h3]
+            z += bd
+            np.isfinite(z, out=finite[k])
+            _sigmoid(z, acts[k], denom)
+            np.tanh(z_g, out=g_acts[k])
+            np.multiply(f_acts[k], cs[k], out=cell)
+            np.multiply(i_acts[k], g_acts[k], out=ig)
+            cell += ig
             np.tanh(cell, out=tanh_c[k])
-            np.multiply(a[:, h3:], tanh_c[k], out=h)
+            np.multiply(o_acts[k], tanh_c[k], out=h)
             if not full[k]:                      # pad rows keep their previous state
                 keep, hold = keeps[:, k:k + 1], holds[:, k:k + 1]
                 h *= keep
-                h += hold * hs[k]
+                h += np.multiply(hold, hs[k], out=ig)
                 cell *= keep
-                cell += hold * cs[k]
+                cell += np.multiply(hold, cs[k], out=ig)
+    if not finite.all():
+        raise NonFiniteValue("lstm produced a non-finite value")
     _check_finite(cs, "lstm")
     data = (hs[:0:-1] if reverse else hs[1:]).transpose(1, 0, 2)
 

@@ -94,6 +94,7 @@ class StatsReport:
 _FILLER_WORDS = {"uh": "uh", "um": "um", "em": "um", "mm": "um", "hm": "um",
                  "eh": "uh", "er": "uh", "ah": "uh", "oh": "oh"}
 
+_RE_BULLET = re.compile(r"\x15[^\x15\s]*\x15")        # media bullet \x15123_4560\x15
 _RE_EVENT = re.compile(r"&=\S+")                       # &=laughs
 _RE_FILLER = re.compile(r"&[&-]*([A-Za-z']+)")         # &uh / &-um
 _RE_RETRACE = re.compile(r"\[(?://|/|x\s*\d+)\]")      # [//] [/] [x 3]
@@ -103,7 +104,7 @@ _RE_BRACKET = re.compile(r"\[[^\]]*\]")                # any leftover [...] code
 _RE_PAUSE = re.compile(r"\(\.{1,3}\)")                 # (.) (..) (...)
 _RE_OMITTED = re.compile(r"\(([A-Za-z']+)\)")          # (be)cause
 _RE_UNINTELLIGIBLE = re.compile(r"\b(?:xxx|yyy)\b")
-_RE_MARKER_CHAR = re.compile(r"[&\[<>(+]")             # what every code but xxx/yyy needs
+_RE_MARKER_CHAR = re.compile(r"[&\[<>(+\x15]")         # what every code but xxx/yyy needs
 
 
 def _filler_word(m: re.Match) -> str:
@@ -118,6 +119,8 @@ def _strip_codes_once(text: str, warnings: list[str] | None) -> str:
         return " "
 
     # a pattern runs only where its literal marker occurs (see normalize_utterance)
+    if "\x15" in text:
+        text = _RE_BULLET.sub(" ", text)
     if "&=" in text:
         text = _RE_EVENT.sub(" ", text)
     if "&" in text:
@@ -143,28 +146,29 @@ def _strip_codes_once(text: str, warnings: list[str] | None) -> str:
 
 
 def normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str:
-    """Strip CHAT annotation codes from one main-tier body.
+    r"""Strip CHAT annotation codes from one main-tier body.
 
     Fillers become plain word tokens so hesitation behaviour survives into
-    the token stream; disfluency markers, event codes, pauses and
-    unintelligible-speech placeholders vanish. Unknown bracket codes are
-    deleted and appended to ``warnings`` when a list is supplied.
+    the token stream; disfluency markers, media bullets, event codes,
+    pauses and unintelligible-speech placeholders vanish. Unknown bracket
+    codes are deleted and appended to ``warnings`` when a list is supplied.
 
     Well-formed input settles in one pass; malformed marker soup (nested or
     dangling codes) can expose new codes once outer ones are removed, so the
     pass repeats until the text stops changing. Every pass removes marker
     characters, which bounds the loop. Each substitution of a pass needs a
     marker, so text without one is already settled: the loop goes on only
-    while the text holds one of ``& [ < > ( +`` (one character-class scan),
-    or else a whole-word ``xxx`` or ``yyy``, which is searched for only when
-    the plain substring occurs.
+    while the text holds one of ``& [ < > ( + \x15`` (one character-class
+    scan), or else a whole-word ``xxx`` or ``yyy``, which is searched for
+    only when the plain substring occurs.
 
     Within a pass each pattern runs only when the text, as the patterns
-    before it left it, holds the literal it needs: ``&=`` for event codes,
-    ``&`` for fillers, ``[`` for the four bracket codes, ``(`` for pauses
-    and omitted parts, ``xxx`` or ``yyy`` for unintelligible speech and
-    ``+`` for trailing-off markers. A pattern skipped that way would have
-    matched nothing, so the result is that of running all of them.
+    before it left it, holds the literal it needs: ``\x15`` for media
+    bullets (``\x15123_4560\x15``), ``&=`` for event codes, ``&`` for
+    fillers, ``[`` for the four bracket codes, ``(`` for pauses and omitted
+    parts, ``xxx`` or ``yyy`` for unintelligible speech and ``+`` for
+    trailing-off markers. A pattern skipped that way would have matched
+    nothing, so the result is that of running all of them.
     """
     text = " ".join(raw_text.split())
     while _RE_MARKER_CHAR.search(text) or (

@@ -467,6 +467,7 @@ def reference_strip_codes_once(text: str, warnings: list[str] | None) -> str:
             warnings.append(m.group(0))
         return " "
 
+    text = cc._RE_BULLET.sub(" ", text)
     text = cc._RE_EVENT.sub(" ", text)
     text = cc._RE_FILLER.sub(
         lambda m: cc._FILLER_WORDS.get(m.group(1).lower(), m.group(1).lower()), text)

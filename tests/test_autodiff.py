@@ -404,6 +404,37 @@ def test_lstm_forward_matches_per_timestep_composition_bitwise(reverse, mask):
         np.testing.assert_array_equal(out.data[:, t], h.data)
 
 
+def _default_width_mask(lengths, seq_len=73):
+    return (np.arange(seq_len)[None, :] < np.array(lengths)[:, None]).astype(float)
+
+
+# one transcript padded at the end, as a scoring request sees it
+LSTM_WIDE_SUFFIX_MASK = _default_width_mask([51])
+# mixed lengths, a row with mid-sequence gaps, and step 40 a pad in every row
+LSTM_WIDE_MIXED_MASK = _default_width_mask([73, 60, 45, 73, 12, 68, 73, 30])
+LSTM_WIDE_MIXED_MASK[:, 40] = 0.0
+LSTM_WIDE_MIXED_MASK[3, 10:14] = 0.0
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("mask", [LSTM_WIDE_SUFFIX_MASK, LSTM_WIDE_MIXED_MASK],
+                         ids=["suffix-b1", "mixed-b8"])
+def test_lstm_forward_matches_per_timestep_composition_bitwise_at_default_widths(reverse, mask):
+    """C=200, H=128, T=73: every step's recurrent product is 512 wide."""
+    c, hidden = 200, 128
+    rng = np.random.default_rng(18)
+    seq = constant(rng.standard_normal((*mask.shape, c)))
+    lim_x, lim_h = np.sqrt(6.0 / (c + 4 * hidden)), np.sqrt(6.0 / (5 * hidden))
+    wx = Parameter(rng.uniform(-lim_x, lim_x, (c, 4 * hidden)), "wx")
+    wh = Parameter(rng.uniform(-lim_h, lim_h, (hidden, 4 * hidden)), "wh")
+    b = Parameter(rng.uniform(-0.5, 0.5, 4 * hidden), "b")
+    out = ad.lstm(seq, wx, wh, b, mask, reverse=reverse)
+    oracle = lstm_direction(seq, wx, wh, b, mask, reverse=reverse)
+    assert out.shape == (*mask.shape, hidden)
+    for t, h in enumerate(oracle):
+        np.testing.assert_array_equal(out.data[:, t], h.data)
+
+
 def test_lstm_pads_keep_state_and_all_pad_row_stays_zero():
     rng = np.random.default_rng(14)
     seq = constant(rng.standard_normal((3, 7, 4)))
@@ -435,13 +466,32 @@ def test_lstm_rejects_mismatched_shapes():
         ad.lstm(seq, wh, wh, b, LSTM_PAD_MASK)
 
 
+LSTM_NON_FINITE = f"^{re.escape('lstm produced a non-finite value')}$"
+
+
 def test_lstm_non_finite_preactivation_raises():
     rng = np.random.default_rng(17)
     seq = constant(rng.standard_normal((3, 7, 4)))
     wx, wh, b = _lstm_params(rng)
     wh.data[...] = 1e308     # h is 0 at the first step, so the overflow comes later
-    with pytest.raises(NonFiniteValue, match="lstm"):
+    with pytest.raises(NonFiniteValue, match=LSTM_NON_FINITE):
         ad.lstm(seq, wx, wh, b, LSTM_PAD_MASK)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("nb", [1, 3])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_lstm_non_finite_preactivation_at_one_middle_step_raises(bad, nb, reverse):
+    """An infinite pre-activation saturates every gate (sigmoid to 0 or 1,
+    tanh to ±1), so the state stays finite and only the test of the
+    pre-activations catches it; a NaN one is caught there too."""
+    rng = np.random.default_rng(19)
+    seq = rng.standard_normal((nb, 7, 4))
+    seq[nb - 1, 3] = 0.0
+    seq[nb - 1, 3, 1] = bad     # times a wx row with no zero: every gate of the step is ±inf or NaN
+    wx, wh, b = _lstm_params(rng)
+    with pytest.raises(NonFiniteValue, match=LSTM_NON_FINITE):
+        ad.lstm(constant(seq), wx, wh, b, np.ones((nb, 7)), reverse=reverse)
 
 
 # ---------------------------------------------------------------------------

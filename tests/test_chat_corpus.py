@@ -115,6 +115,12 @@ def test_trailing_off_markers_vanish():
     assert normalize_utterance("and then +...") == "and then"
 
 
+def test_media_bullets_are_deleted():
+    text = normalize_utterance("the boy is falling . \x15123_4560\x15")
+    assert text == "the boy is falling ."
+    assert words(text) == ["the", "boy", "is", "falling"]
+
+
 def test_whitespace_is_collapsed():
     assert normalize_utterance("  a   b\t c  ") == "a b c"
 
@@ -131,6 +137,7 @@ _CHAT_FRAGMENTS = st.sampled_from([
     "[: going to]", "[:", "[+ exc]", "[+", "[*foo]", "[", "]", "<", ">", "<the dog>",
     "(.)", "(..)", "(...)", "(be)", "(", ")", "xxx", "yyy", "xxxx", "axxx", "xxx's",
     "+...", "+//", "+", "+.", "word", "a", "b'c", ".", "?", " ", "  ", "\t", "\u00a0",
+    "\x15123_4560\x15", "\x15",
     # word characters against a placeholder: no word boundary, so no placeholder
     "_xxx", "xxx_", "3yyy", "yyy3", "\u00e9xxx", "xxx\u00e9",
 ])
@@ -254,6 +261,21 @@ def test_malformed_tier_raises():
 def test_missing_participant_tier_raises():
     with pytest.raises(DataError, match=r"no \*PAR: tier in file"):
         parse_chat_file("*INV:\thow are you ?\n", Label.CT)
+
+
+def test_media_bullets_leave_no_token_and_no_warning():
+    content = "\n".join([
+        "@UTF8",
+        "@Begin",
+        "@Media:\t001-0, audio",
+        "*PAR:\tthe boy . \x150_2150\x15",
+        "*INV:\twhat else ? \x152150_3400\x15",
+        "*PAR:\tthe cookie . \x153400_5120\x15",
+        "@End",
+    ])
+    rec = parse_chat_file(content, Label.AD)
+    assert rec.participant_text == "the boy . the cookie ."
+    assert rec.warnings == ()
 
 
 def test_unknown_bracket_lands_in_record_warnings():
