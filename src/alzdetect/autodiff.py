@@ -70,10 +70,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        label = f" {self.name!r}" if self.name else ""
-        return f"Tensor{label}(shape={self.data.shape})"
-
 
 class Parameter(Tensor):
     """A named, trainable tensor. It holds only its data until a gradient is
@@ -356,14 +352,11 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # reductions and softmax
 
 
-def sum_(x: Tensor, axis: int | None = None) -> Tensor:
+def sum_(x: Tensor, axis: int) -> Tensor:
+    shape = x.shape
+
     def bw(g, sx):
-        if sx is None:
-            return
-        if axis is None:
-            _accum(sx, np.broadcast_to(g, sx.shape))
-        else:
-            _accum(sx, np.broadcast_to(np.expand_dims(g, axis), sx.shape))
+        _accum(sx, np.broadcast_to(np.expand_dims(g, axis), shape))
 
     return _out(x.data.sum(axis=axis), "sum", bw, x)
 
@@ -623,15 +616,15 @@ class Adam:
             raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
         self.t = 0
-        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}   # name -> (m, v)
+        self._moments: dict[Parameter, tuple[np.ndarray, np.ndarray]] = {}   # by identity
 
     def step(self, params: list[Parameter]):
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p in params:
-            if p.name not in self._moments:
-                self._moments[p.name] = (np.zeros_like(p.data), np.zeros_like(p.data))
-            m, v = self._moments[p.name]
+            if p not in self._moments:
+                self._moments[p] = (np.zeros_like(p.data), np.zeros_like(p.data))
+            m, v = self._moments[p]
             m[...] = b1 * m + (1 - b1) * p.grad
             v[...] = b2 * v + (1 - b2) * p.grad * p.grad
             mhat = m / (1 - b1 ** self.t)

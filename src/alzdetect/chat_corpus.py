@@ -101,6 +101,9 @@ _RE_RETRACE = re.compile(r"\[(?://|/|x\s*\d+)\]")      # [//] [/] [x 3]
 _RE_REPLACE = re.compile(r"(<[^<>]*>|\S+)\s*\[:\s*([^\]]+)\]")  # word [: form]
 _RE_POSTCODE = re.compile(r"\[\+[^\]]*\]")             # [+ exc] and kin
 _RE_BRACKET = re.compile(r"\[[^\]]*\]")                # any leftover [...] code
+# leftover codes the CHAT manual defines, deleted with no warning: [<] [>1] [?]
+# [!] [!!] [*] [* m:+s] [/?] [/-] [= x] [=! x] [=? x] [% x] [^ x]
+_RE_DEFINED = re.compile(r"\[(?:[<>]\d*|\?|!!?|/[?-]|\*(?: .*)?|(?:=[!?]?|%|\^) .*)\]")
 _RE_PAUSE = re.compile(r"\(\.{1,3}\)")                 # (.) (..) (...)
 _RE_OMITTED = re.compile(r"\(([A-Za-z']+)\)")          # (be)cause
 _RE_UNINTELLIGIBLE = re.compile(r"\b(?:xxx|yyy)\b")
@@ -114,7 +117,7 @@ def _filler_word(m: re.Match) -> str:
 
 def _strip_codes_once(text: str, warnings: list[str] | None) -> str:
     def _unknown(m):
-        if warnings is not None:
+        if warnings is not None and not _RE_DEFINED.fullmatch(m.group(0)):
             warnings.append(m.group(0))
         return " "
 
@@ -150,8 +153,9 @@ def normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str
 
     Fillers become plain word tokens so hesitation behaviour survives into
     the token stream; disfluency markers, media bullets, event codes,
-    pauses and unintelligible-speech placeholders vanish. Unknown bracket
-    codes are deleted and appended to ``warnings`` when a list is supplied.
+    pauses and unintelligible-speech placeholders vanish. Other bracket
+    codes are deleted too; those the CHAT manual does not define
+    (``_RE_DEFINED``) are appended to ``warnings`` when a list is supplied.
 
     Well-formed input settles in one pass; malformed marker soup (nested or
     dangling codes) can expose new codes once outer ones are removed, so the

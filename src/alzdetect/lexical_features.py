@@ -285,10 +285,9 @@ class TableRows:
     """Rows ``ids`` of ``table.vectors``, holding the table, not a copy.
 
     numpy reads it as the ``[len(ids) x dim]`` array ``table.vectors[ids]``
-    (``np.asarray``, ``np.stack``); ``stack_embeddings`` gathers a batch
-    whose instances share one table with one fancy index instead. The
-    table's matrix may have grown since the ids were given; their rows are
-    the same.
+    (``np.asarray``); ``stack_embeddings`` gathers a batch of them with one
+    fancy index instead. The table's matrix may have grown since the ids
+    were given; their rows are the same.
     """
 
     __slots__ = ("table", "ids")
@@ -313,15 +312,15 @@ def embed(seq: TokenSequence, table: EmbeddingTable) -> TableRows:
     return TableRows(table, table.ids(seq.tokens))
 
 
-def stack_embeddings(rows: list) -> np.ndarray:
+def stack_embeddings(rows: list[TableRows]) -> np.ndarray:
     """Instances' ``[T, dim]`` embeddings as one float64 ``[B, T, dim]``
-    array. Rows of one shared table, as every encoded corpus has, are
-    gathered with one fancy index over the table's current matrix, which
-    holds every row an earlier id names; anything else is stacked."""
-    table = getattr(rows[0], "table", None)
-    if all(type(r) is TableRows and r.table is table for r in rows):
-        return np.asarray(table.vectors[np.stack([r.ids for r in rows])], dtype=np.float64)
-    return np.stack(rows, dtype=np.float64)
+    array, gathered with one fancy index over their table's current matrix,
+    which holds every row an earlier id names. Every encoded corpus shares
+    one table; rows of two tables are a ``ValueError``."""
+    table = rows[0].table
+    if any(r.table is not table for r in rows):
+        raise ValueError("a batch's embeddings must be rows of one table")
+    return table.vectors[np.stack([r.ids for r in rows])]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +442,7 @@ class EncodedInstance:
 
     transcript_id: str
     participant_id: str
-    embeddings: TableRows | np.ndarray   # [budget x dim]
+    embeddings: TableRows    # [budget x dim]
     pos_onehot: np.ndarray   # [budget x |tagset|], bool
     features: np.ndarray     # [7]
     mask: np.ndarray         # [budget], 1.0 real / 0.0 pad

@@ -7,7 +7,8 @@ per-piece word splitter that the table encoder and ``words`` must match,
 the string-feature and dict-of-dicts tagger scorers that the cached tagger
 must match, the unguarded fixpoint CHAT normalizer that the guarded
 early-exit one must match, the line-by-line embedding loader that the bulk
-loader must match, and an embedding table built in memory."""
+loader must match, an embedding table built in memory, dense rows wrapped
+as the rows of one table, and the sum of every element as a scalar loss."""
 
 from __future__ import annotations
 
@@ -109,6 +110,23 @@ def make_instances(cfg, n, rng, separation=0.0):
         out.append(EncodedInstance(f"t{i}", f"p{i}", TableRows(table, ids), pos, feats,
                                    mask, label))
     return out
+
+
+def rows_of_one_table(arrays) -> list:
+    """Each ``[T, dim]`` array as ``TableRows`` of one new table whose matrix
+    holds them in order, so a batch of them is one gather, as an encoded
+    corpus's is."""
+    from alzdetect.lexical_features import TableRows
+
+    matrix = np.concatenate([np.asarray(a, dtype=np.float64) for a in arrays])
+    table = SimpleNamespace(vectors=matrix)
+    ends = np.cumsum([len(a) for a in arrays])
+    return [TableRows(table, np.arange(end - len(a), end)) for a, end in zip(arrays, ends)]
+
+
+def total(x: Tensor) -> Tensor:
+    """The sum of every element of ``x``: a scalar loss."""
+    return ad.sum_(ad.reshape(x, (x.data.size,)), axis=0)
 
 
 def lstm_direction(seq: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
@@ -457,13 +475,25 @@ def reference_tag(table: dict[str, dict[str, float]], tagdict: dict[str, str],
 # reference CHAT normalizer: strip passes until the text stops changing
 
 
+# bracket codes the CHAT manual defines: these whole, an overlap marker with a
+# number, or a code led by one of DEFINED_LEADS
+DEFINED_CODES = {"[<]", "[>]", "[?]", "[!]", "[!!]", "[*]", "[/?]", "[/-]"}
+DEFINED_LEADS = ("[* ", "[= ", "[=! ", "[=? ", "[% ", "[^ ")
+
+
+def _defined_code(code: str) -> bool:
+    number = code[2:-1]
+    return (code in DEFINED_CODES or code.startswith(DEFINED_LEADS)
+            or (code[1] in "<>" and number.isdecimal()))
+
+
 def reference_strip_codes_once(text: str, warnings: list[str] | None) -> str:
     """One pass of every CHAT cleanup pattern, each run whether or not its
     marker occurs."""
     from alzdetect import chat_corpus as cc
 
     def _unknown(m):
-        if warnings is not None:
+        if warnings is not None and not _defined_code(m.group(0)):
             warnings.append(m.group(0))
         return " "
 

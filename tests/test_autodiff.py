@@ -21,7 +21,7 @@ from alzdetect.autodiff import (
     backward,
     constant,
 )
-from helpers import gradcheck, lstm_direction
+from helpers import gradcheck, lstm_direction, total
 
 
 def _param(rng, *shape, name):
@@ -123,7 +123,7 @@ def test_sigmoid_matches_two_branch_form_bitwise():
 def test_sum_gradient_is_ones():
     p = Parameter(np.arange(6.0).reshape(2, 3), "p")
     with Tape() as tape:
-        backward(tape, ad.sum_(p))
+        backward(tape, total(p))
     np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
 
 
@@ -131,7 +131,7 @@ def test_unreached_parameter_keeps_zero_gradient():
     used = Parameter(np.ones(3), "used")
     unused = Parameter(np.ones(3), "unused")
     with Tape() as tape:
-        backward(tape, ad.sum_(ad.mul(used, used)))
+        backward(tape, total(ad.mul(used, used)))
     np.testing.assert_array_equal(unused.grad, np.zeros(3))
     np.testing.assert_array_equal(used.grad, 2 * np.ones(3))
 
@@ -172,13 +172,13 @@ def test_backward_refuses_a_spent_tape():
     seq = constant(rng.standard_normal((3, 7, 4)))
     wx, wh, b = _lstm_params(rng)
     with Tape() as tape:
-        loss = ad.sum_(ad.lstm(seq, wx, wh, b, LSTM_PAD_MASK))
+        loss = total(ad.lstm(seq, wx, wh, b, LSTM_PAD_MASK))
         backward(tape, loss)
         grads = [p.grad.copy() for p in (wx, wh, b)]
         recorded = len(tape)
         with pytest.raises(RuntimeError, match="this tape has already run backward"):
             backward(tape, loss)
-    assert len(tape) == recorded == 2
+    assert len(tape) == recorded == 3               # lstm, reshape, sum
     for p, g in zip((wx, wh, b), grads):
         np.testing.assert_array_equal(p.grad, g)
 
@@ -186,7 +186,7 @@ def test_backward_refuses_a_spent_tape():
 def test_clip_zero_gradient_outside_bounds():
     p = Parameter(np.array([-2.0, 0.5, 3.0]), "p")
     with Tape() as tape:
-        backward(tape, ad.sum_(ad.clip(p, 0.0, 1.0)))
+        backward(tape, total(ad.clip(p, 0.0, 1.0)))
     np.testing.assert_array_equal(p.grad, [0.0, 1.0, 0.0])
 
 
@@ -250,6 +250,16 @@ def test_adam_allocates_its_moments_once_per_parameter():
     assert zeros_like.call_count == 2 * len(params)     # m and v, on the first step
 
 
+@pytest.mark.parametrize("names", [(None, None), ("w", "w")])
+def test_adam_keeps_one_moment_pair_per_parameter(names):
+    """Two Parameters with no name, or one name, each step by their own
+    gradient: the first step of Adam moves each by the learning rate."""
+    a, b = Parameter(np.ones(1), names[0]), Parameter(np.ones(1), names[1])
+    a.grad[...], b.grad[...] = 1.0, -1.0
+    Adam(0.1).step([a, b])
+    np.testing.assert_allclose([a.data[0], b.data[0]], [0.9, 1.1], rtol=1e-7)
+
+
 def test_parameter_holds_only_its_data_until_a_gradient_is_written():
     data = np.random.default_rng(41).standard_normal((256, 512))
     kept, peak = _traced_bytes(lambda: Parameter(data, "w"))
@@ -269,7 +279,7 @@ def test_first_gradient_of_a_parameter_turns_negative_zero_to_zero():
     """The first write makes the buffer with the bits of zeros + g."""
     p = Parameter(np.array([1.0, 2.0]), "p")
     with Tape() as tape:
-        backward(tape, ad.sum_(ad.mul(p, constant(np.array([-0.0, -3.0])))))
+        backward(tape, total(ad.mul(p, constant(np.array([-0.0, -3.0])))))
     assert p.grad.tolist() == [0.0, -3.0] and not np.signbit(p.grad[0])
 
 
@@ -288,7 +298,7 @@ def test_gradcheck_mul_broadcast():
     rng = np.random.default_rng(2)
     a = _param(rng, 4, 3, name="a")
     b = _param(rng, 3, name="b")
-    gradcheck(lambda: ad.sum_(ad.mul(a, b)), [a, b])
+    gradcheck(lambda: total(ad.mul(a, b)), [a, b])
 
 
 def test_gradcheck_sub_log():
@@ -301,7 +311,7 @@ def test_gradcheck_sub_log():
 def test_gradcheck_sigmoid_relu_chain():
     rng = np.random.default_rng(4)
     a = _param(rng, 5, name="a")
-    gradcheck(lambda: ad.sum_(ad.relu(ad.sigmoid(a))), [a])
+    gradcheck(lambda: total(ad.relu(ad.sigmoid(a))), [a])
 
 
 def test_gradcheck_softmax_masked():
@@ -309,7 +319,7 @@ def test_gradcheck_softmax_masked():
     a = _param(rng, 2, 6, name="a")
     mask = np.array([[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 0]], dtype=float)
     w = _param(rng, 2, 6, name="w")
-    gradcheck(lambda: ad.sum_(ad.mul(ad.softmax(a, axis=1, mask=mask), w)), [a, w])
+    gradcheck(lambda: total(ad.mul(ad.softmax(a, axis=1, mask=mask), w)), [a, w])
 
 
 def test_gradcheck_concat_slice_reshape():
@@ -337,14 +347,14 @@ def test_gradcheck_conv1d():
 def test_gradcheck_mean_sum_axes():
     rng = np.random.default_rng(9)
     x = _param(rng, 3, 4, name="x")
-    gradcheck(lambda: ad.sum_(ad.mean(x, axis=0)), [x])
+    gradcheck(lambda: total(ad.mean(x, axis=0)), [x])
     gradcheck(lambda: ad.mean(ad.sum_(x, axis=1)), [x])
 
 
 def test_gradcheck_clip_interior():
     rng = np.random.default_rng(10)
     x = Parameter(rng.uniform(0.2, 0.8, (4,)), "x")
-    gradcheck(lambda: ad.sum_(ad.clip(x, 0.0, 1.0)), [x])
+    gradcheck(lambda: total(ad.clip(x, 0.0, 1.0)), [x])
 
 
 def test_gradcheck_composed_graph():
@@ -452,7 +462,7 @@ def test_gradcheck_lstm(reverse, mask):
     seq = _param(rng, 3, 7, 4, name="seq")
     wx, wh, b = _lstm_params(rng)
     weights = constant(rng.standard_normal((3, 7, 3)))
-    gradcheck(lambda: ad.sum_(ad.mul(ad.lstm(seq, wx, wh, b, mask, reverse=reverse), weights)),
+    gradcheck(lambda: total(ad.mul(ad.lstm(seq, wx, wh, b, mask, reverse=reverse), weights)),
               [seq, wx, wh, b])
 
 
@@ -559,7 +569,7 @@ def test_lstm_backward_allocates_no_gate_gradient_array(reverse):
     mask = np.ones((nb, nt))
     mask[2, 5:9] = 0.0
     with Tape() as tape:
-        loss = ad.sum_(ad.lstm(seq, *params, mask, reverse=reverse))
+        loss = total(ad.lstm(seq, *params, mask, reverse=reverse))
         _, peak = _traced_bytes(lambda: backward(tape, loss))
     gates = nt * nb * 4 * hidden * F64
     # one batch-major copy of the gate gradients feeds the wx and input
@@ -614,8 +624,8 @@ def test_op_output_made_with_no_tape_open_takes_no_gradient():
     early = ad.tanh(p)                 # as in predict: no tape, so data like a constant
     assert early.slot is None and early.grad is None
     with Tape() as tape:
-        backward(tape, ad.sum_(ad.mul(early, leaf)))
-    assert len(tape) == 2 and early.grad is None
+        backward(tape, total(ad.mul(early, leaf)))
+    assert len(tape) == 3 and early.grad is None      # mul, reshape, sum
     np.testing.assert_array_equal(leaf.grad, early.data)
     np.testing.assert_array_equal(p.grad, 0.0)
 
@@ -638,7 +648,7 @@ def test_gradient_accumulates_across_reuse(seed):
     p = Parameter(rng.standard_normal(3), "p")
     with Tape() as tape:
         # p used twice: d/dp sum(p + p) = 2
-        backward(tape, ad.sum_(ad.add(p, p)))
+        backward(tape, total(ad.add(p, p)))
     np.testing.assert_allclose(p.grad, 2.0)
 
 
@@ -649,6 +659,6 @@ def test_unbroadcast_add_shapes(rows, cols):
     a = Parameter(rng.standard_normal((rows, cols)), "a")
     b = Parameter(rng.standard_normal(cols), "b")
     with Tape() as tape:
-        backward(tape, ad.sum_(ad.add(a, b)))
+        backward(tape, total(ad.add(a, b)))
     assert a.grad.shape == (rows, cols) and b.grad.shape == (cols,)
     np.testing.assert_allclose(b.grad, rows)

@@ -102,6 +102,18 @@ def test_unknown_bracket_code_is_removed_with_warning():
     assert warnings == ["[*strange]"]
 
 
+# the bracket codes the CHAT manual defines beyond retracing, replacement and postcodes
+DEFINED_CODES = ["[<]", "[>1]", "[?]", "[!]", "[!!]", "[*]", "[* m:+s]", "[/?]", "[/-]",
+                 "[= points]", "[=! laughs]", "[=? x]", "[% sic]", "[^ e]"]
+
+
+@pytest.mark.parametrize("code", DEFINED_CODES)
+def test_defined_codes_are_deleted_without_a_warning(code):
+    warnings: list[str] = []
+    assert normalize_utterance(f"the boy {code} fell", warnings) == "the boy fell"
+    assert warnings == []
+
+
 def test_pauses_and_unintelligible_are_deleted():
     assert normalize_utterance("well (.) I (..) think (...) so") == "well I think so"
     assert normalize_utterance("he said xxx and yyy left") == "he said and left"
@@ -138,13 +150,15 @@ _CHAT_FRAGMENTS = st.sampled_from([
     "(.)", "(..)", "(...)", "(be)", "(", ")", "xxx", "yyy", "xxxx", "axxx", "xxx's",
     "+...", "+//", "+", "+.", "word", "a", "b'c", ".", "?", " ", "  ", "\t", "\u00a0",
     "\x15123_4560\x15", "\x15",
+    *DEFINED_CODES, "[<x]", "[>]", "[=]", "[%]", "[*x]",
     # word characters against a placeholder: no word boundary, so no placeholder
     "_xxx", "xxx_", "3yyy", "yyy3", "\u00e9xxx", "xxx\u00e9",
 ])
 
 
 @settings(max_examples=500)
-@given(st.lists(st.one_of(_CHAT_FRAGMENTS, st.text(alphabet="ab &<>[]()/:+.x=3-*", max_size=4)),
+@given(st.lists(st.one_of(_CHAT_FRAGMENTS, st.text(alphabet="ab &<>[]()/:+.x=3-*?!%^",
+                                                   max_size=4)),
                 max_size=16))
 def test_normalization_matches_fixpoint_reference(pieces):
     raw = "".join(pieces)
@@ -276,6 +290,28 @@ def test_media_bullets_leave_no_token_and_no_warning():
     rec = parse_chat_file(content, Label.AD)
     assert rec.participant_text == "the boy . the cookie ."
     assert rec.warnings == ()
+
+
+CHAT_FORMS = Path(__file__).parent / "fixtures" / "chat_forms.cha"
+
+
+def test_hand_written_chat_forms_give_these_tokens_and_one_warning():
+    """A file written from the CHAT manual: headers, an @ID with no gender,
+    dependent tiers, an *INV: tier, a continuation line, and every form the
+    normalizer deletes; of its codes only [zz] is not in the manual."""
+    rec = read_transcript(CHAT_FORMS, Label.AD)
+    assert words(rec.participant_text) == [
+        "the", "boy", "the", "boy", "is", "uh", "taking", "cookies",
+        "the", "mother", "is", "drying", "the", "dishes",
+        "and", "the", "water", "um", "is", "running", "over",
+        "boys", "he's", "on", "the", "stool", "because",
+        "she", "doesn't", "see", "it",
+        "the", "girl", "laughs",
+        "she", "reaches",
+        "cookie", "jar", "a", "+", "b",
+    ]
+    assert rec.warnings == ("[zz]",)
+    assert rec.demographics == Demographics(age=71, gender=Gender.UNKNOWN)
 
 
 def test_unknown_bracket_lands_in_record_warnings():

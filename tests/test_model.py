@@ -42,7 +42,7 @@ from alzdetect.model import (
     weighted_bce,
 )
 from alzdetect.text_pipeline import TAGSET, default_tagger
-from helpers import gradcheck, make_instances, save_edited_model
+from helpers import gradcheck, make_instances, rows_of_one_table, save_edited_model
 
 TINY = ModelConfig(seq_len=5, embed_dim=4, pos_dim=3, conv_filters=2,
                    conv_kernel=3, lstm_hidden=3, attention_dim=3,
@@ -215,8 +215,8 @@ def test_forward_is_deterministic():
 def test_all_masked_zero_feature_instance_scores_half():
     rng = np.random.default_rng(3)
     params = init_params(TINY, rng)
-    inst = EncodedInstance("t", "p",
-                           np.zeros((TINY.seq_len, TINY.embed_dim)),
+    [rows] = rows_of_one_table([np.zeros((TINY.seq_len, TINY.embed_dim))])
+    inst = EncodedInstance("t", "p", rows,
                            np.zeros((TINY.seq_len, TINY.pos_dim)),
                            np.zeros(7), np.zeros(TINY.seq_len), 0)
     assert predict(params, TINY, [inst])[0] == 0.5
@@ -225,8 +225,8 @@ def test_all_masked_zero_feature_instance_scores_half():
 def test_stacking_rejects_wrong_shapes():
     rng = np.random.default_rng(4)
     params = init_params(TINY, rng)
-    bad = EncodedInstance("t", "p",
-                          np.zeros((TINY.seq_len, TINY.embed_dim + 1)),
+    [rows] = rows_of_one_table([np.zeros((TINY.seq_len, TINY.embed_dim + 1))])
+    bad = EncodedInstance("t", "p", rows,
                           np.zeros((TINY.seq_len, TINY.pos_dim)),
                           np.zeros(7), np.ones(TINY.seq_len), 0)
     with pytest.raises(ValueError, match=re.escape("embeddings (5, 5) vs config (5, 4)")):
@@ -333,7 +333,10 @@ def test_constants_taking_no_gradient_change_no_parameter_gradient_bit(variant, 
 
 
 def _dense(batch):
-    return [replace(i, embeddings=np.asarray(i.embeddings)) for i in batch]
+    """The batch with each instance's rows copied out whole, pads as zero
+    rows, into one new table."""
+    rows = rows_of_one_table([np.asarray(i.embeddings) for i in batch])
+    return [replace(i, embeddings=r) for i, r in zip(batch, rows)]
 
 
 def test_taped_default_dims_step_holds_only_what_backward_reads():
@@ -370,17 +373,18 @@ def test_table_rows_give_the_bytes_of_dense_copies(size, training):
     ids[4:] = OOV_ROW                                # padding from mid-sequence on
     mask = np.where(np.arange(cfg.seq_len) < 4, 1.0, 0.0)
     batch[0] = replace(first, embeddings=TableRows(first.embeddings.table, ids), mask=mask)
-    assert len({id(i.embeddings.table) for i in batch}) == 1     # the one-gather path
+    assert len({id(i.embeddings.table) for i in batch}) == 1
     assert _step_bytes(cfg, batch, training) == _step_bytes(cfg, _dense(batch), training)
 
 
-@pytest.mark.parametrize("training", [True, False])
-def test_rows_of_two_tables_give_the_bytes_of_dense_copies(training):
-    cfg = replace(TINY, seq_len=9, dropout_rate=0.5)
+def test_a_batch_of_rows_of_two_tables_is_rejected():
+    cfg = replace(TINY, seq_len=9, batch_size=8)
     batch = (make_instances(cfg, 4, np.random.default_rng(24))
              + make_instances(cfg, 4, np.random.default_rng(25)))
-    assert len({id(i.embeddings.table) for i in batch}) == 2     # the stacking path
-    assert _step_bytes(cfg, batch, training) == _step_bytes(cfg, _dense(batch), training)
+    assert len({id(i.embeddings.table) for i in batch}) == 2
+    params = init_params(cfg, np.random.default_rng(26))
+    with pytest.raises(ValueError, match="rows of one table"):
+        predict(params, cfg, batch)
 
 
 def test_attention_gradient_is_exactly_zero_when_disabled():
