@@ -96,6 +96,7 @@ _FILLER_WORDS = {"uh": "uh", "um": "um", "em": "um", "mm": "um", "hm": "um",
 
 _RE_BULLET = re.compile(r"\x15[^\x15\s]*\x15")        # media bullet \x15123_4560\x15
 _RE_EVENT = re.compile(r"&=\S+")                       # &=laughs
+_RE_FRAGMENT = re.compile(r"&[+~]\S+")                 # &+fr fragment, &~li nonword
 _RE_FILLER = re.compile(r"&[&-]*([A-Za-z']+)")         # &uh / &-um
 _RE_RETRACE = re.compile(r"\[(?://|/|x\s*\d+)\]")      # [//] [/] [x 3]
 _RE_REPLACE = re.compile(r"(<[^<>]*>|\S+)\s*\[:\s*([^\]]+)\]")  # word [: form]
@@ -124,9 +125,11 @@ def _strip_codes_once(text: str, warnings: list[str] | None) -> str:
     # a pattern runs only where its literal marker occurs (see normalize_utterance)
     if "\x15" in text:
         text = _RE_BULLET.sub(" ", text)
-    if "&=" in text:
-        text = _RE_EVENT.sub(" ", text)
     if "&" in text:
+        if "&=" in text:
+            text = _RE_EVENT.sub(" ", text)
+        if "&+" in text or "&~" in text:
+            text = _RE_FRAGMENT.sub(" ", text)
         text = _RE_FILLER.sub(_filler_word, text)
     if "[" in text:
         text = _RE_RETRACE.sub(" ", text)
@@ -153,9 +156,10 @@ def normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str
 
     Fillers become plain word tokens so hesitation behaviour survives into
     the token stream; disfluency markers, media bullets, event codes,
-    pauses and unintelligible-speech placeholders vanish. Other bracket
-    codes are deleted too; those the CHAT manual does not define
-    (``_RE_DEFINED``) are appended to ``warnings`` when a list is supplied.
+    phonological fragments (``&+fr``), nonwords (``&~li``), pauses and
+    unintelligible-speech placeholders vanish. Other bracket codes are
+    deleted too; those the CHAT manual does not define (``_RE_DEFINED``)
+    are appended to ``warnings`` when a list is supplied.
 
     Well-formed input settles in one pass; malformed marker soup (nested or
     dangling codes) can expose new codes once outer ones are removed, so the
@@ -168,11 +172,12 @@ def normalize_utterance(raw_text: str, warnings: list[str] | None = None) -> str
 
     Within a pass each pattern runs only when the text, as the patterns
     before it left it, holds the literal it needs: ``\x15`` for media
-    bullets (``\x15123_4560\x15``), ``&=`` for event codes, ``&`` for
-    fillers, ``[`` for the four bracket codes, ``(`` for pauses and omitted
-    parts, ``xxx`` or ``yyy`` for unintelligible speech and ``+`` for
-    trailing-off markers. A pattern skipped that way would have matched
-    nothing, so the result is that of running all of them.
+    bullets (``\x15123_4560\x15``), ``&=`` for event codes, ``&+`` or
+    ``&~`` for fragments and nonwords, ``&`` for fillers, ``[`` for the
+    four bracket codes, ``(`` for pauses and omitted parts, ``xxx`` or
+    ``yyy`` for unintelligible speech and ``+`` for trailing-off markers. A
+    pattern skipped that way would have matched nothing, so the result is
+    that of running all of them.
     """
     text = " ".join(raw_text.split())
     while _RE_MARKER_CHAR.search(text) or (

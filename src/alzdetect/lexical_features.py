@@ -141,7 +141,7 @@ def _vector(values: list[str]) -> np.ndarray:
     return vec
 
 
-_CHUNK_BYTES = 1 << 18    # bytes of whole lines read at once at load; the buffer size, > 1
+_CHUNK_BYTES = 1 << 18    # the load's read buffer size, for a file at least this long
 # the 19 non-ASCII characters str.split() splits on, in rising order, each as the
 # big-endian number of its UTF-8 bytes: two or three, led by C2, E1, E2 or E3
 _WIDE_SPACES = np.array(
@@ -155,10 +155,13 @@ class _EmbeddingFile:
     this is built. It keeps where each word's first line lies (``lines[word]``
     is a line index; line ``i`` spans bytes ``starts[i]:starts[i + 1]``), not
     its values: ``read`` parses a word's line, by ``_vector``, once the
-    file's size and mtime match those seen at the build. The build decodes
-    each chunk of lines whole, so a UTF-8 fault wins over a width fault on
-    an earlier line of its chunk, and counts a line's ``str.split()`` fields
-    over the chunk's bytes (``_space_mask``) without building them."""
+    file's size and mtime match those seen at the build. The build checks
+    each chunk of whole lines one read holds (``_line_chunks``) at once: a
+    chunk with a byte above 0x7F is decoded whole, so a UTF-8 fault wins over
+    a width fault on an earlier line of its chunk, and an ASCII chunk, valid
+    UTF-8, is not decoded. It counts a line's ``str.split()`` fields over the
+    chunk's bytes (``_space_mask``) without building them, in arrays made
+    once per load, as the read buffer is."""
 
     def __init__(self, path):
         self.path = path
@@ -166,26 +169,34 @@ class _EmbeddingFile:
         self.lines: dict[str, int] = {}
         ends = []                      # each chunk's line ends, in file bytes
         first_line = 0                 # lines before the chunk
-        with open(path, "rb", buffering=_CHUNK_BYTES) as fh, reading_utf8(path):
+        offset = 0                     # file bytes before the chunk
+        marks = bytearray()            # the space mask's bytes: 1 on a space, else 0
+        with open(path, "rb", buffering=0) as fh, reading_utf8(path):
             self.stamp = _stamp(fh)
-            while lines := fh.readlines(_CHUNK_BYTES):
-                chunk = b"".join(lines)
-                space = _space_mask(chunk)
-                # each line's start, then the chunk's end: readlines ended lines
-                # at \n, and a \r not before \n ends one too
-                bounds = np.cumsum([0, *map(len, lines)])
-                if b"\r" in chunk:
-                    code = np.frombuffer(chunk, dtype=np.uint8)
-                    lone_cr = (code[:-1] == np.uint8(13)) & (code[1:] != np.uint8(10))
-                    bounds = np.union1d(bounds, np.flatnonzero(lone_cr) + 1)
+            for raw, cut in _line_chunks(fh, min(_CHUNK_BYTES, self.stamp[0] + 1)):
+                if len(marks) != len(raw):     # the first chunk, or a grown buffer
+                    marks, scratch = bytearray(len(raw)), np.empty(len(raw), dtype=np.uint8)
+                code = np.frombuffer(raw, dtype=np.uint8, count=cut)
+                space = np.frombuffer(marks, dtype=np.bool_, count=cut)
+                flags = scratch[:cut].view(np.bool_)
+                is_ascii = code.max() < 0x80
+                if not is_ascii:
+                    str(memoryview(raw)[:cut], "utf-8")      # the chunk's UTF-8 check
+                # each line's end: a \n, a \r not before \n, or the chunk's end
+                np.equal(code, np.uint8(10), out=space)
+                space[-1] = True
+                if raw.find(b"\r", 0, cut) >= 0:
+                    cr = np.flatnonzero(np.equal(code[:-1], np.uint8(13), out=flags[:-1]))
+                    space[cr[code[cr + 1] != np.uint8(10)]] = True
+                bounds = np.concatenate([[0], np.flatnonzero(space) + 1])
+                _space_mask(code, is_ascii, space, scratch[:cut])
                 # a field starts at a non-space that starts the chunk or follows
                 # a space; each line but the chunk's last ends in one (\n or \r)
-                field_start = ~space
-                field_start[1:] &= space[:-1]
+                np.greater(space[:-1], space[1:], out=flags[1:])
+                flags[0] = not space[0]
                 # a type that counts to the longest line's length holds its count
-                fields = np.add.reduceat(field_start, bounds[:-1],
+                fields = np.add.reduceat(flags, bounds[:-1],
                                          dtype=np.min_scalar_type(np.diff(bounds).max()))
-                marks = space.tobytes()
                 rows = zip(bounds.tolist(), fields.tolist())
                 for i, (start, n_fields) in enumerate(rows, start=first_line):
                     if not n_fields:
@@ -199,10 +210,11 @@ class _EmbeddingFile:
                         raise DataError(f"{path}:{i + 1}: expected {self.dim} values, "
                                         f"got {width}")
                     # the word: from the line's first unmarked byte to its next marked one
-                    word = marks.index(b"\0", start)
-                    self.lines.setdefault(chunk[word:marks.index(b"\1", word)].decode(), i)
-                ends.append(fh.tell() - len(chunk) + bounds[1:])
+                    word = marks.index(0, start)
+                    self.lines.setdefault(raw[word:marks.index(1, word)].decode(), i)
+                ends.append(bounds[1:] + offset)
                 first_line += len(bounds) - 1
+                offset += cut
         if self.dim is None:
             raise DataError(f"{path}: no embedding lines")
         # pads embed as zeros whatever the file says; a <pad> line is never read
@@ -243,24 +255,51 @@ def _stamp(fh) -> tuple[int, int]:
     return st.st_size, st.st_mtime_ns
 
 
-def _space_mask(chunk: bytes) -> np.ndarray:
-    """Which bytes of ``chunk`` belong to a character ``str.split()`` splits
-    on. Every byte of a wide space is marked; a 0x85 or 0xA0 that continues
-    another character (as in U+00C5 and U+00E0) is not. The chunk's one
-    decode is its UTF-8 check."""
-    code = np.frombuffer(chunk, dtype=np.uint8)
-    is_ascii = len(chunk.decode("utf-8")) == len(chunk)
-    # 9-13 and 28-32: at most 4 above 9 or 28, a byte below wrapping to 255. Each
-    # comparison overwrites the difference it reads, so two chunk-sized arrays
-    # are made, not five
-    space, above_28 = code - np.uint8(9), code - np.uint8(28)
-    space = np.less_equal(space, np.uint8(4), out=space.view(np.bool_))
-    space |= np.less_equal(above_28, np.uint8(4), out=above_28.view(np.bool_))
+def _line_chunks(fh, size: int):
+    r"""``(buffer, n)`` for each chunk of whole lines of the raw file ``fh``:
+    the buffer's first ``n`` bytes, which run to the last \n of one read, or
+    to the end of a file whose last line has no \n. The one buffer, of
+    ``size`` bytes, is filled again after each chunk, behind the unfinished
+    line moved to its front; it doubles, in a new bytearray, only when a
+    line is longer than it."""
+    raw = bytearray(size)
+    view = memoryview(raw)
+    held = 0                           # bytes of the unfinished line at the front
+    while got := fh.readinto(view[held:]):
+        filled = held + got
+        cut = raw.rfind(b"\n", held, filled) + 1
+        if not cut:
+            if filled == len(raw):
+                raw = bytearray(2 * filled)
+                raw[:filled] = view
+                view = memoryview(raw)
+            held = filled
+            continue
+        yield raw, cut
+        held = filled - cut
+        view[:held] = view[cut:filled]
+    if held:
+        yield raw, held
+
+
+def _space_mask(code: np.ndarray, is_ascii: bool, space: np.ndarray, scratch: np.ndarray):
+    """Mark in ``space`` (bool) which bytes of ``code``, UTF-8 text, belong
+    to a character ``str.split()`` splits on; ``is_ascii`` says no byte is
+    above 0x7F. Every byte of a wide space is marked; a 0x85 or 0xA0 that
+    continues another character (as in U+00C5 and U+00E0) is not.
+    ``scratch`` is a uint8 array of ``code``'s length, overwritten; no other
+    array of that length is made."""
+    # 9-13 and 28-32: at most 4 above 9 or 28, a byte below wrapping to 255
+    above_28 = space.view(np.uint8)
+    np.subtract(code, np.uint8(9), out=scratch)
+    np.subtract(code, np.uint8(28), out=above_28)
+    np.minimum(scratch, above_28, out=scratch)
+    np.less_equal(scratch, np.uint8(4), out=space)
     if is_ascii:
-        return space
+        return
     # each whole sequence led by C2-E3 as the number of its bytes: 2 after C2-DF, else 3
-    lead = np.flatnonzero(code >= np.uint8(0xC2))
-    lead = lead[code[lead] <= np.uint8(0xE3)]
+    np.subtract(code, np.uint8(0xC2), out=scratch)
+    lead = np.flatnonzero(np.less_equal(scratch, np.uint8(0xE3 - 0xC2), out=scratch.view(np.bool_)))
     seq = code.take(lead[:, None] + np.arange(3), mode="clip")
     two = seq[:, 0] < np.uint8(0xE0)
     key = (seq @ np.array([1 << 16, 1 << 8, 1], dtype=np.uint32)) >> (np.uint32(8) * two)
@@ -268,7 +307,6 @@ def _space_mask(chunk: bytes) -> np.ndarray:
     lead, three = lead[hit], ~two[hit]
     space[lead] = space[lead + 1] = True
     space[lead[three] + 2] = True
-    return space
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:

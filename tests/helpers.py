@@ -8,7 +8,8 @@ the string-feature and dict-of-dicts tagger scorers that the cached tagger
 must match, the unguarded fixpoint CHAT normalizer that the guarded
 early-exit one must match, the line-by-line embedding loader that the bulk
 loader must match, an embedding table built in memory, dense rows wrapped
-as the rows of one table, and the sum of every element as a scalar loss."""
+as the rows of one table, the sum of every element as a scalar loss, and
+the minor page faults of code run in a fresh process."""
 
 from __future__ import annotations
 
@@ -499,6 +500,7 @@ def reference_strip_codes_once(text: str, warnings: list[str] | None) -> str:
 
     text = cc._RE_BULLET.sub(" ", text)
     text = cc._RE_EVENT.sub(" ", text)
+    text = cc._RE_FRAGMENT.sub(" ", text)
     text = cc._RE_FILLER.sub(
         lambda m: cc._FILLER_WORDS.get(m.group(1).lower(), m.group(1).lower()), text)
     text = cc._RE_RETRACE.sub(" ", text)
@@ -580,3 +582,31 @@ def reference_vector(path, lineno: int, values: list[str]) -> np.ndarray:
     if not np.isfinite(vec).all():
         raise DataError(f"{path}:{lineno}: non-finite vector value")
     return vec
+
+
+# ---------------------------------------------------------------------------
+# page faults of a fresh process
+
+
+def fresh_process_faults(setup: str, measured: str, *args: str) -> int:
+    """The minor page faults that ``measured`` takes, run after ``setup``
+    in a new Python process whose heap nothing else has touched. Both are
+    source text; the process has ``args`` as ``sys.argv[1:]``, ``sys``
+    imported, and the package and these helpers importable. ``os`` and
+    ``subprocess`` are imported here, not at the top: the measured process
+    may import this module, and whatever it allocates first can change
+    which of its later blocks glibc's malloc maps, and so which faults."""
+    import os
+    import subprocess
+    import sys
+
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]))
+    script = "\n".join([
+        "import resource, sys", setup,
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt", measured,
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"])
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return int(run.stdout)

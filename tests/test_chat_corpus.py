@@ -127,6 +127,11 @@ def test_trailing_off_markers_vanish():
     assert normalize_utterance("and then +...") == "and then"
 
 
+def test_fragments_and_nonwords_are_deleted():
+    assert normalize_utterance("the &+fr friend is here .") == "the friend is here ."
+    assert normalize_utterance("a &~li &+b-b-bo boy &-um .") == "a boy um ."
+
+
 def test_media_bullets_are_deleted():
     text = normalize_utterance("the boy is falling . \x15123_4560\x15")
     assert text == "the boy is falling ."
@@ -145,7 +150,8 @@ def test_normalization_is_idempotent(raw):
 
 
 _CHAT_FRAGMENTS = st.sampled_from([
-    "&uh", "&-um", "&&er", "&=laughs", "&", "&=", "[//]", "[/]", "[x 3]", "[x3]",
+    "&uh", "&-um", "&&er", "&=laughs", "&+fr", "&~li", "&+", "&~", "&", "&=", "[//]", "[/]",
+    "[x 3]", "[x3]",
     "[: going to]", "[:", "[+ exc]", "[+", "[*foo]", "[", "]", "<", ">", "<the dog>",
     "(.)", "(..)", "(...)", "(be)", "(", ")", "xxx", "yyy", "xxxx", "axxx", "xxx's",
     "+...", "+//", "+", "+.", "word", "a", "b'c", ".", "?", " ", "  ", "\t", "\u00a0",

@@ -1,6 +1,7 @@
 """Embeddings, scalar lexicons, and the targeted feature vector."""
 
 import os
+import platform
 import re
 import sys
 import tempfile
@@ -53,6 +54,7 @@ from helpers import (
     embedding_table,
     fixture_entries,
     fixture_lexicons,
+    fresh_process_faults,
     reference_feature_vector,
     reference_load_embeddings,
     reference_vector,
@@ -166,6 +168,24 @@ def test_load_embeddings_holds_the_table_once(tmp_path):
     assert rows.tolist() == [[0.123456] * 200] * 10
 
 
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's malloc thresholds")
+def test_load_embeddings_makes_its_buffers_once(tmp_path):
+    """A cold load of a 20 MB, 300-d table reads it into one buffer and
+    masks each chunk in arrays made once, so it takes few page faults. A
+    load that made each chunk's arrays anew took 7,400: every 256 KiB block
+    past glibc's mmap threshold is mapped fresh, or taken from the top of
+    the heap and trimmed back when freed."""
+    rng = np.random.default_rng(0)
+    rows = [" ".join(f"{v:.6f}" for v in rng.normal(0, 0.4, 300)) for _ in range(64)]
+    path = tmp_path / "vec.txt"
+    path.write_text("".join(f"w{i} {rows[i % 64]}\n" for i in range(7000)))
+    assert path.stat().st_size > 19 * 2**20
+    faults = fresh_process_faults("from alzdetect.lexical_features import load_embeddings",
+                                  "load_embeddings(sys.argv[1])", str(path))
+    assert faults < 2000, faults
+
+
 def _narrower_after_first_chunk():
     # a first line longer than 1 MiB, then lines of one narrower width
     long_value = "0." + "1" * 4000
@@ -225,14 +245,26 @@ def test_load_embeddings_matches_reference_on_hostile_input(tmp_path, text):
     _same_as_reference(_write(tmp_path, text))
 
 
-# chunks of a few bytes: each line is a chunk of its own (or a few blank lines
-# are), so every line end, line count and width check crosses a chunk boundary
+# a read buffer of a few bytes: a line longer than it grows it, and each read
+# holds a line or a few, so line ends, line counts and width checks cross
+# chunk boundaries
 _TINY_CHUNKS = mock.patch.object(lexical_features, "_CHUNK_BYTES", 3)
 
 
 @pytest.mark.parametrize("text", [t for _, t in _HOSTILE], ids=[i for i, _ in _HOSTILE])
 def test_load_embeddings_matches_reference_on_hostile_input_in_tiny_chunks(tmp_path, text):
     with _TINY_CHUNKS:
+        _same_as_reference(_write(tmp_path, text))
+
+
+# chunks of 64 bytes: one read holds a few short lines and cuts the next, which
+# moves to the buffer's front to be finished by the next read
+_SMALL_CHUNKS = mock.patch.object(lexical_features, "_CHUNK_BYTES", 64)
+
+
+@pytest.mark.parametrize("text", [t for _, t in _HOSTILE], ids=[i for i, _ in _HOSTILE])
+def test_load_embeddings_matches_reference_on_hostile_input_in_small_chunks(tmp_path, text):
+    with _SMALL_CHUNKS:
         _same_as_reference(_write(tmp_path, text))
 
 
@@ -302,6 +334,20 @@ def test_load_embeddings_matches_reference_on_random_tables_in_tiny_chunks(dim, 
         _same_as_reference_on_a_random_table(dim, hostile, data)
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 4), hostile=st.booleans(), data=st.data())
+def test_load_embeddings_matches_reference_on_random_tables_in_small_chunks(dim, hostile, data):
+    with _SMALL_CHUNKS:
+        _same_as_reference_on_a_random_table(dim, hostile, data)
+
+
+def _space_mask(data: bytes) -> np.ndarray:
+    code = np.frombuffer(data, dtype=np.uint8)
+    space = np.empty(len(code), dtype=np.bool_)
+    lexical_features._space_mask(code, data.isascii(), space, np.empty_like(code))
+    return space
+
+
 def test_space_mask_marks_the_bytes_of_every_space_and_no_other():
     """Every code point but the surrogates, UTF-8 encoded in one chunk: each
     byte of a character ``str.isspace()`` holds for is marked, and no other
@@ -311,13 +357,12 @@ def test_space_mask_marks_the_bytes_of_every_space_and_no_other():
     widths = [len(c.encode("utf-8")) for c in chars]
     owner = np.repeat(np.arange(len(chars)), widths)
     want = np.array([c.isspace() for c in chars])[owner]
-    got = lexical_features._space_mask("".join(chars).encode("utf-8"))
+    got = _space_mask("".join(chars).encode("utf-8"))
     wrong = sorted({f"U+{ord(chars[k]):04X}" for k in owner[got != want]})
     assert not wrong, wrong
     ascii_bytes = bytes(range(128))
-    assert lexical_features._space_mask(ascii_bytes).tolist() == \
-        [chr(b).isspace() for b in ascii_bytes]
-    assert not lexical_features._space_mask("\u00c5\u00e0".encode("utf-8")).any()
+    assert _space_mask(ascii_bytes).tolist() == [chr(b).isspace() for b in ascii_bytes]
+    assert not _space_mask("\u00c5\u00e0".encode("utf-8")).any()
 
 
 def test_row_ids_follow_first_use(tmp_path):

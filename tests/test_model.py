@@ -1,10 +1,8 @@
 """Classifier graph: structure, gradients, training loop, serialization."""
 
 import math
-import os
 import platform
 import re
-import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -42,7 +40,13 @@ from alzdetect.model import (
     weighted_bce,
 )
 from alzdetect.text_pipeline import TAGSET, default_tagger
-from helpers import gradcheck, make_instances, rows_of_one_table, save_edited_model
+from helpers import (
+    fresh_process_faults,
+    gradcheck,
+    make_instances,
+    rows_of_one_table,
+    save_edited_model,
+)
 
 TINY = ModelConfig(seq_len=5, embed_dim=4, pos_dim=3, conv_filters=2,
                    conv_kernel=3, lstm_hidden=3, attention_dim=3,
@@ -712,10 +716,8 @@ def test_loaded_model_holds_its_parameters_once(tmp_path):
     assert all(p.slot.grad is None for p in params.values())
 
 
-# Loads a model, then reports the minor page faults per B=1 request, after
-# warm-up, in a process whose heap nothing else has touched
-_FAULTS_PER_REQUEST = """
-import resource, sys
+# Loads a model and warms up on B=1 requests; then 30 more are measured
+_LOADED_AND_WARM = """
 import numpy as np
 from alzdetect import model
 from helpers import make_instances
@@ -724,10 +726,10 @@ params, config = model.load(sys.argv[1])
 instance = make_instances(config, 1, np.random.default_rng(0))
 for _ in range(5):
     model.predict(params, config, instance)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+"""
+_THIRTY_REQUESTS = """
 for _ in range(30):
     model.predict(params, config, instance)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
 """
 
 
@@ -741,12 +743,8 @@ def test_scoring_after_load_runs_on_a_warm_heap(tmp_path):
     does it; a load that frees less slows every later request."""
     path = tmp_path / "model.bin"
     save(init_params(ModelConfig(), np.random.default_rng(0)), ModelConfig(), path)
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", _FAULTS_PER_REQUEST, str(path)], env=env,
-                         capture_output=True, text=True, timeout=300, check=True)
-    assert float(run.stdout) < 20, run.stdout
+    faults = fresh_process_faults(_LOADED_AND_WARM, _THIRTY_REQUESTS, str(path))
+    assert faults / 30 < 20, faults
 
 
 def test_model_file_holds_only_config_names_and_values(tmp_path):

@@ -22,6 +22,7 @@ from pathlib import Path
 import yaml
 
 import alzdetect
+from alzdetect import lexical_features
 from alzdetect.cli import main
 
 PACKAGE = Path(alzdetect.__file__).parent    # as the code objects name their files
@@ -163,13 +164,17 @@ def _flow(root: Path):
     train = _write_config(root / "train.yaml", root, ascii_table, seq_len=48,
                           dropout_rate=0.3, max_epochs=8, patience=0, learning_rate=0.1)
     yield ["synth", train]
-    # CRLF line ends, and a copy of the table with a non-ASCII word, a CRLF and
-    # a blank line: the parsers' CR, blank-line and non-ASCII branches. The
-    # untouched table takes the ASCII branch
+    # CRLF line ends, and a copy of the table with a non-ASCII word, a CRLF, a
+    # blank line and a last line longer than the loader's read buffer, with no
+    # line end: the parsers' CR, blank-line and non-ASCII branches, and the
+    # loader's buffer growth and unended last line. The untouched table takes
+    # the ASCII branch
     chat = root / "ad" / "chat_forms.cha"
     chat.write_bytes(CHAT_FORMS.read_bytes().replace(b"\n", b"\r\n"))
+    long_line = "long " + " ".join(["0." + "0" * 40_000] * 8)
+    assert len(long_line) > lexical_features._CHUNK_BYTES
     wide_table.write_bytes(ascii_table.read_bytes()
-                           + ("naïve" + " 0.5" * 8 + "\r\n\n").encode("utf-8"))
+                           + ("naïve" + " 0.5" * 8 + "\r\n\n" + long_line).encode("utf-8"))
     only_ad = root / "only_ad" / "ad"
     only_ad.mkdir(parents=True)
     (only_ad / chat.name).write_bytes(chat.read_bytes())
